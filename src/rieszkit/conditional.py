@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import _ladder_indices
+
 __all__ = [
     "FiniteMeasureSpace",
     "RandomVariable",
@@ -189,6 +191,25 @@ def _check_alignment(X: RandomVariable, G: Partition, space: FiniteMeasureSpace)
         raise ValueError("partition does not cover the atom indices of the space")
 
 
+def _blocks(G: Partition, space: FiniteMeasureSpace) -> list:
+    """(index array, probabilities, mass) of each block, computed once."""
+    p = space.probabilities
+    return [(idx, p[idx], float(p[idx].sum())) for idx in map(np.array, G.blocks)]
+
+
+def _block_average(x: np.ndarray, blocks: list) -> np.ndarray:
+    """(sum of x*p) / (sum of p) on each block; zero-mass blocks hold 0."""
+    xi = np.zeros(len(x))
+    for idx, p, mass in blocks:
+        if mass != 0.0:
+            xi[idx] = float(np.dot(x[idx], p)) / mass
+    return xi
+
+
+def _zero_mass(blocks: list) -> tuple[int, ...]:
+    return tuple(bi for bi, (_, _, mass) in enumerate(blocks) if mass == 0.0)
+
+
 def cond_expectation(
     X: RandomVariable, G: Partition, space: FiniteMeasureSpace
 ) -> ConditionedRV:
@@ -201,18 +222,9 @@ def cond_expectation(
     choice there would do, since those atoms carry no mass.
     """
     _check_alignment(X, G, space)
-    p = space.probabilities
-    xv = X.array
-    xi = np.zeros(space.n)
-    flagged = []
-    for bi, block in enumerate(G.blocks):
-        idx = list(block)
-        mass = float(p[idx].sum())
-        if mass == 0.0:
-            flagged.append(bi)
-        else:
-            xi[idx] = float(np.dot(xv[idx], p[idx])) / mass
-    return ConditionedRV(values=tuple(xi), zero_mass_blocks=tuple(flagged))
+    blocks = _blocks(G, space)
+    xi = _block_average(X.array, blocks)
+    return ConditionedRV(values=tuple(xi), zero_mass_blocks=_zero_mass(blocks))
 
 
 def cond_expectation_l1(
@@ -230,16 +242,12 @@ def cond_expectation_l1(
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     _check_alignment(X, G, space)
+    blocks = _blocks(G, space)
     xv = X.array
     x_plus = np.maximum(xv, 0.0)
     x_minus = np.maximum(-xv, 0.0)
 
-    levels = [1]
-    while levels[-1] * 2 <= j_max:
-        levels.append(levels[-1] * 2)
-    if levels[-1] != j_max:
-        levels.append(j_max)
-
+    levels = _ladder_indices(j_max)
     history = []
     result = None
     converged = False
@@ -247,17 +255,16 @@ def cond_expectation_l1(
     for j in levels:
         tp = np.minimum(x_plus, float(j))
         tm = np.minimum(x_minus, float(j))
-        xi_p = cond_expectation(RandomVariable(tuple(tp)), G, space)
-        xi_m = cond_expectation(RandomVariable(tuple(tm)), G, space)
-        result = cond_expectation(RandomVariable(tuple(tp - tm)), G, space)
-        history.append((j, xi_p.values, xi_m.values))
+        xi_p, xi_m = _block_average(tp, blocks), _block_average(tm, blocks)
+        history.append((j, tuple(xi_p.tolist()), tuple(xi_m.tolist())))
+        result = _block_average(tp - tm, blocks)
         if np.all(x_plus <= j) and np.all(x_minus <= j):
             converged = True
             j_reached = j
             break
     return L1LadderResult(
-        values=result.values,
-        zero_mass_blocks=result.zero_mass_blocks,
+        values=tuple(result),
+        zero_mass_blocks=_zero_mass(blocks),
         converged=converged,
         j_reached=j_reached,
         ladder=tuple(history),
@@ -284,12 +291,11 @@ def verify_duality(
     _check_alignment(X, G, space)
     if len(xi) != space.n:
         raise ValueError(f"candidate has {len(xi)} values for {space.n} atoms")
-    p = space.probabilities
     xv, cv = X.array, xi.array
-    residuals = []
-    for block in G.blocks:
-        idx = list(block)
-        residuals.append(abs(float(np.dot(xv[idx], p[idx])) - float(np.dot(cv[idx], p[idx]))))
+    residuals = [
+        abs(float(np.dot(xv[idx], p)) - float(np.dot(cv[idx], p)))
+        for idx, p, _ in _blocks(G, space)
+    ]
     return DualityReport(
         residuals=tuple(residuals), tol=tol, passed=all(r < tol for r in residuals)
     )

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IntegrabilityError, NumericError
-from .numerics import QuadratureRule, gauss_legendre
+from .errors import IntegrabilityError
+from .numerics import QuadratureRule, _check_finite, _evaluate, gauss_legendre
 
 __all__ = [
     "OrthonormalBasis",
@@ -141,8 +141,9 @@ class HilbertVector:
             raise ValueError("coefficients must be finite")
 
     def norm(self) -> float:
-        """Parseval norm at the truncation level."""
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
+        """Parseval norm at the truncation level; inf on overflow."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
 
     def reconstruct(self, t) -> np.ndarray:
         """Pointwise values of sum_i c_i e_i(t)."""
@@ -197,13 +198,8 @@ def project(
         rule = basis.projection_rule(n_nodes)
         nodes, weights = rule.nodes, rule.weights
 
-    fv = np.asarray(f(nodes), dtype=float)
-    if fv.shape != nodes.shape:
-        fv = np.array([float(f(x)) for x in nodes])
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        x_bad = float(nodes[bad][0])
-        raise NumericError(f"function not finite at t={x_bad!r}", point=x_bad)
+    fv = _evaluate(f, nodes)
+    _check_finite(fv, nodes)
     E = basis.evaluate_all(nodes)
     return HilbertVector(E @ (weights * fv), basis)
 

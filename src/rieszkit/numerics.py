@@ -23,14 +23,33 @@ __all__ = [
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array, falling back to a scalar loop."""
+    """One value of ``f`` per entry (point or row) along the first axis of
+    ``x``: the vectorised result if its shape is ``(len(x),)``, else a loop."""
     try:
         vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
+        if vals.shape == (len(x),):
             return vals
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, IndexError):
         pass
     return np.array([float(f(xi)) for xi in x])
+
+
+def _check_finite(vals: np.ndarray, x: np.ndarray) -> None:
+    """Raise ``NumericError`` at the first point where ``vals`` is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x_bad = float(x[bad][0])
+        raise NumericError(f"integrand not finite at x={x_bad!r}", point=x_bad)
+
+
+def _ladder_indices(limit: int) -> list[int]:
+    """Doubling ladder 1, 2, 4, ... capped by ``limit``, which always ends it."""
+    out = [1]
+    while out[-1] * 2 <= limit:
+        out.append(out[-1] * 2)
+    if out[-1] != limit:
+        out.append(limit)
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,10 +83,7 @@ class QuadratureRule:
     def integrate(self, f: Callable) -> float:
         """Apply the rule to ``f``: sum of weights times node values."""
         vals = _evaluate(f, self.nodes)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            x_bad = float(self.nodes[bad][0])
-            raise NumericError(f"integrand not finite at x={x_bad!r}", point=x_bad)
+        _check_finite(vals, self.nodes)
         return float(np.dot(self.weights, vals))
 
 
@@ -106,11 +122,9 @@ _HIGH = np.polynomial.legendre.leggauss(15)
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     """High-order estimate on [a, b] and the low/high discrepancy."""
     half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    vals_hi = _evaluate(f, half * _HIGH[0] + mid)
-    bad = ~np.isfinite(vals_hi)
-    if bad.any():
-        x_bad = float((half * _HIGH[0] + mid)[bad][0])
-        raise NumericError(f"integrand not finite at x={x_bad!r}", point=x_bad)
+    x_hi = half * _HIGH[0] + mid
+    vals_hi = _evaluate(f, x_hi)
+    _check_finite(vals_hi, x_hi)
     vals_lo = _evaluate(f, half * _LOW[0] + mid)
     hi = half * float(np.dot(_HIGH[1], vals_hi))
     lo = half * float(np.dot(_LOW[1], vals_lo))

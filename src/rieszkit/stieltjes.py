@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
+from .numerics import _evaluate, _ladder_indices
 
 __all__ = [
     "CdfLike",
@@ -35,16 +36,6 @@ __all__ = [
     "oracle_from_cdf",
     "oracle_from_samples",
 ]
-
-
-def _eval_array(fn: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(xi)) for xi in x])
 
 
 @dataclass(frozen=True)
@@ -144,11 +135,11 @@ def _rs_level(f, alpha, lo, hi, n_cells, tag_right_end):
     every refinement level.
     """
     nodes = np.linspace(lo, hi, n_cells + 1)
-    masses = np.diff(_eval_array(alpha.eval, nodes))
+    masses = np.diff(_evaluate(alpha.eval, nodes))
     tags = 0.5 * (nodes[:-1] + nodes[1:])
     if tag_right_end:
         tags[-1] = hi
-    return float(np.dot(_eval_array(f, tags), masses))
+    return float(np.dot(_evaluate(f, tags), masses))
 
 
 def ls_integrate(
@@ -287,17 +278,8 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     if xs.size == 0:
         raise ValueError("need at least one sample")
     return ExpectationOracle(
-        apply=lambda f: float(np.mean(_eval_array(f, xs))), positive=True
+        apply=lambda f: float(np.mean(_evaluate(f, xs))), positive=True
     )
-
-
-def _ladder_indices(limit: int) -> list[int]:
-    out = [1]
-    while out[-1] * 2 <= limit:
-        out.append(out[-1] * 2)
-    if out[-1] != limit:
-        out.append(limit)
-    return out
 
 
 def _check_bound(oracle: ExpectationOracle, value: float) -> None:

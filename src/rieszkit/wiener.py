@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, NumericError
-from .numerics import gauss_hermite, gauss_legendre
+from .numerics import _evaluate, gauss_hermite, gauss_legendre
 
 __all__ = [
     "WienerParams",
@@ -103,14 +103,7 @@ class CylindricalFunctional:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Apply fn to an (M, N) batch, tolerating per-row implementations."""
-        pts = np.asarray(points, dtype=float)
-        try:
-            vals = np.asarray(self.fn(pts), dtype=float)
-            if vals.shape == pts.shape[:-1]:
-                return vals
-        except (TypeError, ValueError, IndexError):
-            pass
-        return np.array([float(self.fn(row)) for row in pts])
+        return _evaluate(self.fn, np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -325,38 +318,26 @@ def sample_bridge(
     x + (s/t)*(y-x) and variance 2*D*s*(t-s)/t.
     """
     ts = _checked_times(times)
-    _check_horizon(ts, params)
-    prev_t, prev_x = 0.0, params.x
-    out = []
-    for s in ts:
-        gap = params.t - prev_t
-        mean = prev_x + (s - prev_t) / gap * (params.y - prev_x)
-        var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
-        prev_x = mean + math.sqrt(var) * rng.standard_normal()
-        prev_t = s
-        out.append(prev_x)
-    return BridgePath(times=ts, positions=tuple(out))
+    _check_horizon(ts, params)  # before drawing: ``rng`` belongs to the caller
+    pos = _bridge_positions(params, ts, rng.standard_normal((1, len(ts))))
+    return BridgePath(times=ts, positions=tuple(pos[0]))
 
 
-def _bridge_matrix(
-    params: WienerParams, times: Sequence[float], n_paths: int, seed: int
+def _bridge_positions(
+    params: WienerParams, times: Sequence[float], z: np.ndarray
 ) -> np.ndarray:
-    """(n_paths, N) matrix of bridge values; row k is path k.
-
-    Uses a counter-based generator keyed on the seed, so the draws for
-    each (path, time) slot are a fixed function of (seed, indices) and
-    the result is independent of any execution schedule.
-    """
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    """(n_paths, N) bridge values; z[k, i] is the standard-normal innovation
+    of path k at time i in the sequential conditioning of ``sample_bridge``."""
     ts = _checked_times(times)
-    pos = np.empty((n_paths, len(ts)))
+    _check_horizon(ts, params)
+    pos = np.empty(z.shape)
     prev_t = 0.0
-    prev = np.full(n_paths, params.x)
+    prev = np.full(z.shape[0], params.x)
     for i, s in enumerate(ts):
         gap = params.t - prev_t
         mean = prev + (s - prev_t) / gap * (params.y - prev)
         var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
-        prev = mean + math.sqrt(var) * gen.standard_normal(n_paths)
+        prev = mean + math.sqrt(var) * z[:, i]
         pos[:, i] = prev
         prev_t = s
     return pos
@@ -374,8 +355,11 @@ def wiener_integral_mc(
     """
     if n_paths < 100:
         raise ValueError(f"need n_paths >= 100, got {n_paths}")
-    _check_horizon(F.times, params)
-    pos = _bridge_matrix(params, F.times, n_paths, seed)
+    # counter-based generator filled time by time: each (time, path) draw is
+    # a fixed function of (seed, indices), independent of any schedule
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    z = gen.standard_normal((len(F.times), n_paths)).T
+    pos = _bridge_positions(params, F.times, z)
     vals = F.evaluate(pos)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
@@ -387,7 +371,7 @@ def wiener_integral_mc(
         )
     mass = heat_kernel(params.x - params.y, params.t, params.D)
     estimate = mass * float(np.mean(vals))
-    spread = float(np.std(vals, ddof=1)) if n_paths > 1 else 0.0
+    spread = float(np.std(vals, ddof=1))
     stderr = mass * spread / math.sqrt(n_paths)
     return estimate, stderr
 

@@ -3,9 +3,11 @@ import io
 import json
 import math
 
+import numpy as np
 from click.testing import CliRunner
 
 from rieszkit.cli import main
+from rieszkit.wiener import WienerParams, sample_bridge
 
 
 def run(*args, **kwargs):
@@ -212,6 +214,21 @@ def test_bridge_sample_layout_and_determinism():
     assert [float(r[1]) for r in rows] == [0.25, 0.5, 0.25, 0.5]
 
 
+def test_bridge_sample_matches_a_loop_of_sample_bridge():
+    # the batch draw must consume the generator exactly as one
+    # sample_bridge call per path did, so seeded output keeps its bytes
+    result = run("bridge-sample", "--paths", "5", "--seed", "11")
+    assert result.exit_code == 0
+    _, rows = parse_csv(result.output)
+    params = WienerParams(0.0, 0.0, 1.0, 0.5)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    expected = []
+    for k in range(5):
+        path = sample_bridge(params, (0.25, 0.5, 0.75), rng)
+        expected.extend(zip([k] * 3, path.times, path.positions))
+    assert [(int(k), float(t), float(x)) for k, t, x in rows] == expected
+
+
 def test_output_file_matches_stdout(tmp_path):
     target = tmp_path / "table.csv"
     direct = run("compat-check", "--nodes", "8,16")
@@ -225,3 +242,4 @@ def test_usage_errors():
     assert run().exit_code == 2
     assert run("no-such-command").exit_code == 2
     assert run("selftest", "--no-such-flag").exit_code == 2
+    assert run("selftest", "--tol", "1e-6").exit_code == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,14 @@ def test_project_reconstruction_improves_with_size():
         w = project(f, basis)
         errs.append(np.max(np.abs(w.reconstruct(grid) - f(grid))))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_project_accepts_a_scalar_only_integrand():
+    # math.cos rejects arrays, so project must fall back to one call per node
+    scalar = project(lambda s: math.cos(s), LEG32)
+    vector = project(lambda s: np.cos(np.asarray(s, dtype=float)), LEG32)
+    assert abs(scalar.coeffs[0] - math.sin(1.0)) < 1e-14
+    assert np.max(np.abs(scalar.coeffs - vector.coeffs)) < 1e-14
 
 
 def test_project_nonfinite_raises():
