@@ -131,6 +131,8 @@ class Partition:
             raise ValueError("blocks must be pairwise disjoint")
         if min(flat) < 0:
             raise ValueError("negative atom index")
+        # disjoint nonnegative indices cover 0..n-1 iff there are n of them, all below n
+        object.__setattr__(self, "_span", (len(flat), max(flat)))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
@@ -154,16 +156,17 @@ class Partition:
                 raise ValueError(f"unknown atom label(s) {missing} in {spec!r}")
             blocks.append(tuple(index[s] for s in names))
         part = cls(tuple(blocks))
-        covered = {i for b in part.blocks for i in b}
-        if covered != set(range(len(labels))):
-            left_out = sorted(set(range(len(labels))) - covered)
+        if not part.covers(len(labels)):
+            left_out = sorted(set(range(len(labels))).difference(*part.blocks))
             raise ValueError(
                 f"partition spec {spec!r} does not cover atoms {left_out}"
             )
         return part
 
     def covers(self, n: int) -> bool:
-        return {i for b in self.blocks for i in b} == set(range(n))
+        """Whether the blocks cover exactly the atom indices 0..n-1."""
+        count, largest = self._span
+        return count == n and largest < n
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ representer of u -> E<u, X>.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,11 +30,6 @@ __all__ = [
 ]
 
 BASIS_KINDS = ("shifted_legendre", "fourier_sine")
-
-
-@lru_cache(maxsize=32)
-def _cached_rule(n_nodes: int) -> QuadratureRule:
-    return gauss_legendre(n_nodes, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -80,28 +74,33 @@ class OrthonormalBasis:
         k = np.arange(1, self.size + 1)
         return np.sqrt(2.0) * np.sin(np.outer(k, np.pi * t))
 
-    def indicator_coefficients(self, omega: float) -> np.ndarray:
+    def indicator_coefficients(self, omega) -> np.ndarray:
         """Exact coefficients of the indicator of (0, omega).
 
         Closed-form antiderivatives of the basis functions; used by the
         segment-indicator law where generic quadrature of a discontinuous
-        integrand would be wasteful.
+        integrand would be wasteful. A scalar omega gives one coefficient
+        vector; an array of omegas gives one row per omega, each equal to
+        the vector of that omega alone.
         """
-        if not 0.0 <= omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {omega}")
+        om = np.asarray(omega, dtype=float)
+        w = np.atleast_1d(om)[:, None]
+        inside = (w >= 0.0) & (w <= 1.0)
+        if not inside.all():
+            raise ValueError(f"omega must lie in [0, 1], got {w[~inside][0]}")
         n = self.size
         if self.kind == "fourier_sine":
             k = np.arange(1, n + 1)
-            return np.sqrt(2.0) * (1.0 - np.cos(k * np.pi * omega)) / (k * np.pi)
-        # int_0^w P_i(2t-1) dt = (P_{i+1} - P_{i-1})(2w-1) / (2(2i+1))
-        z = 2.0 * omega - 1.0
-        P = np.polynomial.legendre.legvander(np.array([z]), n)[0]
-        c = np.empty(n)
-        c[0] = omega
-        if n > 1:
-            i = np.arange(1, n)
-            c[1:] = (P[2 : n + 1] - P[0 : n - 1]) / (2.0 * np.sqrt(2 * i + 1))
-        return c
+            c = np.sqrt(2.0) * (1.0 - np.cos(k * np.pi * w)) / (k * np.pi)
+        else:
+            # int_0^w P_i(2t-1) dt = (P_{i+1} - P_{i-1})(2w-1) / (2(2i+1))
+            P = np.polynomial.legendre.legvander(2.0 * w[:, 0] - 1.0, n)
+            c = np.empty((len(w), n))
+            c[:, 0] = w[:, 0]
+            if n > 1:
+                i = np.arange(1, n)
+                c[:, 1:] = (P[:, 2:] - P[:, : n - 1]) / (2.0 * np.sqrt(2 * i + 1))
+        return c[0] if om.ndim == 0 else c
 
     def projection_rule(self, n_nodes: int | None = None) -> QuadratureRule:
         """Default quadrature for inner products against this basis.
@@ -115,7 +114,7 @@ class OrthonormalBasis:
                 n_nodes = max(64, 3 * self.size)
             else:
                 n_nodes = max(64, self.size + 16)
-        return _cached_rule(int(n_nodes))
+        return gauss_legendre(int(n_nodes), 0.0, 1.0)
 
     def gram_matrix(self, n_nodes: int | None = None) -> np.ndarray:
         rule = self.projection_rule(n_nodes)
@@ -264,14 +263,23 @@ class DiscreteHValuedLaw:
     def _rule(self) -> QuadratureRule:
         # 64 nodes resolve the piecewise-smooth coefficient integrands of
         # the segment-indicator example; callers can override.
-        return self.omega_rule if self.omega_rule is not None else _cached_rule(64)
+        if self.omega_rule is not None:
+            return self.omega_rule
+        return gauss_legendre(64, 0.0, 1.0)
 
     def coefficient_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, matrix) with one sampled coefficient row per omega node."""
+        """(weights, matrix) with one sampled coefficient row per omega node.
+
+        The segment-indicator sampler of ``prefix_indicator_law`` fills all
+        rows in one call; any other sampler is called once per node.
+        """
         rule = self._rule()
+        sampler = self.sampler
+        if isinstance(sampler, _PrefixIndicator) and sampler.basis == self.basis:
+            return rule.weights, self.basis.indicator_coefficients(rule.nodes)
         rows = np.empty((rule.nodes.size, self.basis.size))
         for k, om in enumerate(rule.nodes):
-            v = self.sampler(om)
+            v = sampler(om)
             if v.basis != self.basis:
                 raise ValueError("sampler returned a vector on a different basis")
             rows[k] = v.coeffs
@@ -319,6 +327,16 @@ def expected_norm(law: DiscreteHValuedLaw) -> float:
     return float(np.dot(weights, norms))
 
 
+@dataclass(frozen=True)
+class _PrefixIndicator:
+    """The sampler omega -> 1_(0,omega) of ``prefix_indicator_law``."""
+
+    basis: OrthonormalBasis
+
+    def __call__(self, omega: float) -> HilbertVector:
+        return HilbertVector(self.basis.indicator_coefficients(omega), self.basis)
+
+
 def prefix_indicator_law(
     basis: OrthonormalBasis, omega_rule: QuadratureRule | None = None
 ) -> DiscreteHValuedLaw:
@@ -329,7 +347,4 @@ def prefix_indicator_law(
     computed from closed-form antiderivatives, so the only approximations
     are basis truncation and the omega quadrature.
     """
-    def sampler(omega: float) -> HilbertVector:
-        return HilbertVector(basis.indicator_coefficients(omega), basis)
-
-    return DiscreteHValuedLaw.from_sampler(sampler, basis, omega_rule)
+    return DiscreteHValuedLaw.from_sampler(_PrefixIndicator(basis), basis, omega_rule)

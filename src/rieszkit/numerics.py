@@ -1,13 +1,17 @@
 """Quadrature rules and a breakpoint-aware adaptive integrator.
 
 All other modules integrate through the rules built here. Nodes and weights
-come from numpy's orthogonal-polynomial routines; rules are immutable and
-safe to share across threads.
+come from numpy's orthogonal-polynomial routines. The canonical n-point
+Legendre and Hermite rules are computed once per n and cached (the last
+128 of them); a Legendre rule on [a, b] is an affine map of the cached
+canonical one. The nodes and weights of every rule are read-only, so
+rules are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,7 +58,7 @@ def _ladder_indices(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable node/weight pair.
+    """Immutable node/weight pair; ``nodes`` and ``weights`` are read-only.
 
     ``kind`` is ``"legendre"`` for a rule on a finite interval (weight 1)
     or ``"hermite"`` for a rule on the whole line with weight exp(-u^2).
@@ -65,8 +69,10 @@ class QuadratureRule:
     kind: str = "legendre"
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # read-only views: the caller's arrays keep their flags, the rule's cannot change
+        nodes = np.asarray(self.nodes, dtype=float).view()
+        weights = np.asarray(self.weights, dtype=float).view()
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
@@ -87,18 +93,29 @@ class QuadratureRule:
         return float(np.dot(self.weights, vals))
 
 
+@lru_cache(maxsize=128)
+def _canonical_rule(kind: str, n: int) -> QuadratureRule:
+    """numpy's n-point rule on [-1, 1] (Legendre) or on the line (Hermite)."""
+    gauss = {
+        "legendre": np.polynomial.legendre.leggauss,
+        "hermite": np.polynomial.hermite.hermgauss,
+    }[kind]
+    return QuadratureRule(*gauss(n), kind=kind)
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b].
 
     Exact for polynomials of degree <= 2n-1. The weights sum to b - a.
+    The rule is the affine image of the cached canonical rule on [-1, 1].
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-    weights = 0.5 * (b - a) * w
+    unit = _canonical_rule("legendre", int(n))
+    nodes = 0.5 * (b - a) * unit.nodes + 0.5 * (b + a)
+    weights = 0.5 * (b - a) * unit.weights
     return QuadratureRule(nodes, weights, kind="legendre")
 
 
@@ -106,12 +123,12 @@ def gauss_hermite(n: int) -> QuadratureRule:
     """n-point Gauss-Hermite rule for the weight exp(-u^2) on the line.
 
     Integrates u -> p(u) exp(-u^2) exactly for polynomials p of degree
-    <= 2n-1; the weights sum to sqrt(pi).
+    <= 2n-1; the weights sum to sqrt(pi). The rule is built once per n and
+    cached, so every call with the same n returns the same rule.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
-    x, w = np.polynomial.hermite.hermgauss(int(n))
-    return QuadratureRule(x, w, kind="hermite")
+    return _canonical_rule("hermite", int(n))
 
 
 # Embedded low/high pair used per subinterval by the adaptive integrator.

@@ -226,6 +226,10 @@ def test_partition_validation():
         Partition(((-1,),))
     assert Partition.trivial(3).covers(3)
     assert not Partition.trivial(3).covers(4)
+    assert Partition(((2, 0), (3,), (1,))).covers(4)  # exact cover
+    assert not Partition(((0, 1), (3,))).covers(4)  # atom 2 missing
+    assert not Partition(((0, 1), (2, 4))).covers(4)  # index 4 >= n
+    assert not Partition(((0, 1), (2, 3))).covers(3)
 
 
 def test_partition_from_spec():
@@ -254,6 +258,11 @@ def test_alignment_validation():
         cond_expectation(RandomVariable((1.0, 2.0)), PAIRS, UNIF4)
     with pytest.raises(ValueError):
         cond_expectation(X1234, Partition(((0, 1),)), UNIF4)
+    with pytest.raises(ValueError):
+        cond_expectation(X1234, Partition(((0, 1), (2, 4))), UNIF4)
+    with pytest.raises(ValueError):
+        verify_duality(X1234, X1234, Partition(((0, 1), (3,))), UNIF4)
+    cond_expectation(X1234, Partition(((0, 3), (1, 2))), UNIF4)
     with pytest.raises(ValueError):
         cond_expectation_l1(X1234, PAIRS, UNIF4, j_max=0)
     with pytest.raises(ValueError):

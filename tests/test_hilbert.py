@@ -192,6 +192,28 @@ def test_bochner_consistency_with_direct_omega_quadrature():
     assert abs(via_expectation - direct) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["shifted_legendre", "fourier_sine"])
+@pytest.mark.parametrize("size", [1, 2, 32, 256])
+def test_indicator_rows_match_per_omega_coefficients(kind, size):
+    basis = OrthonormalBasis(kind=kind, size=size)
+    weights, rows = prefix_indicator_law(basis).coefficient_matrix()
+    rule = gauss_legendre(64, 0.0, 1.0)
+    assert weights.tobytes() == rule.weights.tobytes()
+    assert rows.shape == (64, size) and rows.flags.c_contiguous
+    for om, row in zip(rule.nodes, rows):
+        assert row.tobytes() == basis.indicator_coefficients(om).tobytes()
+
+
+def test_indicator_law_equals_a_per_omega_sampler():
+    # a user-written sampler takes the per-omega path; both give the same floats
+    basis = OrthonormalBasis(kind="shifted_legendre", size=64)
+    law = prefix_indicator_law(basis)
+    by_hand = DiscreteHValuedLaw.from_sampler(lambda om: law.sampler(om), basis)
+    mean, mean_by_hand = bochner_expectation(law), bochner_expectation(by_hand)
+    assert mean.coeffs.tobytes() == mean_by_hand.coeffs.tobytes()
+    assert expected_norm(law) == expected_norm(by_hand)
+
+
 def test_expected_norm_constants():
     unit = HilbertVector.unit(LEG32, 3)
     assert expected_norm(DiscreteHValuedLaw.from_atoms([(1.0, unit)])) == 1.0
@@ -258,6 +280,8 @@ def test_basis_and_law_validation():
         LEG32.evaluate(32, 0.5)
     with pytest.raises(ValueError):
         LEG32.indicator_coefficients(1.5)
+    with pytest.raises(ValueError):
+        LEG32.indicator_coefficients(np.array([0.5, float("nan")]))
     with pytest.raises(ValueError):
         HilbertVector(np.zeros(31), LEG32)
     with pytest.raises(ValueError):

@@ -147,6 +147,43 @@ def test_adaptive_nonfinite_integrand_reports_abscissa():
     assert err.value.point is not None and err.value.point < 0.25
 
 
+@pytest.mark.parametrize("n", [1, 8, 16, 24, 32, 64])
+def test_rules_equal_numpy_bit_for_bit(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    for a, b in [(-1.0, 1.0), (0.0, 1.0), (-3.5, 2.25)]:
+        rule = gauss_legendre(n, a, b)
+        assert rule.nodes.tobytes() == (0.5 * (b - a) * x + 0.5 * (b + a)).tobytes()
+        assert rule.weights.tobytes() == (0.5 * (b - a) * w).tobytes()
+    x, w = np.polynomial.hermite.hermgauss(n)
+    rule = gauss_hermite(n)
+    assert rule.nodes.tobytes() == x.tobytes()
+    assert rule.weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: gauss_legendre(8, 0.0, 1.0), lambda: gauss_hermite(8)],
+    ids=["legendre", "hermite"],
+)
+def test_rule_arrays_are_read_only(build):
+    rule = build()
+    before = (rule.nodes.tobytes(), rule.weights.tobytes())
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        rule.weights[:] = 1.0
+    again = build()
+    assert (again.nodes.tobytes(), again.weights.tobytes()) == before
+
+
+def test_rule_construction_leaves_caller_arrays_writable():
+    nodes, weights = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    rule = QuadratureRule(nodes, weights)
+    assert not rule.nodes.flags.writeable
+    nodes[0] = -1.0
+    assert nodes.flags.writeable and rule.nodes[0] == -1.0
+
+
 def test_rule_integrate_nonfinite_reports_node():
     rule = gauss_legendre(5, 0.0, 1.0)
     with pytest.raises(NumericError) as err:

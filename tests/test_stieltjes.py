@@ -143,6 +143,19 @@ def test_recover_point_mass_right_continuous_at_atom():
     assert abs(recover_cdf(oracle, -1.0)) < 1e-6
 
 
+def test_recover_error_near_an_atom_stays_within_two_windows():
+    # At slope parameter j_max a point 1..2 windows (1/j_max) left of an
+    # atom can still pick up part of its mass; from 2.5 windows on it is exact.
+    x1, p1, x2 = -0.43775, 0.67367, -0.16984
+    F = two_atom_cdf(x1, p1, x2)
+    oracle = oracle_from_cdf(F, (x1 - 0.5, x2 + 0.5))
+    for windows in (0.5, 1.05, 1.55, 1.6, 1.65, 1.95):
+        x = x2 - windows / 64
+        assert abs(recover_cdf(oracle, x, j_max=64) - p1) <= 1.0 - p1
+    for windows in (2.5, 3.0):
+        assert recover_cdf(oracle, x2 - windows / 64, j_max=64) == p1
+
+
 def test_recover_reports_schedule():
     oracle = oracle_from_cdf(uniform_cdf(), (-0.5, 1.5))
     value, info = recover_cdf(oracle, 0.5, full_output=True)
