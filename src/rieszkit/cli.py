@@ -164,8 +164,8 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
     """
     if (law is None) == (samples is None):
         raise click.UsageError("provide exactly one of --law or --samples")
-    if grid_n < 1 or not grid_lo < grid_hi:
-        raise click.UsageError("need grid-lo < grid-hi and grid-n >= 1")
+    if grid_n < 1 or not -math.inf < grid_lo < grid_hi < math.inf:
+        raise click.UsageError("need finite grid-lo < grid-hi and grid-n >= 1")
     if law is not None:
         args = _parse_floats(law_args, "--law-args") if law_args else None
         if law == "uniform":

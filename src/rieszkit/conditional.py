@@ -46,7 +46,7 @@ class FiniteMeasureSpace:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("need at least one atom")
-        labels = [lab for lab, _ in atoms]
+        labels = tuple(lab for lab, _ in atoms)
         if len(set(labels)) != len(labels):
             raise ValueError("atom labels must be unique")
         probs = np.array([p for _, p in atoms])
@@ -54,6 +54,9 @@ class FiniteMeasureSpace:
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        # built once; not fields, so equality and repr stay those of ``atoms``
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_probs", probs)
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteMeasureSpace":
@@ -67,11 +70,12 @@ class FiniteMeasureSpace:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.atoms)
+        return self._labels
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
+        """A fresh copy of the atom masses; callers may write into it."""
+        return self._probs.copy()
 
 
 @dataclass(frozen=True)

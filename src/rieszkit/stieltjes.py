@@ -10,6 +10,7 @@ slope) recovers the distribution function pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -127,19 +128,32 @@ def ls_measure_interval(alpha: CdfLike, a: float, b: float) -> float:
     return float(alpha.eval(b)) - float(alpha.eval(a))
 
 
-def _rs_level(f, alpha, lo, hi, n_cells, tag_right_end):
-    """Riemann-Stieltjes sum with midpoint tags on one segment.
+# Cells one refinement pass hands to alpha and f at most: segments share a
+# pass while they fit, so from 2**14 cells per segment on a pass is one
+# segment and peak memory does not grow with the number of breakpoints.
+_CELLS_PER_PASS = 2**14
 
-    When the segment's right end is a declared jump, the last cell is
-    tagged at that end so the jump contributes f(jump) * mass exactly at
-    every refinement level.
+
+def _rs_level(f, alpha, lo, hi, tag_right_end, n_cells):
+    """Riemann-Stieltjes sums with midpoint tags, one per segment.
+
+    ``lo``, ``hi`` and ``tag_right_end`` are arrays over the segments;
+    alpha and f are each called once on the flattened points of all of
+    them. Row k of the node matrix is ``np.linspace(lo[k], hi[k],
+    n_cells + 1)`` bit for bit. When a segment's right end is a declared
+    jump, its last cell is tagged at that end so the jump contributes
+    f(jump) * mass exactly at every refinement level.
     """
-    nodes = np.linspace(lo, hi, n_cells + 1)
-    masses = np.diff(_evaluate(alpha.eval, nodes))
-    tags = 0.5 * (nodes[:-1] + nodes[1:])
-    if tag_right_end:
-        tags[-1] = hi
-    return float(np.dot(_evaluate(f, tags), masses))
+    nodes = np.arange(n_cells + 1.0) * ((hi - lo) / n_cells)[:, None] + lo[:, None]
+    nodes[:, -1] = hi
+    heights = _evaluate(alpha.eval, nodes.ravel()).reshape(nodes.shape)
+    masses = heights[:, 1:] - heights[:, :-1]
+    tags = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+    tags[tag_right_end, -1] = hi[tag_right_end]
+    del nodes, heights
+    values = _evaluate(f, tags.ravel()).reshape(tags.shape)
+    del tags
+    return [float(np.dot(v, m)) for v, m in zip(values, masses)]
 
 
 def ls_integrate(
@@ -156,8 +170,17 @@ def ls_integrate(
     Declared jumps of alpha are tagged atomically; if f carries a
     ``breakpoints`` attribute (its kink locations), panels are aligned
     with them, which speeds convergence but is never required.
+
+    Each refinement level calls ``alpha.eval`` once and ``f`` once over
+    the cells of all segments, in passes of at most 2**14 cells; from
+    2**14 cells per segment on, each pass takes one segment. Both
+    callbacks therefore receive flat 1-d arrays that span several
+    segments and must act pointwise. The support endpoints must be
+    finite (``ValueError`` otherwise).
     """
     lo, hi = float(support[0]), float(support[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"support endpoints must be finite, got {support}")
     if lo > hi:
         raise ValueError(f"support must be ordered, got {support}")
     if tol <= 0:
@@ -172,16 +195,19 @@ def ls_integrate(
         jumps.update(interior)
         edges.update(x for x in interior if x < hi)
     edges.update(x for x in getattr(f, "breakpoints", ()) if lo < x < hi)
-    edges = sorted(edges)
+    edges = np.array(sorted(edges))
+    seg_lo, seg_hi = edges[:-1], edges[1:]
+    seg_jump = np.array([b in jumps for b in seg_hi])
 
     estimates: list[float] = []
     for depth in range(3, max_depth + 1):
         n_cells = 2**depth
-        total = sum(
-            _rs_level(f, alpha, a, b, n_cells, b in jumps)
-            for a, b in zip(edges[:-1], edges[1:])
-        )
-        estimates.append(total)
+        per_pass = max(1, _CELLS_PER_PASS // n_cells)
+        sums: list[float] = []
+        for k in range(0, len(seg_lo), per_pass):
+            sl = slice(k, k + per_pass)
+            sums += _rs_level(f, alpha, seg_lo[sl], seg_hi[sl], seg_jump[sl], n_cells)
+        estimates.append(sum(sums))
         if (
             len(estimates) >= 3
             and abs(estimates[-1] - estimates[-2]) < tol
@@ -357,8 +383,11 @@ def recover_cdf(
 
     With ``full_output=True`` returns ``(value, info)`` where ``info``
     carries the final (j, m) reached, the raw ramp ladder, and which of
-    plateau / extrapolated / raw produced the value.
+    plateau / extrapolated / raw produced the value. A non-finite ``x``
+    raises ``ValueError``.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if j_max < 1 or m_max < 1:
         raise ValueError(f"j_max and m_max must be >= 1, got {j_max}, {m_max}")
     if tol <= 0:

@@ -243,3 +243,6 @@ def test_usage_errors():
     assert run("no-such-command").exit_code == 2
     assert run("selftest", "--no-such-flag").exit_code == 2
     assert run("selftest", "--tol", "1e-6").exit_code == 2
+    assert run("recover-cdf", "--law", "uniform", "--grid-hi", "inf").exit_code == 2
+    assert run("recover-cdf", "--law", "uniform", "--law-args", "0,inf",
+               "--grid-n", "1").exit_code == 2

@@ -208,6 +208,22 @@ def test_space_validation():
         FiniteMeasureSpace.uniform(0)
 
 
+def test_space_hands_out_fresh_probabilities_and_one_labels_tuple():
+    atoms = (("a", 0.25), ("b", 0.5), ("c", 0.25))
+    space = FiniteMeasureSpace(atoms)
+    p, q = space.probabilities, space.probabilities
+    assert p is not q and p.flags.writeable and q.flags.writeable
+    assert p.tolist() == [0.25, 0.5, 0.25]
+    p[0] = 9.0
+    assert space.probabilities.tolist() == [0.25, 0.5, 0.25]
+    assert space.labels == ("a", "b", "c") and space.labels is space.labels
+    twin = FiniteMeasureSpace(atoms)
+    assert space == twin and hash(space) == hash(twin)
+    assert repr(space) == (
+        "FiniteMeasureSpace(atoms=(('a', 0.25), ('b', 0.5), ('c', 0.25)))"
+    )
+
+
 def test_variable_validation():
     with pytest.raises(ValueError):
         RandomVariable((1.0, float("nan")))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszkit.errors import ContractViolationError, ConvergenceError
+from rieszkit.numerics import _evaluate
 from rieszkit.stieltjes import (
     CdfLike,
     ExpectationOracle,
@@ -10,6 +13,8 @@ from rieszkit.stieltjes import (
     RecoveredCdf,
     ls_integrate,
     ls_measure_interval,
+    _CELLS_PER_PASS,
+    _probe_product,
     make_cutoff,
     make_ramp,
     oracle_from_cdf,
@@ -94,6 +99,168 @@ def test_ls_integrate_validation():
         ls_integrate(lambda t: 1.0, F, (1.0, 0.0), 1e-8)
     with pytest.raises(ValueError):
         ls_integrate(lambda t: 1.0, F, (0.0, 1.0), 0.0)
+    for support in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf),
+                    (0.0, math.nan), (-math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            ls_integrate(lambda t: 1.0, F, support, 1e-8)
+
+
+# The per-segment refinement loop that ls_integrate batches across its
+# segments, kept verbatim as the reference the batched passes must equal.
+def _reference_rs_level(f, alpha, lo, hi, n_cells, tag_right_end):
+    nodes = np.linspace(lo, hi, n_cells + 1)
+    masses = np.diff(_evaluate(alpha.eval, nodes))
+    tags = 0.5 * (nodes[:-1] + nodes[1:])
+    if tag_right_end:
+        tags[-1] = hi
+    return float(np.dot(_evaluate(f, tags), masses))
+
+
+def _reference_ls_integrate(f, alpha, support, tol=1e-8, max_depth=22):
+    lo, hi = float(support[0]), float(support[1])
+    if lo == hi:
+        return 0.0
+    jumps = set()
+    edges = {lo, hi}
+    if alpha.breakpoints:
+        interior = [x for x in alpha.breakpoints if lo < x <= hi]
+        jumps.update(interior)
+        edges.update(x for x in interior if x < hi)
+    edges.update(x for x in getattr(f, "breakpoints", ()) if lo < x < hi)
+    edges = sorted(edges)
+    estimates = []
+    for depth in range(3, max_depth + 1):
+        n_cells = 2**depth
+        total = sum(
+            _reference_rs_level(f, alpha, a, b, n_cells, b in jumps)
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        estimates.append(total)
+        if (
+            len(estimates) >= 3
+            and abs(estimates[-1] - estimates[-2]) < tol
+            and abs(estimates[-2] - estimates[-3]) < tol
+        ):
+            return estimates[-1]
+    raise ConvergenceError("reference did not settle", estimates=tuple(estimates[-2:]))
+
+
+def _outcome(integrate, *args, **kwargs):
+    """The value, or the estimates of the ConvergenceError, of one call."""
+    try:
+        return ("value", integrate(*args, **kwargs))
+    except ConvergenceError as exc:
+        return ("estimates", exc.estimates)
+
+
+def _assert_matches_reference(f, alpha, support, **kwargs):
+    got = _outcome(ls_integrate, f, alpha, support, **kwargs)
+    assert got == _outcome(_reference_ls_integrate, f, alpha, support, **kwargs)
+    return got
+
+
+# (law, its support, an atom of it or None)
+_LAWS = (
+    (uniform_cdf(-0.4, 0.4), (-0.4, 0.4), None),
+    (triangular_cdf(-0.4, 0.1, 0.4), (-0.4, 0.4), None),
+    (two_atom_cdf(-0.3, 0.6, 0.2), (-0.3, 0.2), 0.2),
+    (point_mass_cdf(0.1), (0.1, 0.1), 0.1),
+)
+
+
+@pytest.mark.parametrize("law, span, atom", _LAWS)
+def test_ls_integrate_equals_the_per_segment_loop_on_probes(law, span, atom):
+    lo, hi = span
+    xs = [0.5 * (lo + hi), lo - 0.01, hi - 1.0 / 64]
+    if atom is not None:
+        xs.append(atom - 0.5 / 16)
+    # cutoff kinks at +-1, +-2 lie outside the first support, inside the second
+    for support in ((lo - 0.5, hi + 0.5), (-2.5, 2.5)):
+        for x in xs:
+            for j in (2, 16):
+                probe = _probe_product(make_ramp(RampSpec(x, j)), make_cutoff(1))
+                _assert_matches_reference(probe, law, support)
+
+
+def test_ls_integrate_equals_the_per_segment_loop_on_scalar_callbacks():
+    # math.exp and the clamp reject arrays, so _evaluate loops over points
+    _assert_matches_reference(math.exp, uniform_cdf(), (0.0, 1.0), tol=1e-6)
+    clamp = CdfLike(lambda x: min(max(x, 0.0), 1.0), 0.0, 1.0)
+    _assert_matches_reference(lambda t: np.asarray(t, dtype=float) ** 2, clamp,
+                              (-0.5, 1.5), tol=1e-6)
+    step = CdfLike(lambda x: 0.0 if x < 0.3 else 1.0, 0.0, 1.0, breakpoints=(0.3,))
+    assert _assert_matches_reference(math.exp, step, (0.0, 1.0)) == (
+        "value", math.exp(0.3))
+
+
+def test_ls_integrate_equals_the_per_segment_loop_with_and_without_kinks():
+    f = piecewise_affine([0.0, 0.4, 1.0], [0.0, 1.0, 0.0])
+    for alpha in (uniform_cdf(), triangular_cdf(), two_atom_cdf(0.3, 0.6, 0.7)):
+        _assert_matches_reference(f, alpha, (0.0, 1.0), tol=1e-10)
+        _assert_matches_reference(lambda t: f(t), alpha, (0.0, 1.0), tol=1e-6)
+
+
+def _many_kinks(n_knots):
+    knots = np.linspace(-0.45, 0.45, n_knots)
+    bumps = piecewise_affine(knots, np.cos(7.0 * knots))
+
+    def f(t):
+        return np.exp(np.asarray(t, dtype=float)) + bumps(t)
+
+    f.breakpoints = bumps.breakpoints
+    return f
+
+
+def test_ls_integrate_equals_the_per_segment_loop_across_several_passes():
+    # 13 segments: from 2**11 cells on a level no longer fits one pass
+    f = _many_kinks(12)
+    smooth, atoms = uniform_cdf(-0.5, 0.5), two_atom_cdf(-0.2, 0.3, 0.25)
+    mixture = CdfLike(lambda x: 0.5 * smooth(x) + 0.5 * atoms(x), 0.0, 1.0,
+                      breakpoints=atoms.breakpoints)
+    for alpha in (triangular_cdf(-0.5, 0.0, 0.5), mixture):
+        kind, _ = _assert_matches_reference(f, alpha, (-0.5, 0.5), tol=1e-15,
+                                            max_depth=14)
+        assert kind == "estimates"
+
+
+def test_ls_integrate_nonconvergence_estimates_equal_the_per_segment_loop():
+    f = lambda t: np.asarray(t, dtype=float) ** 2
+    kind, _ = _assert_matches_reference(f, uniform_cdf(), (0.0, 1.0), tol=1e-15,
+                                        max_depth=6)
+    assert kind == "estimates"
+
+
+def test_ls_integrate_calls_alpha_and_f_once_per_level_in_bounded_passes():
+    log = []
+
+    def recording(name, fn):
+        def call(x):
+            log.append((name, np.size(x)))
+            return fn(x)
+        return call
+
+    inner = _many_kinks(12)
+    f = recording("f", inner)
+    f.breakpoints = inner.breakpoints
+    uniform = uniform_cdf(-0.5, 0.5)
+    alpha = CdfLike(recording("alpha", uniform.eval), 0.0, 1.0)
+    max_depth = 15
+    with pytest.raises(ConvergenceError):
+        ls_integrate(f, alpha, (-0.5, 0.5), tol=1e-15, max_depth=max_depth)
+
+    segments = len(inner.breakpoints) + 1
+    expected = []
+    for depth in range(3, max_depth + 1):
+        n_cells = 2**depth
+        per_pass = max(1, _CELLS_PER_PASS // n_cells)
+        if n_cells * segments <= _CELLS_PER_PASS:
+            assert per_pass >= segments  # the whole level is one pass
+        for k in range(0, segments, per_pass):
+            taken = min(per_pass, segments - k)
+            for name, size in (("alpha", taken * (n_cells + 1)), ("f", taken * n_cells)):
+                assert size <= max(_CELLS_PER_PASS, n_cells) + segments
+                expected.append((name, size))
+    assert log == expected
 
 
 def test_ramp_examples():
@@ -226,6 +393,9 @@ def test_recover_validation():
         recover_cdf(oracle, 0.5, tol=0.0)
     with pytest.raises(ValueError):
         total_mass(oracle, j_max=0)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            recover_cdf(oracle, x)
 
 
 def test_recovered_grid_is_monotone():
