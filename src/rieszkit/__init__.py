@@ -17,137 +17,18 @@ each identification into a computable procedure:
 - ``cli``: the batch command-line interface.
 """
 
-from .errors import (
-    BudgetError,
-    ContractViolationError,
-    ConvergenceError,
-    IntegrabilityError,
-    NumericError,
-    RieszkitError,
-)
-from .numerics import QuadratureRule, adaptive_integrate, gauss_hermite, gauss_legendre
-from .hilbert import (
-    BASIS_KINDS,
-    DiscreteHValuedLaw,
-    HilbertVector,
-    OrthonormalBasis,
-    bochner_expectation,
-    expected_norm,
-    inner_product,
-    prefix_indicator_law,
-    project,
-    riesz_representer,
-)
-from .stieltjes import (
-    CdfLike,
-    ExpectationOracle,
-    RampSpec,
-    RecoveredCdf,
-    ls_integrate,
-    ls_measure_interval,
-    make_cutoff,
-    make_ramp,
-    oracle_from_cdf,
-    oracle_from_samples,
-    point_mass_cdf,
-    recover_cdf,
-    total_mass,
-    triangular_cdf,
-    two_atom_cdf,
-    uniform_cdf,
-)
-from .conditional import (
-    ConditionedRV,
-    ConjugateExponents,
-    DualityReport,
-    FiniteMeasureSpace,
-    HolderReport,
-    L1LadderResult,
-    Partition,
-    RandomVariable,
-    cond_expectation,
-    cond_expectation_l1,
-    holder_bound_check,
-    verify_duality,
-)
-from .wiener import (
-    BridgePath,
-    CylinderSet,
-    CylindricalFunctional,
-    PointwiseLimitResult,
-    WienerParams,
-    check_compatibility,
-    cylinder_probability,
-    heat_kernel,
-    integrate_pointwise_limit,
-    node_refinement_table,
-    sample_bridge,
-    wiener_integral_mc,
-    wiener_integral_quadrature,
-)
+from .errors import *
+from .numerics import *
+from .hilbert import *
+from .stieltjes import *
+from .conditional import *
+from .wiener import *
+from . import conditional, errors, hilbert, numerics, stieltjes, wiener
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RieszkitError",
-    "NumericError",
-    "IntegrabilityError",
-    "ConvergenceError",
-    "ContractViolationError",
-    "BudgetError",
-    "QuadratureRule",
-    "gauss_legendre",
-    "gauss_hermite",
-    "adaptive_integrate",
-    "BASIS_KINDS",
-    "OrthonormalBasis",
-    "HilbertVector",
-    "DiscreteHValuedLaw",
-    "inner_product",
-    "project",
-    "riesz_representer",
-    "bochner_expectation",
-    "expected_norm",
-    "prefix_indicator_law",
-    "CdfLike",
-    "ExpectationOracle",
-    "RampSpec",
-    "RecoveredCdf",
-    "ls_measure_interval",
-    "ls_integrate",
-    "make_ramp",
-    "make_cutoff",
-    "recover_cdf",
-    "total_mass",
-    "uniform_cdf",
-    "triangular_cdf",
-    "two_atom_cdf",
-    "point_mass_cdf",
-    "oracle_from_cdf",
-    "oracle_from_samples",
-    "FiniteMeasureSpace",
-    "RandomVariable",
-    "ConditionedRV",
-    "L1LadderResult",
-    "Partition",
-    "ConjugateExponents",
-    "cond_expectation",
-    "cond_expectation_l1",
-    "verify_duality",
-    "DualityReport",
-    "holder_bound_check",
-    "HolderReport",
-    "WienerParams",
-    "CylindricalFunctional",
-    "CylinderSet",
-    "BridgePath",
-    "heat_kernel",
-    "check_compatibility",
-    "cylinder_probability",
-    "wiener_integral_quadrature",
-    "node_refinement_table",
-    "sample_bridge",
-    "wiener_integral_mc",
-    "integrate_pointwise_limit",
-    "PointwiseLimitResult",
+    name
+    for module in (errors, numerics, hilbert, stieltjes, conditional, wiener)
+    for name in module.__all__
 ]

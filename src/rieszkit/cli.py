@@ -28,11 +28,11 @@ from .errors import RieszkitError
 
 
 def _cell(v):
+    # a float, numpy's float64 included, prints as float.__repr__: the rule
+    # json.dumps applies, so CSV and JSON cells carry the same digits
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
         return repr(float(v))
     return str(v)
 
@@ -46,13 +46,9 @@ def _emit(columns, rows, meta, fmt: str, out: str | None) -> None:
             writer.writerow([_cell(v) for v in row])
         text = buf.getvalue()
     else:
-        clean_rows = [
-            [float(v) if isinstance(v, (np.floating,)) else v for v in row]
-            for row in rows
-        ]
         text = (
             json.dumps(
-                {"columns": list(columns), "rows": clean_rows, "meta": meta},
+                {"columns": list(columns), "rows": rows, "meta": meta},
                 indent=2,
             )
             + "\n"
@@ -64,18 +60,25 @@ def _emit(columns, rows, meta, fmt: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind=float) -> tuple:
+    """One or more comma-separated values of ``kind`` (float or int)."""
     try:
-        return tuple(float(s) for s in text.split(",") if s.strip())
+        values = tuple(kind(s) for s in text.split(",") if s.strip())
     except ValueError:
-        raise click.UsageError(f"could not parse {flag}={text!r} as comma-separated reals")
+        values = ()
+    if not values:
+        noun = "integers" if kind is int else "reals"
+        raise click.UsageError(f"could not parse {flag}={text!r} as comma-separated {noun}")
+    return values
 
 
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
-    except ValueError:
-        raise click.UsageError(f"could not parse {flag}={text!r} as comma-separated integers")
+# law name -> (CDF factory, default parameters); the first and last
+# parameter bound the support for every law
+_LAWS = {
+    "uniform": (st.uniform_cdf, (0.0, 1.0)),
+    "triangular": (st.triangular_cdf, (0.0, 0.5, 1.0)),
+    "two-atom": (st.two_atom_cdf, (0.3, 0.4, 0.7)),
+}
 
 
 _out_opt = click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -140,7 +143,7 @@ def bochner(basis, size, grid_n, fmt, out):
 
 
 @main.command(name="recover-cdf")
-@click.option("--law", type=click.Choice(["uniform", "triangular", "two-atom"]),
+@click.option("--law", type=click.Choice(list(_LAWS)),
               default=None, help="Built-in law for the oracle.")
 @click.option("--law-args", default=None,
               help="Comma-separated law parameters: uniform lo,hi;"
@@ -167,21 +170,16 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
     if grid_n < 1 or not -math.inf < grid_lo < grid_hi < math.inf:
         raise click.UsageError("need finite grid-lo < grid-hi and grid-n >= 1")
     if law is not None:
-        args = _parse_floats(law_args, "--law-args") if law_args else None
-        if law == "uniform":
-            lo, hi = args if args else (0.0, 1.0)
-            alpha = _guard(st.uniform_cdf, lo, hi)
-            span = (lo - 0.5, hi + 0.5)
-        elif law == "triangular":
-            lo, mode, hi = args if args else (0.0, 0.5, 1.0)
-            alpha = _guard(st.triangular_cdf, lo, mode, hi)
-            span = (lo - 0.5, hi + 0.5)
-        else:
-            x1, p1, x2 = args if args else (0.3, 0.4, 0.7)
-            alpha = _guard(st.two_atom_cdf, x1, p1, x2)
-            span = (x1 - 0.5, x2 + 0.5)
-        oracle = st.oracle_from_cdf(alpha, span)
-        source = f"{law}({','.join(repr(a) for a in (args or ()))})"
+        factory, defaults = _LAWS[law]
+        given = _parse_list(law_args, "--law-args") if law_args else ()
+        if given and len(given) != len(defaults):
+            raise click.UsageError(
+                f"--law {law} takes {len(defaults)} --law-args, got {len(given)}"
+            )
+        args = given or defaults
+        alpha = _guard(factory, *args)
+        oracle = st.oracle_from_cdf(alpha, (args[0] - 0.5, args[-1] + 0.5))
+        source = f"{law}({','.join(repr(a) for a in given)})"
     else:
         data = np.loadtxt(samples, delimiter=",").ravel()
         oracle = _guard(st.oracle_from_samples, data)
@@ -278,7 +276,7 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     Emits columns (n_nodes, residual) for the configuration given by
     --x, --z, --u, --s, --t, --D.
     """
-    counts = _parse_ints(nodes, "--nodes")
+    counts = _parse_list(nodes, "--nodes", int)
     rows = []
     for n in counts:
         rows.append((n, float(_guard(wn.check_compatibility, x, z, u, s, t, d_coef, n))))
@@ -297,7 +295,7 @@ def _parse_functional(spec: str, times: tuple[float, ...]):
         fn = lambda X: np.ones(np.asarray(X).shape[:-1])
         return wn.CylindricalFunctional(times, fn, bound=1.0), None
     if spec.startswith("mono:"):
-        powers = _parse_ints(spec[5:], "--F mono powers")
+        powers = _parse_list(spec[5:], "--F mono powers", int)
         if len(powers) != n:
             raise click.UsageError(
                 f"mono needs one exponent per time ({n}), got {len(powers)}"
@@ -352,8 +350,8 @@ def wiener_integrate(f_spec, times, x, y, t, d_coef, nodes, paths, seed, fmt, ou
     stderr, delta) and, when --paths is given, a Monte Carlo row with
     its standard error.
     """
-    ts = _parse_floats(times, "--times")
-    counts = _parse_ints(nodes, "--nodes")
+    ts = _parse_list(times, "--times")
+    counts = _parse_list(nodes, "--nodes", int)
     params = _guard(wn.WienerParams, x, y, t, d_coef)
     functional, cyl = _guard(_parse_functional, f_spec, ts)
     rows = []
@@ -401,7 +399,7 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     """
     if paths < 1:
         raise click.UsageError("--paths must be >= 1")
-    ts = _parse_floats(times, "--times")
+    ts = _parse_list(times, "--times")
     params = _guard(wn.WienerParams, x, y, t, d_coef)
     # drawn path by path, as a loop of sample_bridge on this generator would
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -6,6 +6,15 @@ failures that carry numerical context worth surfacing to the caller.
 
 from __future__ import annotations
 
+__all__ = [
+    "RieszkitError",
+    "NumericError",
+    "IntegrabilityError",
+    "ConvergenceError",
+    "ContractViolationError",
+    "BudgetError",
+]
+
 
 class RieszkitError(Exception):
     """Base class for toolkit-specific failures."""

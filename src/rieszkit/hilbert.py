@@ -18,6 +18,7 @@ from .errors import IntegrabilityError
 from .numerics import QuadratureRule, _check_finite, _evaluate, gauss_legendre
 
 __all__ = [
+    "BASIS_KINDS",
     "OrthonormalBasis",
     "HilbertVector",
     "DiscreteHValuedLaw",

@@ -299,10 +299,15 @@ def oracle_from_cdf(
 
 
 def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
-    """Empirical-mean oracle L(f) = mean of f over the sample points."""
+    """Empirical-mean oracle L(f) = mean of f over the sample points.
+
+    Raises ValueError for no samples or a non-finite one (NaN or +-inf).
+    """
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     return ExpectationOracle(
         apply=lambda f: float(np.mean(_evaluate(f, xs))), positive=True
     )

@@ -206,24 +206,30 @@ def _check_budget(n_axes: int, n_nodes: int) -> None:
 
 
 def _chain(params: WienerParams, times, boxes, n_nodes: int):
-    """Tensor-product sweep along the time axes.
+    """Markov sweep along the time axes, one node column per axis.
 
-    Returns (points, weights) where points is (M, N) holding all node
-    combinations of the path values and weights absorbs every transition
-    kernel along the chain except the final hop to the endpoint.
-    Unconstrained axes use Gauss-Hermite standardized on the incoming
-    kernel (which the weights then absorb exactly); constrained axes use
-    Gauss-Legendre on the box clipped to a wide central window, with the
-    incoming kernel evaluated explicitly. Returns None if a box is empty.
+    Returns (cols, weights), or None if a box is empty. cols[k] holds the
+    n^(k+1) path values at times[k] (n = n_nodes); its row r extends row
+    r // n of cols[k-1]. weights absorbs every kernel along the chain,
+    the final hop to the endpoint included. A step reads only the last
+    column and the weights, so memory is a few floats per node
+    combination. Free axes (box None or the whole line) use Gauss-Hermite
+    standardized on the incoming kernel, which the weights absorb; boxed
+    axes use Gauss-Legendre on the box clipped to a wide central window,
+    times the incoming kernel. Raises ValueError for n_nodes < 8 or a
+    time at or past the horizon, BudgetError above the work budget.
     """
+    if n_nodes < 8:
+        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
+    _check_horizon(times, params)
+    _check_budget(len(times), n_nodes)
     window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
     prev_t = 0.0
-    pts = np.full((1, 1), params.x)
+    prev = np.full(1, params.x)
     wts = np.ones(1)
-    coords = np.empty((1, 0))
+    cols = []
     for s_i, box in zip(times, boxes):
         dt_i = s_i - prev_t
-        prev = pts[:, -1] if coords.shape[1] else np.full(len(wts), params.x)
         if box is None or (box[0] == -np.inf and box[1] == np.inf):
             rule = gauss_hermite(n_nodes)
             new = prev[:, None] + math.sqrt(4.0 * params.D * dt_i) * rule.nodes[None, :]
@@ -241,18 +247,12 @@ def _chain(params: WienerParams, times, boxes, n_nodes: int):
                 * rule.weights[None, :]
                 * heat_kernel(new - prev[:, None], dt_i, params.D)
             )
-        coords = np.concatenate(
-            [
-                np.repeat(coords, n_nodes, axis=0),
-                new.reshape(-1, 1),
-            ],
-            axis=1,
-        )
-        pts = coords
+        prev = new.reshape(-1)
+        cols.append(prev)
         wts = w.reshape(-1)
         prev_t = s_i
-    wts = wts * heat_kernel(params.y - coords[:, -1], params.t - prev_t, params.D)
-    return coords, wts
+    wts = wts * heat_kernel(params.y - prev, params.t - prev_t, params.D)
+    return cols, wts
 
 
 def cylinder_probability(
@@ -262,17 +262,11 @@ def cylinder_probability(
 
     Integrates the product of transition kernels over the boxes. With
     every box equal to the whole line this collapses to
-    heat_kernel(x - y, t, D), the total mass.
+    heat_kernel(x - y, t, D), the total mass. Memory: a few floats per
+    node combination (n_nodes^N for N times); no coordinates are built.
     """
-    if n_nodes < 8:
-        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
-    _check_horizon(C.times, params)
-    _check_budget(len(C.times), n_nodes)
     chain = _chain(params, C.times, C.boxes, n_nodes)
-    if chain is None:
-        return 0.0
-    _, wts = chain
-    return float(np.sum(wts))
+    return 0.0 if chain is None else float(np.sum(chain[1]))
 
 
 def wiener_integral_quadrature(
@@ -283,12 +277,16 @@ def wiener_integral_quadrature(
     Each axis is standardized on its incoming transition kernel; the
     final hop to the pinned endpoint enters as an explicit kernel factor,
     so a constant functional integrates to exactly the total mass.
+    Memory: F receives the N path values of all n_nodes^N node
+    combinations as one (n_nodes^N, N) array; the chain adds a few
+    floats per combination, and F its own temporaries.
     """
-    if n_nodes < 8:
-        raise ValueError(f"need n_nodes >= 8, got {n_nodes}")
-    _check_horizon(F.times, params)
-    _check_budget(len(F.times), n_nodes)
-    coords, wts = _chain(params, F.times, [None] * len(F.times), n_nodes)
+    cols, wts = _chain(params, F.times, [None] * len(F.times), n_nodes)
+    coords = np.empty((len(wts), len(cols)))
+    for k in range(len(cols)):
+        # row r of cols[k] fills a contiguous run of grid rows
+        coords.reshape(len(cols[k]), -1, len(cols))[:, :, k] = cols[k][:, None]
+    del cols  # leave F the room the columns took
     return float(np.dot(wts, F.evaluate(coords)))
 
 

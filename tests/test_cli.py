@@ -6,7 +6,7 @@ import math
 import numpy as np
 from click.testing import CliRunner
 
-from rieszkit.cli import main
+from rieszkit.cli import _cell, main
 from rieszkit.wiener import WienerParams, sample_bridge
 
 
@@ -238,7 +238,7 @@ def test_output_file_matches_stdout(tmp_path):
     assert target.read_text() == direct.output
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run().exit_code == 2
     assert run("no-such-command").exit_code == 2
     assert run("selftest", "--no-such-flag").exit_code == 2
@@ -246,3 +246,20 @@ def test_usage_errors():
     assert run("recover-cdf", "--law", "uniform", "--grid-hi", "inf").exit_code == 2
     assert run("recover-cdf", "--law", "uniform", "--law-args", "0,inf",
                "--grid-n", "1").exit_code == 2
+    assert run("recover-cdf", "--law", "uniform", "--law-args", "1,2,3").exit_code == 2
+    assert run("recover-cdf", "--law", "two-atom", "--law-args", "0.3").exit_code == 2
+    assert run("recover-cdf", "--law", "triangular", "--law-args", "0,1").exit_code == 2
+    assert run("compat-check", "--nodes", "").exit_code == 2
+    assert run("wiener-integrate", "--nodes", "").exit_code == 2
+    assert run("wiener-integrate", "--nodes", "8,x").exit_code == 2
+    draws = tmp_path / "draws.csv"
+    draws.write_text("0.1\nnan\n0.9\n")
+    result = run("recover-cdf", "--samples", str(draws), "--grid-n", "3")
+    assert result.exit_code == 2
+    assert "samples must be finite" in combined_output(result)
+
+
+def test_cell_prints_numpy_floats_as_plain_floats():
+    assert _cell(np.float64(0.5)) == "0.5"
+    assert _cell(np.float64(0.1) + np.float64(0.2)) == repr(0.1 + 0.2)
+    assert _cell(None) == "" and _cell(3) == "3" and _cell("a") == "a"

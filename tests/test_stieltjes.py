@@ -494,6 +494,9 @@ def test_factory_validation():
         CdfLike(lambda x: x, 1.0, 0.0)
     with pytest.raises(ValueError):
         oracle_from_samples([])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            oracle_from_samples([0.1, bad, 0.9])
 
 
 def test_cdf_breakpoints_are_sorted():

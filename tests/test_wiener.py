@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rieszkit.errors import BudgetError, ConvergenceError, NumericError
-from rieszkit.numerics import adaptive_integrate
+from rieszkit.numerics import adaptive_integrate, gauss_hermite, gauss_legendre
 from rieszkit.wiener import (
+    _WINDOW_SIGMAS,
+    _chain,
     BridgePath,
     CylinderSet,
     CylindricalFunctional,
@@ -152,6 +155,122 @@ def test_tensor_quadrature_budget_guard():
         wiener_integral_quadrature(
             CylindricalFunctional(times, ones_fn), PINNED, 64
         )
+
+
+def _reference_chain(params, times, boxes, n_nodes):
+    """The tensor chain before the Markov sweep: (coords, weights) with all
+    node combinations rebuilt as an (M, k) matrix at every axis k."""
+    window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
+    prev_t = 0.0
+    pts = np.full((1, 1), params.x)
+    wts = np.ones(1)
+    coords = np.empty((1, 0))
+    for s_i, box in zip(times, boxes):
+        dt_i = s_i - prev_t
+        prev = pts[:, -1] if coords.shape[1] else np.full(len(wts), params.x)
+        if box is None or (box[0] == -np.inf and box[1] == np.inf):
+            rule = gauss_hermite(n_nodes)
+            new = prev[:, None] + math.sqrt(4.0 * params.D * dt_i) * rule.nodes[None, :]
+            w = wts[:, None] * (rule.weights / math.sqrt(math.pi))[None, :]
+        else:
+            center = params.x + (s_i / params.t) * (params.y - params.x)
+            lo = max(box[0], center - window)
+            hi = min(box[1], center + window)
+            if not lo < hi:
+                return None
+            rule = gauss_legendre(n_nodes, lo, hi)
+            new = np.broadcast_to(rule.nodes[None, :], (len(wts), n_nodes))
+            w = (
+                wts[:, None]
+                * rule.weights[None, :]
+                * heat_kernel(new - prev[:, None], dt_i, params.D)
+            )
+        coords = np.concatenate(
+            [np.repeat(coords, n_nodes, axis=0), new.reshape(-1, 1)], axis=1
+        )
+        pts = coords
+        wts = w.reshape(-1)
+        prev_t = s_i
+    wts = wts * heat_kernel(params.y - coords[:, -1], params.t - prev_t, params.D)
+    return coords, wts
+
+
+def _random_box(rng, center, kind):
+    if kind == "absent":
+        return None
+    if kind == "line":
+        return (-np.inf, np.inf)
+    a = center + rng.uniform(-1.5, 1.0)
+    if kind == "finite":
+        return (a, a + rng.uniform(0.05, 2.0))
+    if kind == "half":
+        return (a, np.inf) if rng.random() < 0.5 else (-np.inf, a)
+    return (a, a - rng.uniform(0.0, 1.0))  # empty: lo >= hi
+
+
+def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
+    rng = np.random.default_rng(20240605)
+    kinds = ("absent", "line", "finite", "half", "empty")
+    for N in (1, 2, 3, 4):  # 4 x 3 x 18 = 216 draws
+        for n in (8, 12, 16):
+            for _ in range(18):
+                params = WienerParams(
+                    x=rng.uniform(-1, 1), y=rng.uniform(-1, 1),
+                    t=rng.uniform(0.5, 2.0), D=rng.uniform(0.2, 1.0),
+                )
+                times = tuple(np.sort(rng.uniform(0.05, 0.95, N)) * params.t)
+                # the empty kind is drawn less often, so most chains run to the end
+                weights = [0.22, 0.22, 0.22, 0.22, 0.12]
+                boxes = [
+                    _random_box(rng, params.x + s / params.t * (params.y - params.x),
+                                rng.choice(kinds, p=weights))
+                    for s in times
+                ]
+                ref = _reference_chain(params, times, boxes, n)
+                got = _chain(params, times, boxes, n)
+                if ref is None:
+                    assert got is None
+                else:
+                    cols, wts = got
+                    assert np.array_equal(wts, ref[1])
+                    assert [len(c) for c in cols] == [n ** (k + 1) for k in range(N)]
+                    for k, col in enumerate(cols):
+                        assert np.array_equal(np.repeat(col, n ** (N - 1 - k)), ref[0][:, k])
+
+                line = (-np.inf, np.inf)
+                C = CylinderSet(times, [line if b is None else b for b in boxes])
+                want = 0.0 if ref is None else float(np.sum(ref[1]))
+                assert cylinder_probability(C, params, n) == want
+
+                c = rng.normal(size=N)
+                F = CylindricalFunctional(times, lambda p: np.cos(p @ c) + p[..., -1] ** 2)
+                coords, wts = _reference_chain(params, times, [None] * N, n)
+                want = float(np.dot(wts, F.evaluate(coords)))
+                assert wiener_integral_quadrature(F, params, n) == want
+
+
+def _traced_peak_mib(fn):
+    fn()  # rules and imports outside the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_chain_memory_at_four_times_and_32_nodes():
+    # 32^4 = 1M node combinations, 8 MiB per float column. The coordinate
+    # matrix chain peaked at 73.0 MiB on this cylinder and at 83,887,560 B
+    # (80.0013 MiB) on this monomial, whose own (M, N) power temporary takes
+    # 32 MiB; the quadrature bound leaves 10 KiB for interpreter objects and
+    # fails if the node columns outlive the chain (88.3 MiB).
+    times = (0.2, 0.4, 0.6, 0.8)
+    C = CylinderSet(times, ((-1.0, 1.0), (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.5)))
+    assert _traced_peak_mib(lambda: cylinder_probability(C, PINNED, 32)) <= 48.0
+    karr = np.array([2.0, 1.0, 0.0, 1.0])
+    F = CylindricalFunctional(times, lambda X: np.prod(np.asarray(X) ** karr, axis=-1))
+    assert _traced_peak_mib(lambda: wiener_integral_quadrature(F, PINNED, 32)) <= 80.01
 
 
 def test_constant_functional_integrates_to_total_mass():
