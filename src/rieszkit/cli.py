@@ -178,10 +178,13 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
             )
         args = given or defaults
         alpha = _guard(factory, *args)
-        oracle = st.oracle_from_cdf(alpha, (args[0] - 0.5, args[-1] + 0.5))
+        oracle = _guard(st.oracle_from_cdf, alpha, (args[0] - 0.5, args[-1] + 0.5))
         source = f"{law}({','.join(repr(a) for a in given)})"
     else:
-        data = np.loadtxt(samples, delimiter=",").ravel()
+        try:
+            data = np.loadtxt(samples, delimiter=",").ravel()
+        except ValueError as exc:
+            raise click.UsageError(f"{samples}: not comma-separated reals ({exc})")
         oracle = _guard(st.oracle_from_samples, data)
         source = f"samples:{samples}"
     xs = np.linspace(grid_lo, grid_hi, grid_n)

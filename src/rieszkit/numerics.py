@@ -163,9 +163,10 @@ def adaptive_integrate(
     ``breakpoints`` forces subdivision at known kinks, which is the
     intended way to handle piecewise-smooth integrands. For integrands
     with undeclared kinks the result is best effort: after ``max_depth``
-    bisections a panel is accepted as is.
+    bisections a panel is accepted as is. A ``tol`` that is not positive
+    (NaN included) raises ``ValueError``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not a < b:
         if a == b:

@@ -176,14 +176,15 @@ def ls_integrate(
     2**14 cells per segment on, each pass takes one segment. Both
     callbacks therefore receive flat 1-d arrays that span several
     segments and must act pointwise. The support endpoints must be
-    finite (``ValueError`` otherwise).
+    finite, and ``tol`` positive (``ValueError`` otherwise; a NaN
+    ``tol`` counts as not positive).
     """
     lo, hi = float(support[0]), float(support[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"support endpoints must be finite, got {support}")
     if lo > hi:
         raise ValueError(f"support must be ordered, got {support}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if lo == hi:
         return 0.0
@@ -279,10 +280,32 @@ class ExpectationOracle:
     When ``positive`` is set the oracle promises |L(f)| <= sup|f| for the
     probe functions used here (all bounded by 1), and the recovery routines
     enforce that bound.
+
+    ``support``, when given as ``(a, b)``, is a second promise: L(f)
+    depends only on the values of f on the closed interval [a, b]. Once a
+    cutoff is 1 on all of [a, b], the cutoff limit is reached exactly, so
+    ``recover_cdf`` and ``total_mass`` end each cutoff ladder at the first
+    index m with -m <= a and b <= m. The endpoints must be
+    finite with a <= b (``ValueError`` otherwise); ``None`` promises
+    nothing and the ladders run until two values agree.
     """
 
     apply: Callable
     positive: bool = True
+    support: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.support is not None:
+            a, b = (float(v) for v in self.support)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"oracle support must be finite, got {self.support}")
+            if a > b:
+                raise ValueError(f"oracle support must be ordered, got {self.support}")
+            object.__setattr__(self, "support", (a, b))
+
+    def _covered_by(self, m: int) -> bool:
+        """Is the support inside [-m, m], where the cutoff of index m is 1?"""
+        return self.support is not None and -m <= self.support[0] and self.support[1] <= m
 
 
 def oracle_from_cdf(
@@ -291,17 +314,22 @@ def oracle_from_cdf(
     """Oracle L(f) = integral of f against the measure of ``alpha``.
 
     ``support`` must cover the measure's mass; probe functions outside it
-    contribute nothing.
+    contribute nothing. The integral only reads f on (support[0],
+    support[1]], so the oracle carries ``support`` as its promised
+    support. Its endpoints must be finite and ordered (``ValueError``).
     """
     return ExpectationOracle(
-        apply=lambda f: ls_integrate(f, alpha, support, tol), positive=True
+        apply=lambda f: ls_integrate(f, alpha, support, tol),
+        positive=True,
+        support=support,
     )
 
 
 def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     """Empirical-mean oracle L(f) = mean of f over the sample points.
 
-    Raises ValueError for no samples or a non-finite one (NaN or +-inf).
+    The oracle's promised support is [min, max] of the samples. Raises
+    ValueError for no samples or a non-finite one (NaN or +-inf).
     """
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
@@ -309,7 +337,9 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
     return ExpectationOracle(
-        apply=lambda f: float(np.mean(_evaluate(f, xs))), positive=True
+        apply=lambda f: float(np.mean(_evaluate(f, xs))),
+        positive=True,
+        support=(xs.min(), xs.max()),
     )
 
 
@@ -327,8 +357,6 @@ def _cutoff_limit(
 ) -> tuple[float, int]:
     """Inner limit over cutoff truncations of one ramp; returns (value, m)."""
     prev = None
-    value = 0.0
-    m_used = 1
     for m in _ladder_indices(m_max):
         value = float(oracle.apply(_probe_product(ramp, make_cutoff(m))))
         _check_bound(oracle, value)
@@ -341,9 +369,10 @@ def _cutoff_limit(
                 )
             if abs(value - prev) < tol / 2:
                 return value, m
+        if oracle._covered_by(m):
+            return value, m
         prev = value
-        m_used = m
-    return value, m_used
+    return value, m  # the ladder always ends at m_max
 
 
 def _ramp_value(L, x, j, m_max, tol):
@@ -386,16 +415,25 @@ def recover_cdf(
     already exact up to the unresolvable window. All candidate values are
     clamped to [0, a_last] since the ramps dominate the indicator.
 
+    Each cutoff ladder stops when two successive values agree within
+    ``tol / 2``, or at once when the oracle promises a ``support`` that
+    the cutoff covers; the value is the same either way, since every
+    covering cutoff gives the same probe on the support.
+
     With ``full_output=True`` returns ``(value, info)`` where ``info``
     carries the final (j, m) reached, the raw ramp ladder, and which of
-    plateau / extrapolated / raw produced the value. A non-finite ``x``
-    raises ``ValueError``.
+    plateau / extrapolated / raw produced the value. ``m_reached`` is the
+    cutoff index at which the last ramp's ladder stopped: the first
+    covering index for an oracle with a support, else the index of the
+    second of the two agreeing values (or ``m_max``). A non-finite ``x``,
+    or a ``tol`` that is not positive (NaN included), raises
+    ``ValueError``.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if j_max < 1 or m_max < 1:
         raise ValueError(f"j_max and m_max must be >= 1, got {j_max}, {m_max}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     values: list[float] = []
@@ -466,7 +504,11 @@ def recover_cdf(
 
 
 def total_mass(L: ExpectationOracle, j_max: int = 64) -> float:
-    """Total mass of the represented measure: the limit of L over cutoffs."""
+    """Total mass of the represented measure: the limit of L over cutoffs.
+
+    The cutoff ladder stops when two successive values agree within
+    1e-12, or at the first cutoff that covers the oracle's ``support``.
+    """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     prev = None
@@ -482,6 +524,8 @@ def total_mass(L: ExpectationOracle, j_max: int = 64) -> float:
                 )
             if abs(value - prev) < 1e-12:
                 return value
+        if L._covered_by(j):
+            return value
         prev = value
     return value
 

@@ -257,6 +257,15 @@ def test_usage_errors(tmp_path):
     result = run("recover-cdf", "--samples", str(draws), "--grid-n", "3")
     assert result.exit_code == 2
     assert "samples must be finite" in combined_output(result)
+    result = run("recover-cdf", "--law", "uniform", "--tol", "nan", "--grid-n", "3")
+    assert result.exit_code == 2
+    assert "tol must be positive" in combined_output(result)
+    for name, text in (("letters.csv", "abc\n"), ("ragged.csv", "0.1,0.2\n0.3\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        result = run("recover-cdf", "--samples", str(bad), "--grid-n", "3")
+        assert result.exit_code == 2
+        assert str(bad) in combined_output(result)
 
 
 def test_cell_prints_numpy_floats_as_plain_floats():

@@ -206,6 +206,16 @@ def test_invalid_rule_arguments():
         adaptive_integrate(lambda u: u, 1.0, 0.0, 1e-8)
 
 
+def test_adaptive_rejects_a_nan_tolerance_before_any_panel():
+    # err <= nan is never true: a NaN tol that got through would bisect
+    # every panel down to max_depth, so the integrand must never be called
+    def untouchable(u):
+        raise AssertionError("integrand called with tol=nan")
+
+    with pytest.raises(ValueError, match="tol must be positive"):
+        adaptive_integrate(untouchable, 0.0, 1.0, math.nan)
+
+
 def test_rule_construction_validation():
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0, 1.0]), np.array([1.0]))

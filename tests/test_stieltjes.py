@@ -1,10 +1,12 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszkit.errors import ContractViolationError, ConvergenceError
+from rieszkit.errors import ContractViolationError, ConvergenceError, RieszkitError
 from rieszkit.numerics import _evaluate
 from rieszkit.stieltjes import (
     CdfLike,
@@ -97,8 +99,9 @@ def test_ls_integrate_validation():
     assert ls_integrate(lambda t: 1.0, F, (0.5, 0.5), 1e-8) == 0.0
     with pytest.raises(ValueError):
         ls_integrate(lambda t: 1.0, F, (1.0, 0.0), 1e-8)
-    with pytest.raises(ValueError):
-        ls_integrate(lambda t: 1.0, F, (0.0, 1.0), 0.0)
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            ls_integrate(lambda t: 1.0, F, (0.0, 1.0), tol)
     for support in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf),
                     (0.0, math.nan), (-math.inf, math.inf)):
         with pytest.raises(ValueError):
@@ -348,28 +351,34 @@ def test_total_mass_examples():
     assert total_mass(zero) == 0.0
 
 
+# A support ends the cutoff ladders early but skips none of their checks:
+# (0, 0) is covered at the first rung, (-1.5, 1.5) at the second, where
+# the oracles below break the decrease check.
 def test_oracle_breaking_sup_bound_is_rejected():
-    loud = ExpectationOracle(apply=lambda f: 2.0, positive=True)
-    with pytest.raises(ContractViolationError):
-        total_mass(loud)
-    with pytest.raises(ContractViolationError):
-        recover_cdf(loud, 0.0)
+    for support in (None, (0.0, 0.0), (-1.5, 1.5)):
+        loud = ExpectationOracle(apply=lambda f: 2.0, positive=True, support=support)
+        with pytest.raises(ContractViolationError):
+            total_mass(loud)
+        with pytest.raises(ContractViolationError):
+            recover_cdf(loud, 0.0)
 
 
 def test_decreasing_mass_ladder_is_rejected():
-    feed = iter([1.0, 0.9, 0.8])
-    shrinking = ExpectationOracle(apply=lambda f: next(feed))
-    with pytest.raises(ContractViolationError) as err:
-        total_mass(shrinking)
-    assert err.value.index == 2
+    for support in (None, (-1.5, 1.5)):
+        feed = iter([1.0, 0.9, 0.8])
+        shrinking = ExpectationOracle(apply=lambda f: next(feed), support=support)
+        with pytest.raises(ContractViolationError) as err:
+            total_mass(shrinking)
+        assert err.value.index == 2
 
 
 def test_decreasing_cutoff_ladder_inside_recover_is_rejected():
-    feed = iter([0.8, 0.5, 0.4])
-    shrinking = ExpectationOracle(apply=lambda f: next(feed))
-    with pytest.raises(ContractViolationError) as err:
-        recover_cdf(shrinking, 0.0)
-    assert err.value.index == 2
+    for support in (None, (-1.5, 1.5)):
+        feed = iter([0.8, 0.5, 0.4])
+        shrinking = ExpectationOracle(apply=lambda f: next(feed), support=support)
+        with pytest.raises(ContractViolationError) as err:
+            recover_cdf(shrinking, 0.0)
+        assert err.value.index == 2
 
 
 def test_increasing_ramp_ladder_is_rejected():
@@ -389,8 +398,9 @@ def test_recover_validation():
     oracle = oracle_from_cdf(uniform_cdf(), (-0.5, 1.5))
     with pytest.raises(ValueError):
         recover_cdf(oracle, 0.5, j_max=0)
-    with pytest.raises(ValueError):
-        recover_cdf(oracle, 0.5, tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            recover_cdf(oracle, 0.5, tol=tol)
     with pytest.raises(ValueError):
         total_mass(oracle, j_max=0)
     for x in (math.nan, math.inf, -math.inf):
@@ -503,3 +513,132 @@ def test_cdf_breakpoints_are_sorted():
     F = CdfLike(lambda x: np.asarray(x, dtype=float), 0.0, 1.0,
                 breakpoints=(0.7, 0.3))
     assert F.breakpoints == (0.3, 0.7)
+
+
+# --- support-aware cutoff ladders -------------------------------------------
+
+
+def _result(fn, *args, **kwargs):
+    """The value of one call, or the type and message of what it raised."""
+    try:
+        return ("value", fn(*args, **kwargs))
+    except (RieszkitError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _recovery(oracle, x, j_max, m_max):
+    # everything recover_cdf reports but m_reached, the one field a
+    # support may lower
+    value, info = recover_cdf(oracle, x, j_max=j_max, m_max=m_max, full_output=True)
+    return value, info["ramp_ladder"], info["j_reached"], info["method"]
+
+
+def _assert_support_changes_no_bit(oracle, xs, j_max=16, m_maxes=(1, 3, 5, 64)):
+    blind = dataclasses.replace(oracle, support=None)
+    for m_max in m_maxes:
+        for x in xs:
+            got = _result(_recovery, oracle, x, j_max, m_max)
+            assert got == _result(_recovery, blind, x, j_max, m_max), (x, m_max)
+        assert _result(total_mass, oracle, m_max) == _result(total_mass, blind, m_max)
+
+
+def _factory_laws(lo, hi):
+    mid = 0.5 * (lo + hi)
+    return (uniform_cdf(lo, hi), triangular_cdf(lo, mid + 0.1, hi),
+            two_atom_cdf(lo, 0.6, hi), point_mass_cdf(mid))
+
+
+# law spans whose oracle ranges, as given or 0.5 wider on each side, lie
+# inside [-1, 1], straddle +-1, straddle +-2, and are (-2.5, 3.0)
+_SPANS = ((-0.4, 0.4), (-0.8, 0.7), (-0.6, 1.7), (-1.6, 1.3), (-2.0, 2.5))
+
+
+@pytest.mark.parametrize("lo, hi", _SPANS)
+def test_support_changes_no_bit_of_a_cdf_oracle(lo, hi):
+    # inside, near the lower edge, next to the upper atom, right of the
+    # law, and left and right of the oracle's range
+    xs = (0.5 * (lo + hi) + 0.05, lo + 0.01, hi - 1.0 / 32, hi + 0.3,
+          lo - 0.7, hi + 0.9)
+    for law in _factory_laws(lo, hi):
+        # the law's mass reaches the ends of the narrow range, so a ladder
+        # that stopped before its cutoff covered the range would change bits
+        for span in ((lo - 0.5, hi + 0.5), (lo, hi)):
+            oracle = oracle_from_cdf(law, span, tol=1e-7)
+            assert oracle.support == span
+            _assert_support_changes_no_bit(oracle, xs)
+
+
+def test_support_changes_no_raised_error():
+    law, span = triangular_cdf(-1.6, -0.2, 1.3), (-2.1, 1.8)
+    base = oracle_from_cdf(law, span, tol=1e-7)
+    loud = ExpectationOracle(apply=lambda f: 1.5 * base.apply(f), support=span)
+    stiff = ExpectationOracle(
+        apply=lambda f: ls_integrate(f, law, span, 1e-15, max_depth=5), support=span
+    )
+    for oracle, error in ((loud, ContractViolationError), (stiff, ConvergenceError)):
+        assert _result(recover_cdf, oracle, 1.5)[:2] == ("raised", error)
+        _assert_support_changes_no_bit(oracle, (-2.5, 0.0, 1.5), m_maxes=(1, 5, 64))
+
+
+def _sample_sets():
+    rng = np.random.default_rng(11)
+    return (
+        [1.0],
+        [-2.0, 2.0],
+        [-1.0, 0.25, 1.0],
+        rng.uniform(-0.9, 0.9, 17),
+        np.concatenate([[-1.0, 1.0, -2.0, 2.0], rng.normal(0.0, 0.8, 996)]),
+        np.concatenate([[-2.0, 2.0], rng.uniform(-2.4, 2.9, 9998)]),
+    )
+
+
+def test_support_changes_no_bit_of_a_sample_oracle():
+    for samples in _sample_sets():
+        oracle = oracle_from_samples(samples)
+        lo, hi = oracle.support
+        assert (lo, hi) == (min(samples), max(samples))
+        xs = (0.0, 0.3, -1.0, 1.0, 2.0, lo - 0.1, hi + 0.1, samples[0] - 1.0 / 32)
+        _assert_support_changes_no_bit(oracle, xs)
+
+
+def _recording(oracle):
+    """The oracle, logging for each call the kinks of the probe's ramp (the
+    probe's kinks that are not the integers where the cutoffs bend)."""
+    calls = []
+
+    def apply(f):
+        calls.append(tuple(b for b in f.breakpoints if b != round(b)))
+        return oracle.apply(f)
+
+    return dataclasses.replace(oracle, apply=apply), calls
+
+
+@pytest.mark.parametrize("span, support, per_ramp", [
+    ((-0.9, 0.9), (-0.9, 0.9), 1),
+    ((-1.0, 1.0), (-1.0, 1.0), 1),
+    ((-0.5, 1.5), (-0.5, 1.5), 2),
+    ((-0.9, 0.9), None, 2),
+    ((-0.5, 1.5), None, 2),
+])
+def test_cutoff_ladder_ends_at_the_first_covering_cutoff(span, support, per_ramp):
+    oracle = dataclasses.replace(oracle_from_cdf(uniform_cdf(-0.4, 0.4), span),
+                                 support=support)
+    recording, calls = _recording(oracle)
+    value, info = recover_cdf(recording, 0.1, full_output=True)
+    per_ramp_calls = Counter(calls)
+    assert len(per_ramp_calls) >= len(info["ramp_ladder"])
+    assert set(per_ramp_calls.values()) == {per_ramp}
+    assert info["m_reached"] == per_ramp
+    calls.clear()
+    assert total_mass(recording) == 1.0
+    assert len(calls) == per_ramp
+
+
+@pytest.mark.parametrize("support", [
+    (math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0), (0.0, math.inf), (1.0, 0.5),
+])
+def test_invalid_oracle_support_is_rejected(support):
+    with pytest.raises(ValueError, match="oracle support"):
+        ExpectationOracle(apply=lambda f: 0.0, support=support)
+    with pytest.raises(ValueError, match="oracle support"):
+        oracle_from_cdf(uniform_cdf(), support)
