@@ -16,6 +16,7 @@ import csv as _csv
 import io
 import json
 import math
+import warnings
 
 import click
 import numpy as np
@@ -182,16 +183,17 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
         source = f"{law}({','.join(repr(a) for a in given)})"
     else:
         try:
-            data = np.loadtxt(samples, delimiter=",").ravel()
+            # an empty file is reported below as having no samples
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(samples, delimiter=",").ravel()
         except ValueError as exc:
             raise click.UsageError(f"{samples}: not comma-separated reals ({exc})")
         oracle = _guard(st.oracle_from_samples, data)
         source = f"samples:{samples}"
     xs = np.linspace(grid_lo, grid_hi, grid_n)
-    rows = [
-        (float(x), float(_guard(st.recover_cdf, oracle, float(x), j_max, m_max, tol)))
-        for x in xs
-    ]
+    F = _guard(st.RecoveredCdf(oracle, j_max, m_max, tol).eval, xs)
+    rows = list(zip(xs.tolist(), F.tolist()))
     meta = {
         "command": "recover-cdf", "oracle": source, "j_max": j_max,
         "m_max": m_max, "tol": tol,
@@ -238,7 +240,7 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     X = _guard(cond.RandomVariable, tuple(values))
     G = _guard(cond.Partition.from_spec, partition_spec, space.labels)
     xi = _guard(cond.cond_expectation, X, G, space)
-    report = cond.verify_duality(X, xi, G, space, tol)
+    report = _guard(cond.verify_duality, X, xi, G, space, tol)
     block_of = {}
     for bi, block in enumerate(G.blocks):
         for i in block:
@@ -279,6 +281,8 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     Emits columns (n_nodes, residual) for the configuration given by
     --x, --z, --u, --s, --t, --D.
     """
+    if not tol > 0:
+        raise click.UsageError(f"tol must be positive, got {tol}")
     counts = _parse_list(nodes, "--nodes", int)
     rows = []
     for n in counts:

@@ -294,7 +294,12 @@ def verify_duality(
     space: FiniteMeasureSpace,
     tol: float = 1e-14,
 ) -> DualityReport:
-    """Check that X and xi integrate identically over every block."""
+    """Check that X and xi integrate identically over every block.
+
+    ``tol`` must be positive (``ValueError`` otherwise; NaN included).
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     _check_alignment(X, G, space)
     if len(xi) != space.n:
         raise ValueError(f"candidate has {len(xi)} values for {space.n} atoms")

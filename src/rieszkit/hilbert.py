@@ -269,11 +269,16 @@ class DiscreteHValuedLaw:
         return gauss_legendre(64, 0.0, 1.0)
 
     def coefficient_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, matrix) with one sampled coefficient row per omega node.
+        """(weights, rows): every law as weighted coefficient rows.
 
-        The segment-indicator sampler of ``prefix_indicator_law`` fills all
-        rows in one call; any other sampler is called once per node.
+        Atom laws give their probabilities and their vectors' coefficients;
+        sampler laws give the omega rule's weights and one row per node,
+        filled in one call by ``prefix_indicator_law``'s sampler and by one
+        call per node for any other sampler.
         """
+        if self.atoms is not None:
+            probs = np.array([p for p, _ in self.atoms], dtype=float)
+            return probs, np.array([v.coeffs for _, v in self.atoms])
         rule = self._rule()
         sampler = self.sampler
         if isinstance(sampler, _PrefixIndicator) and sampler.basis == self.basis:
@@ -292,35 +297,22 @@ def bochner_expectation(
 ) -> HilbertVector:
     """Expectation vector E(X): the representer of u -> E<u, X>.
 
-    Coefficient i is E<X, e_i>, a weighted sum over atoms or a quadrature
-    over omega for sampler laws.
+    Coefficient i is E<X, e_i>: with (weights, rows) from
+    ``law.coefficient_matrix()``, it is ``weights @ rows``.
     """
     if basis is not None and basis != law.basis:
         raise ValueError("basis does not match the law's basis")
-    if law.atoms is not None:
-        c = np.zeros(law.basis.size)
-        total = 0.0
-        for p, v in law.atoms:
-            c += p * v.coeffs
-            total += p * v.norm()
-        if not (np.isfinite(total) and np.all(np.isfinite(c))):
-            raise IntegrabilityError("expected norm of the atom law is not finite")
-        return HilbertVector(c, law.basis)
     weights, rows = law.coefficient_matrix()
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     c = weights @ rows
     if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(c))):
-        raise IntegrabilityError("expected norm of the sampled law is not finite")
+        raise IntegrabilityError("expected norm of the law is not finite")
     return HilbertVector(c, law.basis)
 
 
 def expected_norm(law: DiscreteHValuedLaw) -> float:
-    """E ||X||, the integrability functional of the law."""
-    if law.atoms is not None:
-        total = sum(p * v.norm() for p, v in law.atoms)
-        if not np.isfinite(total):
-            raise IntegrabilityError("expected norm is not finite")
-        return float(total)
+    """E ||X||: the weights of ``law.coefficient_matrix()`` dotted with
+    the norms of its rows, the integrability functional of the law."""
     weights, rows = law.coefficient_matrix()
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     if not np.all(np.isfinite(norms)):

@@ -353,21 +353,27 @@ def _check_bound(oracle: ExpectationOracle, value: float) -> None:
 
 
 def _cutoff_limit(
-    oracle: ExpectationOracle, ramp: Callable, x: float, j: int, m_max: int, tol: float
+    oracle: ExpectationOracle, ramp, m_max: int, slack: float, agree: float, at=None
 ) -> tuple[float, int]:
-    """Inner limit over cutoff truncations of one ramp; returns (value, m)."""
+    """Limit of L over the cutoffs of index m, each times ``ramp`` unless it
+    is None; returns (value, m). A value may fall at most ``slack`` below
+    the last; the ladder stops when two agree within ``agree``, or at the
+    first cutoff that covers the support. ``at`` is the ramp's (x, j)."""
     prev = None
     for m in _ladder_indices(m_max):
-        value = float(oracle.apply(_probe_product(ramp, make_cutoff(m))))
+        probe = make_cutoff(m)
+        if ramp is not None:
+            probe = _probe_product(ramp, probe)
+        value = float(oracle.apply(probe))
         _check_bound(oracle, value)
         if prev is not None:
-            if value < prev - tol:
+            if value < prev - slack:
+                where = "" if at is None else f" (x={at[0]}, j={at[1]})"
                 raise ContractViolationError(
-                    f"cutoff ladder decreased at m={m} (x={x}, j={j}): "
-                    f"{prev!r} -> {value!r}",
+                    f"cutoff ladder decreased at m={m}{where}: {prev!r} -> {value!r}",
                     index=m,
                 )
-            if abs(value - prev) < tol / 2:
+            if abs(value - prev) < agree:
                 return value, m
         if oracle._covered_by(m):
             return value, m
@@ -375,8 +381,21 @@ def _cutoff_limit(
     return value, m  # the ladder always ends at m_max
 
 
-def _ramp_value(L, x, j, m_max, tol):
-    return _cutoff_limit(L, make_ramp(RampSpec(float(x), j)), x, j, m_max, tol)
+def _ramp_order(x, j: int, upper: float | None, value: float, tol: float) -> float:
+    """``value``, the ramp limit at j, unless it exceeds ``upper`` + tol."""
+    if upper is not None and value > upper + tol:
+        raise ContractViolationError(
+            f"ramp ladder increased at j={j} (x={x}): {upper!r} -> {value!r}", index=j
+        )
+    return value
+
+
+def _ramp_step(L, x, j: int, upper: float | None, m_max: int, tol: float):
+    """(value, m): the cutoff limit of the ramp at (x, j), checked against
+    ``upper``, the value at the next smaller j (None for the first)."""
+    ramp = make_ramp(RampSpec(float(x), j))
+    value, m = _cutoff_limit(L, ramp, m_max, tol, tol / 2, (x, j))
+    return _ramp_order(x, j, upper, value, tol), m
 
 
 def _fits_decay_model(js: Sequence[int], values: Sequence[float], slack: float) -> bool:
@@ -438,16 +457,10 @@ def recover_cdf(
 
     values: list[float] = []
     js: list[int] = []
-    m_reached = 1
     plateau = False
     for j in _ladder_indices(j_max):
-        value, m_reached = _ramp_value(L, x, j, m_max, tol)
-        if values and value > values[-1] + tol:
-            raise ContractViolationError(
-                f"ramp ladder increased at j={j} (x={x}): "
-                f"{values[-1]!r} -> {value!r}",
-                index=j,
-            )
+        upper = values[-1] if values else None
+        value, m_reached = _ramp_step(L, x, j, upper, m_max, tol)
         values.append(value)
         js.append(j)
         if len(values) >= 2:
@@ -474,19 +487,9 @@ def recover_cdf(
             j_last = js[-1]
             aux = [(3 * j_last) // 4, (7 * j_last) // 8, j_last]
             if js[-2] < aux[0] < aux[1] < aux[2]:
-                a1, _ = _ramp_value(L, x, aux[0], m_max, tol)
-                a2, _ = _ramp_value(L, x, aux[1], m_max, tol)
-                for hi_j, hi_v, lo_v in (
-                    (aux[0], a1, values[-2]),
-                    (aux[1], a2, a1),
-                    (aux[2], raw, a2),
-                ):
-                    if hi_v > lo_v + tol:
-                        raise ContractViolationError(
-                            f"ramp ladder increased at j={hi_j} (x={x}): "
-                            f"{lo_v!r} -> {hi_v!r}",
-                            index=hi_j,
-                        )
+                a1, _ = _ramp_step(L, x, aux[0], values[-2], m_max, tol)
+                a2, _ = _ramp_step(L, x, aux[1], a1, m_max, tol)
+                _ramp_order(x, aux[2], a2, raw, tol)
                 if _fits_decay_model(aux, [a1, a2, raw], slack=0.2):
                     result = _extrapolate_pair(aux[1], a2, aux[2], raw)
                     method = "extrapolated"
@@ -506,28 +509,14 @@ def recover_cdf(
 def total_mass(L: ExpectationOracle, j_max: int = 64) -> float:
     """Total mass of the represented measure: the limit of L over cutoffs.
 
-    The cutoff ladder stops when two successive values agree within
-    1e-12, or at the first cutoff that covers the oracle's ``support``.
+    It is the cutoff limit that ``recover_cdf`` takes inside every ramp,
+    run on the bare cutoffs: the ladder stops when two successive values
+    agree within 1e-12, or at the first cutoff that covers the oracle's
+    ``support``, and may not decrease by more than 1e-12.
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    prev = None
-    value = 0.0
-    for j in _ladder_indices(j_max):
-        value = float(L.apply(make_cutoff(j)))
-        _check_bound(L, value)
-        if prev is not None:
-            if value < prev - 1e-12:
-                raise ContractViolationError(
-                    f"cutoff mass ladder decreased at j={j}: {prev!r} -> {value!r}",
-                    index=j,
-                )
-            if abs(value - prev) < 1e-12:
-                return value
-        if L._covered_by(j):
-            return value
-        prev = value
-    return value
+    return _cutoff_limit(L, None, j_max, 1e-12, 1e-12)[0]
 
 
 class RecoveredCdf:

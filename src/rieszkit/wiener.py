@@ -149,12 +149,12 @@ class BridgePath:
 def heat_kernel(dx, dt: float, D: float):
     """Transition density (4*pi*D*dt)^(-1/2) * exp(-dx^2 / (4*D*dt)).
 
-    Vectorized over dx; dt and D must be positive scalars.
+    Vectorized over dx; dt and D must be finite positive scalars.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if D <= 0:
-        raise ValueError(f"D must be positive, got {D}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (D > 0 and math.isfinite(D)):
+        raise ValueError(f"D must be finite and positive, got {D}")
     dx = np.asarray(dx, dtype=float)
     out = np.exp(-(dx**2) / (4.0 * D * dt)) / math.sqrt(4.0 * math.pi * D * dt)
     return float(out) if out.ndim == 0 else out
@@ -168,8 +168,11 @@ def check_compatibility(
     Computes |integral of heat_kernel(x-y, t-s) * heat_kernel(y-z, s-u)
     over y, by Gauss-Hermite standardized on the narrower of the two
     kernels (so the remaining factor is wide and smooth), minus
-    heat_kernel(x-z, t-u)|. Decays to zero as n_nodes grows.
+    heat_kernel(x-z, t-u)|. Decays to zero as n_nodes grows. All of x,
+    z, u, s, t and D must be finite (``ValueError`` otherwise).
     """
+    if not all(math.isfinite(v) for v in (x, z, u, s, t, D)):
+        raise ValueError(f"need finite x, z, u, s, t and D, got {(x, z, u, s, t, D)}")
     if not u < s < t:
         raise ValueError(f"need u < s < t, got u={u}, s={s}, t={t}")
     if n_nodes < 8:

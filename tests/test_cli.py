@@ -266,6 +266,26 @@ def test_usage_errors(tmp_path):
         result = run("recover-cdf", "--samples", str(bad), "--grid-n", "3")
         assert result.exit_code == 2
         assert str(bad) in combined_output(result)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    result = run("recover-cdf", "--samples", str(empty), "--grid-n", "3")
+    assert result.exit_code == 2
+    assert "need at least one sample" in result.stderr
+    assert "Warning" not in combined_output(result)
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("a,0.5,1.0\nb,0.5,3.0\n")
+    for tol in ("nan", "0", "-1"):
+        result = run("condexp", "--input", str(atoms), "--partition", "a|b",
+                     "--tol", tol, "--format", "json")
+        assert result.exit_code == 2
+        assert "tol must be positive" in combined_output(result)
+        result = run("compat-check", "--tol", tol, "--format", "json")
+        assert result.exit_code == 2
+        assert "tol must be positive" in combined_output(result)
+    for flag in ("--x", "--z", "--u", "--s", "--t", "--D"):
+        for bad in ("nan", "inf"):
+            result = run("compat-check", flag, bad, "--format", "json")
+            assert result.exit_code == 2, (flag, bad)
 
 
 def test_cell_prints_numpy_floats_as_plain_floats():

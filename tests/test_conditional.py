@@ -269,6 +269,13 @@ def test_exponent_validation():
         ConjugateExponents(2.0, 1.9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_duality_tolerance_must_be_positive(tol):
+    xi = cond_expectation(X1234, PAIRS, UNIF4)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        verify_duality(X1234, xi, PAIRS, UNIF4, tol)
+
+
 def test_alignment_validation():
     with pytest.raises(ValueError):
         cond_expectation(RandomVariable((1.0, 2.0)), PAIRS, UNIF4)

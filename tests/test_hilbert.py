@@ -16,7 +16,7 @@ from rieszkit.hilbert import (
     project,
     riesz_representer,
 )
-from rieszkit.numerics import gauss_legendre
+from rieszkit.numerics import QuadratureRule, gauss_legendre
 
 LEG32 = OrthonormalBasis(kind="shifted_legendre", size=32)
 
@@ -212,6 +212,33 @@ def test_indicator_law_equals_a_per_omega_sampler():
     mean, mean_by_hand = bochner_expectation(law), bochner_expectation(by_hand)
     assert mean.coeffs.tobytes() == mean_by_hand.coeffs.tobytes()
     assert expected_norm(law) == expected_norm(by_hand)
+
+
+@pytest.mark.parametrize("n_atoms, size", [(5, 32), (17, 256), (49, 32)])
+def test_atom_law_equals_the_sampler_law_of_its_atoms(n_atoms, size):
+    # an atom law is the sampler law whose omega rule puts the atom
+    # probabilities on one node per atom: the same weighted rows, bit for bit
+    rng = np.random.default_rng(n_atoms)
+    basis = OrthonormalBasis(kind="shifted_legendre", size=size)
+    probs = rng.dirichlet(np.ones(n_atoms))
+    vectors = [HilbertVector(rng.normal(size=size), basis) for _ in range(n_atoms)]
+    atomic = DiscreteHValuedLaw.from_atoms(list(zip(probs, vectors)))
+    nodes = (np.arange(n_atoms) + 0.5) / n_atoms
+    by_node = dict(zip(nodes.tolist(), vectors))
+    sampled = DiscreteHValuedLaw.from_sampler(
+        lambda om: by_node[om], basis, QuadratureRule(nodes, probs)
+    )
+    mean, mean_sampled = bochner_expectation(atomic), bochner_expectation(sampled)
+    assert mean.coeffs.tobytes() == mean_sampled.coeffs.tobytes()
+    assert expected_norm(atomic) == expected_norm(sampled)
+    # the atom-by-atom sums agree up to summation order: n_atoms roundings
+    # of at most eps times the sum of |p * coefficient| each
+    eps = np.finfo(float).eps
+    loop = sum(p * v.coeffs for p, v in zip(probs, vectors))
+    bound = n_atoms * eps * sum(p * np.abs(v.coeffs) for p, v in zip(probs, vectors))
+    assert np.all(np.abs(mean.coeffs - loop) <= bound)
+    loop_norm = sum(p * v.norm() for p, v in zip(probs, vectors))
+    assert abs(expected_norm(atomic) - loop_norm) <= (n_atoms + size) * eps * loop_norm
 
 
 def test_expected_norm_constants():

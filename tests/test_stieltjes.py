@@ -394,6 +394,45 @@ def test_increasing_ramp_ladder_is_rejected():
     assert err.value.index == 2
 
 
+def _ramp_table_oracle(table):
+    """Oracle whose value depends only on the slope j of the probe's ramp
+    at x = 0, read from the probe itself; constant over the cutoffs."""
+
+    def apply(f):
+        return table[round((1.0 - float(f(1.0 / 256))) * 256)]
+
+    return ExpectationOracle(apply=apply)
+
+
+# the doubling ladder falls linearly, which is no c/j decay, so the
+# finer tail j = 48, 56 then the raw value at 64 are each checked in turn
+@pytest.mark.parametrize("tail, index", [
+    ({48: 0.45, 56: 0.35}, 48),
+    ({48: 0.35, 56: 0.38}, 56),
+    ({48: 0.35, 56: 0.25}, 64),
+])
+def test_increasing_ramp_tail_is_rejected(tail, index):
+    doubling = {1: 0.9, 2: 0.8, 4: 0.7, 8: 0.6, 16: 0.5, 32: 0.4, 64: 0.3}
+    with pytest.raises(ContractViolationError, match="ramp ladder increased") as err:
+        recover_cdf(_ramp_table_oracle({**doubling, **tail}), 0.0)
+    assert err.value.index == index
+
+
+def test_total_mass_probes_are_the_bare_cutoffs():
+    law, span = uniform_cdf(-3.0, 3.0), (-3.5, 3.5)
+    kinks = {m: (-(m + 1.0), -float(m), float(m), m + 1.0) for m in (1, 2, 4, 8)}
+    for support, rungs in ((span, (1, 2, 4)), (None, (1, 2, 4, 8))):
+        oracle = dataclasses.replace(oracle_from_cdf(law, span), support=support)
+        probes = []
+
+        def apply(f):
+            probes.append((f.__qualname__, f.breakpoints))
+            return oracle.apply(f)
+
+        assert total_mass(dataclasses.replace(oracle, apply=apply)) == 1.0
+        assert probes == [("make_cutoff.<locals>.cutoff", kinks[m]) for m in rungs]
+
+
 def test_recover_validation():
     oracle = oracle_from_cdf(uniform_cdf(), (-0.5, 1.5))
     with pytest.raises(ValueError):

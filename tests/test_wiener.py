@@ -61,6 +61,20 @@ def test_heat_kernel_validation():
         heat_kernel(0.0, -1.0, 0.5)
     with pytest.raises(ValueError):
         heat_kernel(0.0, 1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            heat_kernel(np.zeros(3), bad, 0.5)
+        with pytest.raises(ValueError, match="D must be finite"):
+            heat_kernel(np.zeros(3), 1.0, bad)
+
+
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compatibility_rejects_non_finite_parameters(slot, bad):
+    args = [0.0, 0.0, 0.0, 0.5, 1.0, 0.5]  # x, z, u, s, t, D
+    args[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        check_compatibility(*args, 16)
 
 
 def test_transition_identity_holds_at_64_nodes():
