@@ -38,13 +38,31 @@ def _cell(v):
     return str(v)
 
 
+# cell types the csv module prints exactly as _cell does
+_PLAIN = {str, int, float, bool, type(None)}
+
+
+def _float_cells(col) -> list[str]:
+    """The repr of each float, computed once per distinct bit pattern
+    (0.0 and -0.0 are equal as keys but print differently)."""
+    seen = {}
+    bits = np.array(col, dtype=float).view(np.int64).tolist()
+    return [seen[b] if b in seen else seen.setdefault(b, repr(v)) for v, b in zip(col, bits)]
+
+
+def _csv_column(col):
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return _float_cells(col)
+    return col if kinds <= _PLAIN else [_cell(v) for v in col]
+
+
 def _emit(columns, rows, meta, fmt: str, out: str | None) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(zip(*map(_csv_column, zip(*rows))))
         text = buf.getvalue()
     else:
         text = (
@@ -219,7 +237,7 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     labels, probs, values = [], [], []
     with open(input_path, newline="") as fh:
         for k, row in enumerate(_csv.reader(fh)):
-            if not row or not any(c.strip() for c in row):
+            if not any(map(str.strip, row)):
                 continue
             if len(row) < 3:
                 raise click.UsageError(
@@ -241,17 +259,13 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     G = _guard(cond.Partition.from_spec, partition_spec, space.labels)
     xi = _guard(cond.cond_expectation, X, G, space)
     report = _guard(cond.verify_duality, X, xi, G, space, tol)
-    block_of = {}
-    for bi, block in enumerate(G.blocks):
-        for i in block:
-            block_of[i] = bi
-    rows = []
-    for i, lab in enumerate(labels):
-        bi = block_of[i]
-        rows.append(
-            (lab, probs[i], values[i], xi.values[i], bi,
-             report.residuals[bi], int(bi in xi.zero_mass_blocks))
-        )
+    block = cond._block_ids(G)
+    zero_mass = np.zeros(len(report.residuals), dtype=int)
+    zero_mass[list(xi.zero_mass_blocks)] = 1
+    rows = list(zip(
+        labels, probs, values, xi.values, block.tolist(),
+        np.array(report.residuals)[block].tolist(), zero_mass[block].tolist(),
+    ))
     meta = {
         "command": "condexp", "partition": partition_spec, "tol": tol,
         "duality_passed": report.passed,
@@ -281,8 +295,8 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     Emits columns (n_nodes, residual) for the configuration given by
     --x, --z, --u, --s, --t, --D.
     """
-    if not tol > 0:
-        raise click.UsageError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise click.UsageError(f"tol must be positive and finite, got {tol}")
     counts = _parse_list(nodes, "--nodes", int)
     rows = []
     for n in counts:

@@ -6,11 +6,20 @@ the sub-sigma-algebra, and conditional expectation is the block average.
 The averaging identity (same integral over every block) is then
 machine-checkable, and the L1 construction through truncation at
 increasing levels stabilizes after finitely many steps.
+
+Spaces, variables and partitions are stored as arrays. Their public
+tuple fields (``atoms``, ``values``, ``blocks``) are built from the
+arrays on first access and then kept, so equality, hashing and repr
+are those of the tuples.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -35,42 +44,90 @@ __all__ = [
 _MASS_TOL = 1e-12
 
 
+class _Views:
+    """Tuple views of the stored arrays, built on first access and kept.
+
+    ``_VIEWS`` maps an attribute to its builder. A field that is a view is
+    removed from the instance once its array is stored, so reading it,
+    directly or through the dataclass equality, hash and repr, lands here.
+    """
+
+    _VIEWS = {}
+
+    def __getattr__(self, name):
+        build = type(self)._VIEWS.get(name)
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = build(self)
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _as_floats(items) -> np.ndarray:
+    """``items`` as a 1-d float64 array, each converted as ``float()`` would."""
+    try:
+        arr = np.array(items, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1 or np.isnan(arr).any():
+        # numpy reads None as NaN and takes nested or scalar input by its
+        # shape; one float() per item raises what it raises, or agrees
+        arr = np.array([float(v) for v in items], dtype=float)
+    return arr
+
+
 @dataclass(frozen=True)
-class FiniteMeasureSpace:
+class FiniteMeasureSpace(_Views):
     """Finite probability space: labelled atoms with nonnegative masses summing to 1."""
 
     atoms: tuple[tuple[str, float], ...]
 
+    _VIEWS = {
+        "atoms": lambda s: tuple(zip(s.labels, s._probs.tolist())),
+        # only a uniform space leaves its labels to be built here
+        "labels": lambda s: tuple(map(str, range(1, s.n + 1))),
+    }
+
     def __post_init__(self):
-        atoms = tuple((str(lab), float(p)) for lab, p in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
+        labels, probs = [], []
+        for lab, p in self.atoms:
+            labels.append(str(lab))
+            probs.append(p)
+        probs = _as_floats(probs)
+        if not labels:
             raise ValueError("need at least one atom")
-        labels = tuple(lab for lab, _ in atoms)
         if len(set(labels)) != len(labels):
             raise ValueError("atom labels must be unique")
-        probs = np.array([p for _, p in atoms])
+        object.__delattr__(self, "atoms")
+        object.__setattr__(self, "labels", tuple(labels))
+        self._set_probs(probs)
+
+    def _set_probs(self, probs: np.ndarray) -> None:
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        # built once; not fields, so equality and repr stay those of ``atoms``
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_probs", _frozen(probs))
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteMeasureSpace":
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        return cls(tuple((str(k + 1), 1.0 / n) for k in range(n)))
+        space = object.__new__(cls)
+        # labels "1".."n" are unique; they and the atoms wait to be asked for
+        space._set_probs(np.full(operator.index(n), 1.0 / n))
+        return space
 
     @property
     def n(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return len(self._probs)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -79,23 +136,39 @@ class FiniteMeasureSpace:
 
 
 @dataclass(frozen=True)
-class RandomVariable:
+class RandomVariable(_Views):
     """Real values aligned with the atoms of a FiniteMeasureSpace."""
 
     values: tuple[float, ...]
 
+    _VIEWS = {"values": lambda s: tuple(s._x.tolist())}
+
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not all(np.isfinite(vals)):
+        x = _as_floats(self.values)
+        object.__delattr__(self, "values")
+        self._set_values(x)
+
+    def _set_values(self, x: np.ndarray) -> None:
+        if not np.isfinite(x).all():
             raise ValueError("values must all be finite")
+        object.__setattr__(self, "_x", _frozen(x))
+
+    @classmethod
+    def _of(cls, x: np.ndarray, **fields):
+        """An instance over the float64 array ``x``, which it takes over."""
+        rv = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(rv, name, value)
+        rv._set_values(x)
+        return rv
 
     @property
     def array(self) -> np.ndarray:
-        return np.array(self.values)
+        """A fresh copy of the values; callers may write into it."""
+        return self._x.copy()
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._x)
 
 
 @dataclass(frozen=True)
@@ -120,23 +193,45 @@ class L1LadderResult(ConditionedRV):
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks of atom indices; stands in for a sub-sigma-algebra."""
+class Partition(_Views):
+    """Disjoint blocks of atom indices; stands in for a sub-sigma-algebra.
+
+    Stored as ``_order``, the blocks concatenated in the order given, and
+    ``_starts``, the offset of each block in it, then its length.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
 
+    def _blocks(self) -> tuple[tuple[int, ...], ...]:
+        flat, st = self._order.tolist(), self._starts.tolist()
+        return tuple(tuple(flat[s:e]) for s, e in zip(st, st[1:]))
+
+    _VIEWS = {"blocks": _blocks}
+
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks or any(len(b) == 0 for b in blocks):
+        blocks = [b if isinstance(b, (tuple, list)) else tuple(b) for b in self.blocks]
+        sizes = [len(b) for b in blocks]
+        order = np.fromiter(chain.from_iterable(blocks), dtype=np.intp, count=sum(sizes))
+        if not blocks or 0 in sizes:
             raise ValueError("blocks must be nonempty")
-        flat = [i for b in blocks for i in b]
-        if len(set(flat)) != len(flat):
+        lo, hi = int(order.min()), int(order.max())
+        # dense indices (those of every partition that covers a space) are
+        # counted; sparse ones are sorted, so a huge index allocates nothing
+        if hi - lo < 2 * len(order):
+            repeated = np.bincount(order - lo).max() > 1
+        else:
+            ranked = np.sort(order)
+            repeated = bool((ranked[1:] == ranked[:-1]).any())
+        if repeated:
             raise ValueError("blocks must be pairwise disjoint")
-        if min(flat) < 0:
+        if lo < 0:
             raise ValueError("negative atom index")
-        # disjoint nonnegative indices cover 0..n-1 iff there are n of them, all below n
-        object.__setattr__(self, "_span", (len(flat), max(flat)))
+        starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=starts[1:])
+        object.__delattr__(self, "blocks")
+        object.__setattr__(self, "_order", _frozen(order))
+        object.__setattr__(self, "_starts", _frozen(starts))
+        object.__setattr__(self, "_hi", hi)
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
@@ -161,7 +256,7 @@ class Partition:
             blocks.append(tuple(index[s] for s in names))
         part = cls(tuple(blocks))
         if not part.covers(len(labels)):
-            left_out = sorted(set(range(len(labels))).difference(*part.blocks))
+            left_out = sorted(set(range(len(labels))).difference(part._order.tolist()))
             raise ValueError(
                 f"partition spec {spec!r} does not cover atoms {left_out}"
             )
@@ -169,8 +264,8 @@ class Partition:
 
     def covers(self, n: int) -> bool:
         """Whether the blocks cover exactly the atom indices 0..n-1."""
-        count, largest = self._span
-        return count == n and largest < n
+        # disjoint nonnegative indices cover 0..n-1 iff there are n of them, all below n
+        return len(self._order) == n and self._hi < n
 
 
 @dataclass(frozen=True)
@@ -198,23 +293,45 @@ def _check_alignment(X: RandomVariable, G: Partition, space: FiniteMeasureSpace)
         raise ValueError("partition does not cover the atom indices of the space")
 
 
-def _blocks(G: Partition, space: FiniteMeasureSpace) -> list:
-    """(index array, probabilities, mass) of each block, computed once."""
-    p = space.probabilities
-    return [(idx, p[idx], float(p[idx].sum())) for idx in map(np.array, G.blocks)]
+def _block_ids(G: Partition) -> np.ndarray:
+    """The block of every atom, for a partition that covers its atoms."""
+    ids = np.empty(len(G._order), dtype=np.intp)
+    ids[G._order] = np.repeat(np.arange(len(G._starts) - 1), np.diff(G._starts))
+    return ids
 
 
-def _block_average(x: np.ndarray, blocks: list) -> np.ndarray:
-    """(sum of x*p) / (sum of p) on each block; zero-mass blocks hold 0."""
-    xi = np.zeros(len(x))
-    for idx, p, mass in blocks:
-        if mass != 0.0:
-            xi[idx] = float(np.dot(x[idx], p)) / mass
-    return xi
+class _BlockSums:
+    """Per-block sums of x*p over one partition of one space.
 
+    The atoms are permuted into block order once, so each block is one
+    contiguous slice and its sum one ``np.dot``: the same terms in the same
+    order as ``np.dot(x[idx], p[idx])`` on the block's index array, so the
+    direct route, every ladder rung and the duality check share the bits.
+    """
 
-def _zero_mass(blocks: list) -> tuple[int, ...]:
-    return tuple(bi for bi, (_, _, mass) in enumerate(blocks) if mass == 0.0)
+    def __init__(self, G: Partition, space: FiniteMeasureSpace):
+        self.G, self.order = G, G._order
+        self.ps = space._probs[self.order]
+        st = G._starts.tolist()
+        self.bounds = list(zip(st, st[1:]))
+        self.mass = np.array([self.ps[s:e].sum() for s, e in self.bounds])
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        xs, ps = x[self.order], self.ps
+        return np.array([np.dot(xs[s:e], ps[s:e]) for s, e in self.bounds])
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return _block_ids(self.G)
+
+    def average(self, x: np.ndarray) -> np.ndarray:
+        """(sum of x*p) / (sum of p) on each block; zero-mass blocks hold 0."""
+        avg = np.zeros(len(self.mass))
+        np.divide(self.sums(x), self.mass, out=avg, where=self.mass != 0.0)
+        return avg[self.ids]
+
+    def zero_mass(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mass == 0.0).tolist())
 
 
 def cond_expectation(
@@ -229,9 +346,8 @@ def cond_expectation(
     choice there would do, since those atoms carry no mass.
     """
     _check_alignment(X, G, space)
-    blocks = _blocks(G, space)
-    xi = _block_average(X.array, blocks)
-    return ConditionedRV(values=tuple(xi), zero_mass_blocks=_zero_mass(blocks))
+    blocks = _BlockSums(G, space)
+    return ConditionedRV._of(blocks.average(X._x), zero_mass_blocks=blocks.zero_mass())
 
 
 def cond_expectation_l1(
@@ -244,15 +360,16 @@ def cond_expectation_l1(
     space the ladder stabilizes exactly once j bounds both parts, at
     which point min(X+-, j) = X+- bitwise and the result coincides with
     cond_expectation(X) exactly; if j_max is too small the last ladder
-    state is returned with ``converged=False``.
+    state is returned with ``converged=False``. ``j_max`` must be finite.
     """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    if not 1 <= j_max < math.inf:
+        raise ValueError(f"j_max must be >= 1 and finite, got {j_max}")
     _check_alignment(X, G, space)
-    blocks = _blocks(G, space)
-    xv = X.array
+    blocks = _BlockSums(G, space)
+    xv = X._x
     x_plus = np.maximum(xv, 0.0)
     x_minus = np.maximum(-xv, 0.0)
+    top = max(x_plus.max(initial=0.0), x_minus.max(initial=0.0))
 
     levels = _ladder_indices(j_max)
     history = []
@@ -262,16 +379,16 @@ def cond_expectation_l1(
     for j in levels:
         tp = np.minimum(x_plus, float(j))
         tm = np.minimum(x_minus, float(j))
-        xi_p, xi_m = _block_average(tp, blocks), _block_average(tm, blocks)
+        xi_p, xi_m = blocks.average(tp), blocks.average(tm)
         history.append((j, tuple(xi_p.tolist()), tuple(xi_m.tolist())))
-        result = _block_average(tp - tm, blocks)
-        if np.all(x_plus <= j) and np.all(x_minus <= j):
+        result = blocks.average(tp - tm)
+        if top <= j:
             converged = True
             j_reached = j
             break
-    return L1LadderResult(
-        values=tuple(result),
-        zero_mass_blocks=_zero_mass(blocks),
+    return L1LadderResult._of(
+        result,
+        zero_mass_blocks=blocks.zero_mass(),
         converged=converged,
         j_reached=j_reached,
         ladder=tuple(history),
@@ -296,20 +413,18 @@ def verify_duality(
 ) -> DualityReport:
     """Check that X and xi integrate identically over every block.
 
-    ``tol`` must be positive (``ValueError`` otherwise; NaN included).
+    ``tol`` must be positive and finite (``ValueError`` otherwise; NaN
+    included).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_alignment(X, G, space)
     if len(xi) != space.n:
         raise ValueError(f"candidate has {len(xi)} values for {space.n} atoms")
-    xv, cv = X.array, xi.array
-    residuals = [
-        abs(float(np.dot(xv[idx], p)) - float(np.dot(cv[idx], p)))
-        for idx, p, _ in _blocks(G, space)
-    ]
+    blocks = _BlockSums(G, space)
+    residuals = np.abs(blocks.sums(X._x) - blocks.sums(xi._x))
     return DualityReport(
-        residuals=tuple(residuals), tol=tol, passed=all(r < tol for r in residuals)
+        residuals=tuple(residuals.tolist()), tol=tol, passed=bool((residuals < tol).all())
     )
 
 
@@ -333,10 +448,10 @@ def holder_bound_check(
     """Evaluate both sides of the pairing bound and compare."""
     if len(X) != space.n or len(Y) != space.n:
         raise ValueError("X and Y must align with the atoms of the space")
-    p = space.probabilities
-    lhs = abs(float(np.dot(X.array * Y.array, p)))
-    norm_x = float(np.dot(np.abs(X.array) ** exps.p, p)) ** (1.0 / exps.p)
-    norm_y = float(np.dot(np.abs(Y.array) ** exps.q, p)) ** (1.0 / exps.q)
+    p, x, y = space._probs, X._x, Y._x
+    lhs = abs(float(np.dot(x * y, p)))
+    norm_x = float(np.dot(np.abs(x) ** exps.p, p)) ** (1.0 / exps.p)
+    norm_y = float(np.dot(np.abs(y) ** exps.q, p)) ** (1.0 / exps.q)
     rhs = norm_x * norm_y
     return HolderReport(
         lhs=lhs, rhs=rhs, p=exps.p, q=exps.q, passed=lhs <= rhs + 1e-12

@@ -10,6 +10,7 @@ rules are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -164,10 +165,10 @@ def adaptive_integrate(
     intended way to handle piecewise-smooth integrands. For integrands
     with undeclared kinks the result is best effort: after ``max_depth``
     bisections a panel is accepted as is. A ``tol`` that is not positive
-    (NaN included) raises ``ValueError``.
+    and finite (NaN included) raises ``ValueError``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not a < b:
         if a == b:
             return 0.0

@@ -176,16 +176,16 @@ def ls_integrate(
     2**14 cells per segment on, each pass takes one segment. Both
     callbacks therefore receive flat 1-d arrays that span several
     segments and must act pointwise. The support endpoints must be
-    finite, and ``tol`` positive (``ValueError`` otherwise; a NaN
-    ``tol`` counts as not positive).
+    finite, and ``tol`` positive and finite (``ValueError`` otherwise; a
+    NaN ``tol`` counts as not positive).
     """
     lo, hi = float(support[0]), float(support[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"support endpoints must be finite, got {support}")
     if lo > hi:
         raise ValueError(f"support must be ordered, got {support}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if lo == hi:
         return 0.0
 
@@ -445,15 +445,17 @@ def recover_cdf(
     cutoff index at which the last ramp's ladder stopped: the first
     covering index for an oracle with a support, else the index of the
     second of the two agreeing values (or ``m_max``). A non-finite ``x``,
-    or a ``tol`` that is not positive (NaN included), raises
-    ``ValueError``.
+    a ``j_max`` or ``m_max`` that is below 1 or not finite, or a ``tol``
+    that is not positive and finite (NaN included), raises ``ValueError``.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if j_max < 1 or m_max < 1:
-        raise ValueError(f"j_max and m_max must be >= 1, got {j_max}, {m_max}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (1 <= j_max < math.inf and 1 <= m_max < math.inf):
+        raise ValueError(
+            f"j_max and m_max must be >= 1 and finite, got {j_max}, {m_max}"
+        )
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     values: list[float] = []
     js: list[int] = []
@@ -512,10 +514,11 @@ def total_mass(L: ExpectationOracle, j_max: int = 64) -> float:
     It is the cutoff limit that ``recover_cdf`` takes inside every ramp,
     run on the bare cutoffs: the ladder stops when two successive values
     agree within 1e-12, or at the first cutoff that covers the oracle's
-    ``support``, and may not decrease by more than 1e-12.
+    ``support``, and may not decrease by more than 1e-12. ``j_max`` must
+    be finite.
     """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    if not 1 <= j_max < math.inf:
+        raise ValueError(f"j_max must be >= 1 and finite, got {j_max}")
     return _cutoff_limit(L, None, j_max, 1e-12, 1e-12)[0]
 
 

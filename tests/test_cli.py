@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 from click.testing import CliRunner
 
-from rieszkit.cli import _cell, main
+from rieszkit.cli import _cell, _emit, main
 from rieszkit.wiener import WienerParams, sample_bridge
 
 
@@ -274,7 +275,7 @@ def test_usage_errors(tmp_path):
     assert "Warning" not in combined_output(result)
     atoms = tmp_path / "atoms.csv"
     atoms.write_text("a,0.5,1.0\nb,0.5,3.0\n")
-    for tol in ("nan", "0", "-1"):
+    for tol in ("nan", "0", "-1", "inf"):
         result = run("condexp", "--input", str(atoms), "--partition", "a|b",
                      "--tol", tol, "--format", "json")
         assert result.exit_code == 2
@@ -282,13 +283,70 @@ def test_usage_errors(tmp_path):
         result = run("compat-check", "--tol", tol, "--format", "json")
         assert result.exit_code == 2
         assert "tol must be positive" in combined_output(result)
+    # an infinite tolerance would print "tol": Infinity, which is not JSON
+    result = run("recover-cdf", "--law", "uniform", "--tol", "inf", "--grid-n", "3",
+                 "--format", "json")
+    assert result.exit_code == 2
+    assert "tol must be positive and finite" in combined_output(result)
     for flag in ("--x", "--z", "--u", "--s", "--t", "--D"):
         for bad in ("nan", "inf"):
             result = run("compat-check", flag, bad, "--format", "json")
             assert result.exit_code == 2, (flag, bad)
 
 
+def test_csv_cells_match_cell_by_cell_formatting(tmp_path):
+    # float columns are printed once per distinct bit pattern: 0.0 and
+    # -0.0 compare equal but must keep their own text
+    floats = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2, 0.0, -0.0, 1e16]
+    rows = [
+        (f, k, None if k % 3 else "x", np.float64(f), bool(k % 2), f)
+        for k, f in enumerate(floats)
+    ]
+    target = tmp_path / "cells.csv"
+    _emit(("a", "b", "c", "d", "e", "f"), rows, {}, "csv", str(target))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("a", "b", "c", "d", "e", "f"))
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    assert target.read_text() == expected.getvalue()
+    assert target.read_text().splitlines()[2].startswith("-0.0,1,,-0.0,True,-0.0")
+
+
 def test_cell_prints_numpy_floats_as_plain_floats():
     assert _cell(np.float64(0.5)) == "0.5"
     assert _cell(np.float64(0.1) + np.float64(0.2)) == repr(0.1 + 0.2)
     assert _cell(None) == "" and _cell(3) == "3" and _cell("a") == "a"
+
+
+# Recorded output of every command, CSV and JSON, keyed "command/format";
+# <DIR> stands for the directory holding the input files below.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN_ARGS = {
+    "bochner": ["bochner", "--size", "4", "--grid-n", "3"],
+    "recover-cdf": ["recover-cdf", "--law", "triangular", "--grid-lo", "0.25",
+                    "--grid-hi", "0.75", "--grid-n", "3"],
+    "recover-cdf-samples": ["recover-cdf", "--samples", "<DIR>/draws.csv",
+                            "--grid-lo", "0.5", "--grid-hi", "1.0", "--grid-n", "2"],
+    "condexp": ["condexp", "--input", "<DIR>/atoms.csv", "--partition", "d,a|e|b,c"],
+    "compat-check": ["compat-check", "--nodes", "8,16"],
+    "wiener-integrate": ["wiener-integrate", "--F", "mono:2", "--nodes", "8,16",
+                         "--paths", "100", "--seed", "3"],
+    "bridge-sample": ["bridge-sample", "--times", "0.5", "--paths", "2", "--seed", "4"],
+    "selftest": ["selftest"],
+}
+
+
+def test_every_command_prints_its_recorded_bytes(tmp_path):
+    (tmp_path / "atoms.csv").write_text(
+        "label,probability,value\nc,0.0,7\na,0.5,-1.25\nb,0.375,3\nd,0.125,0.1\ne,0.0,2\n"
+    )
+    (tmp_path / "draws.csv").write_text("0.1\n0.4\n0.6\n0.9\n")
+    assert len(GOLDEN) == 2 * len(GOLDEN_ARGS)
+    for name, args in GOLDEN_ARGS.items():
+        args = [a.replace("<DIR>", str(tmp_path)) for a in args]
+        for fmt in ("csv", "json"):
+            result = run(*args, "--format", fmt)
+            assert result.exit_code == 0, (name, fmt)
+            got = result.output.replace(str(tmp_path), "<DIR>")
+            assert got == GOLDEN[f"{name}/{fmt}"], (name, fmt)

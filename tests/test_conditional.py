@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszkit.conditional import (
+    ConditionedRV,
     ConjugateExponents,
     FiniteMeasureSpace,
+    L1LadderResult,
     Partition,
     RandomVariable,
     cond_expectation,
@@ -269,7 +273,7 @@ def test_exponent_validation():
         ConjugateExponents(2.0, 1.9)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_duality_tolerance_must_be_positive(tol):
     xi = cond_expectation(X1234, PAIRS, UNIF4)
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -294,3 +298,150 @@ def test_alignment_validation():
         holder_bound_check(
             X1234, RandomVariable((1.0,)), ConjugateExponents(2.0), UNIF4
         )
+
+
+@pytest.mark.parametrize("j_max", [float("inf"), float("nan")])
+def test_truncation_ladder_limit_must_be_finite(j_max):
+    # an infinite limit would double the ladder forever
+    with pytest.raises(ValueError, match="must be >= 1"):
+        cond_expectation_l1(X1234, PAIRS, UNIF4, j_max=j_max)
+
+
+# The per-block route that the stored arrays replaced: each block's
+# values and masses gathered by its index array, summed by np.dot and
+# .sum(). Every block sum of the library must equal it bit for bit.
+def _reference_average(x, p, blocks):
+    xi = np.zeros(len(x))
+    zero = []
+    for bi, idx in enumerate(map(np.array, blocks)):
+        mass = float(p[idx].sum())
+        if mass != 0.0:
+            xi[idx] = float(np.dot(x[idx], p[idx])) / mass
+        else:
+            zero.append(bi)
+    return tuple(xi.tolist()), tuple(zero)
+
+
+def _reference_residuals(x, c, p, blocks):
+    return tuple(
+        abs(float(np.dot(x[idx], p[idx])) - float(np.dot(c[idx], p[idx])))
+        for idx in map(np.array, blocks)
+    )
+
+
+def _random_space(rng, kind, n):
+    if kind == "uniform":
+        return FiniteMeasureSpace.uniform(n)
+    p = rng.dirichlet(np.ones(n))
+    if kind == "zero-mass":
+        p[rng.random(n) < 0.3] = 0.0
+        p[0] = max(p[0], 0.1)
+        p /= p.sum()
+    return FiniteMeasureSpace(tuple((f"a{k}", q) for k, q in enumerate(p.tolist())))
+
+
+def _random_blocks(rng, n):
+    """Blocks listed out of order, each with its atoms out of order."""
+    label = rng.integers(0, int(rng.integers(1, n + 1)), n)
+    blocks = (rng.permutation(np.flatnonzero(label == b)) for b in rng.permutation(n))
+    return tuple(tuple(b.tolist()) for b in blocks if len(b))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet", "zero-mass"])
+def test_block_sums_are_bitwise_those_of_the_per_block_route(kind):
+    rng = np.random.default_rng(["uniform", "dirichlet", "zero-mass"].index(kind))
+    cases = [(4, ((2, 0), (3,), (1,)))]
+    for _ in range(40):
+        n = int(rng.integers(1, 400))
+        cases.append((n, _random_blocks(rng, n)))
+    for n, blocks in cases:
+        space, G = _random_space(rng, kind, n), Partition(blocks)
+        p = space.probabilities
+        x = rng.normal(0.0, 20.0, n)
+        X = RandomVariable(tuple(x))
+
+        xi = cond_expectation(X, G, space)
+        assert (xi.values, xi.zero_mass_blocks) == _reference_average(x, p, blocks)
+
+        out = cond_expectation_l1(X, G, space, j_max=int(rng.integers(1, 80)))
+        assert out.zero_mass_blocks == xi.zero_mass_blocks
+        for j, xi_p, xi_m in out.ladder:
+            tp = np.minimum(np.maximum(x, 0.0), float(j))
+            tm = np.minimum(np.maximum(-x, 0.0), float(j))
+            assert xi_p == _reference_average(tp, p, blocks)[0]
+            assert xi_m == _reference_average(tm, p, blocks)[0]
+        assert out.values == _reference_average(
+            np.minimum(np.maximum(x, 0.0), float(j))
+            - np.minimum(np.maximum(-x, 0.0), float(j)), p, blocks
+        )[0]
+        if out.converged:
+            assert out.values == xi.values
+
+        for c in (xi.array, x + rng.normal(0.0, 1e-3, n)):
+            report = verify_duality(X, RandomVariable(tuple(c)), G, space, 1e-13)
+            assert report.residuals == _reference_residuals(x, c, p, blocks)
+            assert report.passed == all(r < 1e-13 for r in report.residuals)
+
+
+def _plain(obj):
+    """Whether obj is built only of tuples of built-in str, float, int, bool."""
+    if type(obj) is tuple:
+        return all(map(_plain, obj))
+    return type(obj) in (str, float, int, bool)
+
+
+def test_public_classes_keep_their_dataclass_behaviour():
+    l1 = cond_expectation_l1(X1234, PAIRS, UNIF4, j_max=2)
+    ladder = (
+        (1, (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0)),
+        (2, (1.5, 1.5, 2.0, 2.0), (0.0, 0.0, 0.0, 0.0)),
+    )
+    space = FiniteMeasureSpace((("a", 0.5), ("b", 0.5), ("c", 0.0), ("d", 0.0)))
+    cond = cond_expectation(X1234, Partition(((2, 0), (3,), (1,))), space)
+    cases = [
+        (FiniteMeasureSpace.uniform(2), FiniteMeasureSpace, ((("1", 0.5), ("2", 0.5)),),
+         "FiniteMeasureSpace(atoms=(('1', 0.5), ('2', 0.5)))"),
+        (space, FiniteMeasureSpace, (space.atoms,),
+         "FiniteMeasureSpace(atoms=(('a', 0.5), ('b', 0.5), ('c', 0.0), ('d', 0.0)))"),
+        (RandomVariable((1, np.float64(2.5))), RandomVariable, ((1.0, 2.5),),
+         "RandomVariable(values=(1.0, 2.5))"),
+        (Partition(((np.int64(2), 0), [1])), Partition, (((2, 0), (1,)),),
+         "Partition(blocks=((2, 0), (1,)))"),
+        (cond, ConditionedRV, ((1.0, 2.0, 1.0, 0.0), (1,)),
+         "ConditionedRV(values=(1.0, 2.0, 1.0, 0.0), zero_mass_blocks=(1,))"),
+        (l1, L1LadderResult, ((1.5, 1.5, 2.0, 2.0), (), False, 2, ladder),
+         "L1LadderResult(values=(1.5, 1.5, 2.0, 2.0), zero_mass_blocks=(), "
+         f"converged=False, j_reached=2, ladder={ladder!r})"),
+    ]
+    for obj, cls, args, text in cases:
+        names = [f.name for f in dataclasses.fields(cls)]
+        by_keyword = cls(**dict(zip(names, args)))
+        for twin in (cls(*args), by_keyword):
+            assert type(obj) is type(twin) is cls
+            assert obj == twin and not obj != twin
+            assert hash(obj) == hash(twin) == hash(args)
+            assert repr(obj) == repr(twin) == text
+        assert tuple(getattr(obj, name) for name in names) == args
+        assert _plain(tuple(getattr(obj, name) for name in names))
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+    assert RandomVariable((1.0,)) != ConditionedRV((1.0,))
+    assert FiniteMeasureSpace.uniform(3) != FiniteMeasureSpace.uniform(2)
+    assert Partition(((0,), (1,))) != Partition(((1,), (0,)))
+    for space in (FiniteMeasureSpace.uniform(3), space):
+        assert space.labels is space.labels
+        assert _plain(space.labels)
+
+
+def test_random_variable_hands_out_fresh_writable_arrays():
+    source = np.array([1.0, 2.0, 3.0])
+    X = RandomVariable(source)
+    source[0] = 9.0
+    for rv in (X, cond_expectation(X, Partition.trivial(3), FiniteMeasureSpace.uniform(3))):
+        a, b = rv.array, rv.array
+        assert a is not b and a.flags.writeable and b.flags.writeable
+        before = rv.values
+        a[0] = -7.0
+        assert rv.values == before and rv.array.tolist() == list(before)
+    assert X.values == (1.0, 2.0, 3.0)

@@ -216,6 +216,11 @@ def test_adaptive_rejects_a_nan_tolerance_before_any_panel():
         adaptive_integrate(untouchable, 0.0, 1.0, math.nan)
 
 
+def test_adaptive_rejects_an_infinite_tolerance():
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        adaptive_integrate(lambda u: u, 0.0, 1.0, math.inf)
+
+
 def test_rule_construction_validation():
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0, 1.0]), np.array([1.0]))

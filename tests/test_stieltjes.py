@@ -447,6 +447,27 @@ def test_recover_validation():
             recover_cdf(oracle, x)
 
 
+def test_an_infinite_tolerance_is_rejected():
+    oracle = oracle_from_cdf(uniform_cdf(), (-0.5, 1.5))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        recover_cdf(oracle, 0.5, tol=math.inf)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ls_integrate(lambda t: 1.0, uniform_cdf(), (0.0, 1.0), math.inf)
+
+
+@pytest.mark.parametrize("limit", [math.inf, math.nan])
+def test_an_infinite_or_nan_ladder_limit_is_rejected(limit):
+    # an infinite limit would double the ladder forever; a NaN one passes
+    # every `< 1` test and then fails the ladder with a ConvergenceError
+    oracle = oracle_from_cdf(uniform_cdf(), (-0.5, 1.5))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        recover_cdf(oracle, 0.5, j_max=limit)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        recover_cdf(oracle, 0.5, m_max=limit)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        total_mass(oracle, j_max=limit)
+
+
 def test_recovered_grid_is_monotone():
     oracle = oracle_from_cdf(triangular_cdf(), (-0.5, 1.5))
     xs = np.linspace(-0.1, 1.1, 13)
