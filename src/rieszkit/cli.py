@@ -42,19 +42,8 @@ def _cell(v):
 _PLAIN = {str, int, float, bool, type(None)}
 
 
-def _float_cells(col) -> list[str]:
-    """The repr of each float, computed once per distinct bit pattern
-    (0.0 and -0.0 are equal as keys but print differently)."""
-    seen = {}
-    bits = np.array(col, dtype=float).view(np.int64).tolist()
-    return [seen[b] if b in seen else seen.setdefault(b, repr(v)) for v, b in zip(col, bits)]
-
-
 def _csv_column(col):
-    kinds = set(map(type, col))
-    if kinds == {float}:
-        return _float_cells(col)
-    return col if kinds <= _PLAIN else [_cell(v) for v in col]
+    return col if set(map(type, col)) <= _PLAIN else [_cell(v) for v in col]
 
 
 def _emit(columns, rows, meta, fmt: str, out: str | None) -> None:
@@ -237,7 +226,7 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     labels, probs, values = [], [], []
     with open(input_path, newline="") as fh:
         for k, row in enumerate(_csv.reader(fh)):
-            if not any(map(str.strip, row)):
+            if not row or not any(c.strip() for c in row):
                 continue
             if len(row) < 3:
                 raise click.UsageError(

@@ -214,15 +214,9 @@ class Partition(_Views):
         order = np.fromiter(chain.from_iterable(blocks), dtype=np.intp, count=sum(sizes))
         if not blocks or 0 in sizes:
             raise ValueError("blocks must be nonempty")
-        lo, hi = int(order.min()), int(order.max())
-        # dense indices (those of every partition that covers a space) are
-        # counted; sparse ones are sorted, so a huge index allocates nothing
-        if hi - lo < 2 * len(order):
-            repeated = np.bincount(order - lo).max() > 1
-        else:
-            ranked = np.sort(order)
-            repeated = bool((ranked[1:] == ranked[:-1]).any())
-        if repeated:
+        ranked = np.sort(order)
+        lo, hi = int(ranked[0]), int(ranked[-1])
+        if (ranked[1:] == ranked[:-1]).any():
             raise ValueError("blocks must be pairwise disjoint")
         if lo < 0:
             raise ValueError("negative atom index")

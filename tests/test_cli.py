@@ -295,7 +295,7 @@ def test_usage_errors(tmp_path):
 
 
 def test_csv_cells_match_cell_by_cell_formatting(tmp_path):
-    # float columns are printed once per distinct bit pattern: 0.0 and
+    # the column-wise writer prints every cell as _cell would: 0.0 and
     # -0.0 compare equal but must keep their own text
     floats = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2, 0.0, -0.0, 1e16]
     rows = [
