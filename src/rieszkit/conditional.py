@@ -318,11 +318,15 @@ class _BlockSums:
     def ids(self) -> np.ndarray:
         return _block_ids(self.G)
 
-    def average(self, x: np.ndarray) -> np.ndarray:
-        """(sum of x*p) / (sum of p) on each block; zero-mass blocks hold 0."""
+    def block_average(self, x: np.ndarray) -> np.ndarray:
+        """(sum of x*p) / (sum of p), one value per block; zero-mass blocks hold 0."""
         avg = np.zeros(len(self.mass))
         np.divide(self.sums(x), self.mass, out=avg, where=self.mass != 0.0)
-        return avg[self.ids]
+        return avg
+
+    def average(self, x: np.ndarray) -> np.ndarray:
+        """The block averages of x spread over the atoms."""
+        return self.block_average(x)[self.ids]
 
     def zero_mass(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.mass == 0.0).tolist())
@@ -365,6 +369,7 @@ def cond_expectation_l1(
     x_minus = np.maximum(-xv, 0.0)
     top = max(x_plus.max(initial=0.0), x_minus.max(initial=0.0))
 
+    ids = blocks.ids.tolist()
     levels = _ladder_indices(j_max)
     history = []
     result = None
@@ -373,8 +378,9 @@ def cond_expectation_l1(
     for j in levels:
         tp = np.minimum(x_plus, float(j))
         tm = np.minimum(x_minus, float(j))
-        xi_p, xi_m = blocks.average(tp), blocks.average(tm)
-        history.append((j, tuple(xi_p.tolist()), tuple(xi_m.tolist())))
+        # one float object per block, shared by the block's atoms
+        xi_p, xi_m = blocks.block_average(tp).tolist(), blocks.block_average(tm).tolist()
+        history.append((j, tuple(map(xi_p.__getitem__, ids)), tuple(map(xi_m.__getitem__, ids))))
         result = blocks.average(tp - tm)
         if top <= j:
             converged = True

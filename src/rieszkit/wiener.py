@@ -4,10 +4,10 @@ The measure on paths from x to y over [0, t] is specified through its
 finite-dimensional marginals: a product of heat kernels over the time
 increments, with total mass heat_kernel(x - y, t, D) rather than 1.
 Functionals depending on finitely many path values are integrated
-either by tensor quadrature (Gauss-Hermite along unconstrained axes,
-Gauss-Legendre on box-constrained ones) or by Monte Carlo over bridge
+either by tensor Gauss-Hermite quadrature or by Monte Carlo over bridge
 paths drawn from the normalized conditional law and rescaled by the
-total mass.
+total mass. Cylinder sets are swept box by box on fixed Gauss-Legendre
+nodes, with the unconstrained times integrated out exactly.
 
 State is scalar; the kernels and chain structure extend to vector state
 as a coordinate product, which is left as an extension point.
@@ -44,6 +44,9 @@ _WORK_BUDGET = 1e8
 # half-width of the integration window per constrained axis, in units of
 # sqrt(2*D*t); generous next to the widest bridge marginal (sqrt(D*t/2))
 _WINDOW_SIGMAS = 12.0
+# cells per kernel block in the cylinder sweep: each temporary stays at
+# 128 KiB whatever the node count
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -208,48 +211,31 @@ def _check_budget(n_axes: int, n_nodes: int) -> None:
         )
 
 
-def _chain(params: WienerParams, times, boxes, n_nodes: int):
-    """Markov sweep along the time axes, one node column per axis.
+def _chain(params: WienerParams, times, n_nodes: int):
+    """Tensor Gauss-Hermite chain along the time axes, one node column per axis.
 
-    Returns (cols, weights), or None if a box is empty. cols[k] holds the
-    n^(k+1) path values at times[k] (n = n_nodes); its row r extends row
-    r // n of cols[k-1]. weights absorbs every kernel along the chain,
-    the final hop to the endpoint included. A step reads only the last
-    column and the weights, so memory is a few floats per node
-    combination. Free axes (box None or the whole line) use Gauss-Hermite
-    standardized on the incoming kernel, which the weights absorb; boxed
-    axes use Gauss-Legendre on the box clipped to a wide central window,
-    times the incoming kernel. Raises ValueError for n_nodes < 8 or a
-    time at or past the horizon, BudgetError above the work budget.
+    Returns (cols, weights). cols[k] holds the n^(k+1) path values at
+    times[k] (n = n_nodes); its row r extends row r // n of cols[k-1].
+    Each axis is standardized on its incoming transition kernel, which the
+    weights absorb, and weights also carries the final hop to the
+    endpoint. A step reads only the last column and the weights, so
+    memory is a few floats per node combination. Raises ValueError for
+    n_nodes < 8 or a time at or past the horizon, BudgetError above the
+    work budget.
     """
     if n_nodes < 8:
         raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
     _check_horizon(times, params)
     _check_budget(len(times), n_nodes)
-    window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
+    rule = gauss_hermite(n_nodes)
+    unit_weights = rule.weights / math.sqrt(math.pi)
     prev_t = 0.0
     prev = np.full(1, params.x)
     wts = np.ones(1)
     cols = []
-    for s_i, box in zip(times, boxes):
-        dt_i = s_i - prev_t
-        if box is None or (box[0] == -np.inf and box[1] == np.inf):
-            rule = gauss_hermite(n_nodes)
-            new = prev[:, None] + math.sqrt(4.0 * params.D * dt_i) * rule.nodes[None, :]
-            w = wts[:, None] * (rule.weights / math.sqrt(math.pi))[None, :]
-        else:
-            center = params.x + (s_i / params.t) * (params.y - params.x)
-            lo = max(box[0], center - window)
-            hi = min(box[1], center + window)
-            if not lo < hi:
-                return None
-            rule = gauss_legendre(n_nodes, lo, hi)
-            new = np.broadcast_to(rule.nodes[None, :], (len(wts), n_nodes))
-            w = (
-                wts[:, None]
-                * rule.weights[None, :]
-                * heat_kernel(new - prev[:, None], dt_i, params.D)
-            )
+    for s_i in times:
+        new = prev[:, None] + math.sqrt(4.0 * params.D * (s_i - prev_t)) * rule.nodes[None, :]
+        w = wts[:, None] * unit_weights[None, :]
         prev = new.reshape(-1)
         cols.append(prev)
         wts = w.reshape(-1)
@@ -258,18 +244,64 @@ def _chain(params: WienerParams, times, boxes, n_nodes: int):
     return cols, wts
 
 
+def _kernel_step(v, prev, nodes, dt: float, D: float) -> np.ndarray:
+    """v @ K with K[i, j] = heat_kernel(nodes[j] - prev[i], dt, D).
+
+    K is built in row blocks of at most _BLOCK_CELLS cells, so no
+    temporary grows with len(prev) * len(nodes); up to 128 nodes a step
+    is one block and one matrix-vector product.
+    """
+    rows = max(1, _BLOCK_CELLS // len(nodes))
+    out = np.zeros(len(nodes))
+    for r in range(0, len(prev), rows):
+        out += v[r:r + rows] @ heat_kernel(nodes[None, :] - prev[r:r + rows, None], dt, D)
+    return out
+
+
 def cylinder_probability(
     C: CylinderSet, params: WienerParams, n_nodes: int = 32
 ) -> float:
     """Measure of the set of paths passing through the boxes.
 
-    Integrates the product of transition kernels over the boxes. With
-    every box equal to the whole line this collapses to
-    heat_kernel(x - y, t, D), the total mass. Memory: a few floats per
-    node combination (n_nodes^N for N times); no coordinates are built.
+    A time whose box is the whole line drops out exactly: by the
+    Chapman-Kolmogorov identity the kernels on either side of it merge
+    into one kernel across the gap. The remaining boxed times form a
+    Markov chain on fixed nodes, Gauss-Legendre on each box clipped to a
+    wide central window, swept as v <- (v @ K_k) * w_k and closed by the
+    hop to the pinned endpoint. Work is B * n_nodes^2 kernel evaluations
+    for B boxed times and memory O(n_nodes); with every box the whole
+    line the result is exactly heat_kernel(x - y, t, D), the total mass.
+    An empty (clipped) box gives 0.0. Raises ValueError for n_nodes < 8
+    or a time at or past the horizon, BudgetError above the work budget.
     """
-    chain = _chain(params, C.times, C.boxes, n_nodes)
-    return 0.0 if chain is None else float(np.sum(chain[1]))
+    if n_nodes < 8:
+        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
+    _check_horizon(C.times, params)
+    boxed = [
+        (s, box) for s, box in zip(C.times, C.boxes)
+        if not (box[0] == -np.inf and box[1] == np.inf)
+    ]
+    work = len(boxed) * float(n_nodes) ** 2
+    if work > _WORK_BUDGET:
+        raise BudgetError(
+            f"cylinder sweep needs ~{work:.2e} kernel evaluations for "
+            f"{len(boxed)} boxed times at {n_nodes} nodes (budget "
+            f"{_WORK_BUDGET:.0e}); use wiener_integral_mc instead"
+        )
+    window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
+    prev_t = 0.0
+    prev = np.full(1, params.x)
+    v = np.ones(1)
+    for s_i, box in boxed:
+        center = params.x + (s_i / params.t) * (params.y - params.x)
+        lo = max(box[0], center - window)
+        hi = min(box[1], center + window)
+        if not lo < hi:
+            return 0.0
+        rule = gauss_legendre(n_nodes, lo, hi)
+        v = _kernel_step(v, prev, rule.nodes, s_i - prev_t, params.D) * rule.weights
+        prev, prev_t = rule.nodes, s_i
+    return float(np.dot(v, heat_kernel(params.y - prev, params.t - prev_t, params.D)))
 
 
 def wiener_integral_quadrature(
@@ -284,7 +316,7 @@ def wiener_integral_quadrature(
     combinations as one (n_nodes^N, N) array; the chain adds a few
     floats per combination, and F its own temporaries.
     """
-    cols, wts = _chain(params, F.times, [None] * len(F.times), n_nodes)
+    cols, wts = _chain(params, F.times, n_nodes)
     coords = np.empty((len(wts), len(cols)))
     for k in range(len(cols)):
         # row r of cols[k] fills a contiguous run of grid rows

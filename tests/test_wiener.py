@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rieszkit import wiener
 from rieszkit.errors import BudgetError, ConvergenceError, NumericError
 from rieszkit.numerics import adaptive_integrate, gauss_hermite, gauss_legendre
 from rieszkit.wiener import (
@@ -161,14 +166,27 @@ def test_cylinder_validation():
 
 def test_tensor_quadrature_budget_guard():
     times = (0.1, 0.2, 0.3, 0.4, 0.5)
-    with pytest.raises(BudgetError):
-        cylinder_probability(
-            CylinderSet(times, ((-np.inf, np.inf),) * 5), PINNED, 64
-        )
+    # free times drop out of the cylinder sweep, so this costs no kernel step
+    mass = heat_kernel(PINNED.x - PINNED.y, PINNED.t, PINNED.D)
+    assert cylinder_probability(
+        CylinderSet(times, ((-np.inf, np.inf),) * 5), PINNED, 64
+    ) == mass
     with pytest.raises(BudgetError):
         wiener_integral_quadrature(
             CylindricalFunctional(times, ones_fn), PINNED, 64
         )
+
+
+def test_cylinder_sweep_budget_guard_runs_before_any_kernel(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluated past the budget guard")
+
+    monkeypatch.setattr(wiener, "heat_kernel", fail)
+    monkeypatch.setattr(wiener, "gauss_legendre", fail)
+    # 2 boxed times at 8192 nodes: 1.3e8 kernel evaluations
+    C = CylinderSet((0.2, 0.5, 0.8), ((-1.0, 1.0), (-np.inf, np.inf), (0.0, np.inf)))
+    with pytest.raises(BudgetError, match="2 boxed times at 8192 nodes"):
+        cylinder_probability(C, PINNED, 8192)
 
 
 def _reference_chain(params, times, boxes, n_nodes):
@@ -240,27 +258,81 @@ def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
                                 rng.choice(kinds, p=weights))
                     for s in times
                 ]
-                ref = _reference_chain(params, times, boxes, n)
-                got = _chain(params, times, boxes, n)
-                if ref is None:
-                    assert got is None
-                else:
-                    cols, wts = got
-                    assert np.array_equal(wts, ref[1])
-                    assert [len(c) for c in cols] == [n ** (k + 1) for k in range(N)]
-                    for k, col in enumerate(cols):
-                        assert np.array_equal(np.repeat(col, n ** (N - 1 - k)), ref[0][:, k])
+                ref = _reference_chain(params, times, [None] * N, n)
+                cols, wts = _chain(params, times, n)
+                assert np.array_equal(wts, ref[1])
+                assert [len(c) for c in cols] == [n ** (k + 1) for k in range(N)]
+                for k, col in enumerate(cols):
+                    assert np.array_equal(np.repeat(col, n ** (N - 1 - k)), ref[0][:, k])
 
+                # the cylinder sweep drops the free times and sums the boxed
+                # ones by matrix-vector products, in another order
                 line = (-np.inf, np.inf)
                 C = CylinderSet(times, [line if b is None else b for b in boxes])
-                want = 0.0 if ref is None else float(np.sum(ref[1]))
-                assert cylinder_probability(C, params, n) == want
+                mass = heat_kernel(params.x - params.y, params.t, params.D)
+                kept = [(s, b) for s, b in zip(C.times, C.boxes) if b != line]
+                want = mass
+                if kept:
+                    ref = _reference_chain(params, *zip(*kept), n)
+                    want = 0.0 if ref is None else float(np.sum(ref[1]))
+                assert abs(cylinder_probability(C, params, n) - want) <= 1e-14 * mass
+                assert cylinder_probability(CylinderSet(times, [line] * N), params, n) == mass
 
                 c = rng.normal(size=N)
                 F = CylindricalFunctional(times, lambda p: np.cos(p @ c) + p[..., -1] ** 2)
                 coords, wts = _reference_chain(params, times, [None] * N, n)
                 want = float(np.dot(wts, F.evaluate(coords)))
                 assert wiener_integral_quadrature(F, params, n) == want
+
+
+def test_cylinder_sweep_matches_the_all_axes_tensor_at_256_nodes():
+    # The slow path Hermite-integrates every free time; at 256 nodes it is
+    # the reference for the sweep at 32. Half-line boxes are left out: both
+    # paths put the same Legendre rule on the box clipped to the window,
+    # which at 32 nodes is still up to 1e-4 * mass from its 256-node value.
+    # Gaps of at least t/10 keep the reference converged: after a free time
+    # with a gap of 0.016 * t to the next box it is itself 1.2e-9 * mass off.
+    rng = np.random.default_rng(20240606)
+    kinds = ("absent", "line", "finite", "empty")
+    for N in (1, 2):
+        for _ in range(30):
+            params = WienerParams(
+                x=rng.uniform(-1, 1), y=rng.uniform(-1, 1),
+                t=rng.uniform(0.5, 2.0), D=rng.uniform(0.2, 1.0),
+            )
+            while True:
+                times = np.sort(rng.uniform(0.1, 0.9, N)) * params.t
+                if np.all(np.diff(np.concatenate([[0.0], times, [params.t]])) >= 0.1 * params.t):
+                    break
+            times = tuple(times)
+            boxes = [
+                _random_box(rng, params.x + s / params.t * (params.y - params.x),
+                            rng.choice(kinds))
+                for s in times
+            ]
+            ref = _reference_chain(params, times, boxes, 256)
+            want = 0.0 if ref is None else float(np.sum(ref[1]))
+            line = (-np.inf, np.inf)
+            C = CylinderSet(times, [line if b is None else b for b in boxes])
+            mass = heat_kernel(params.x - params.y, params.t, params.D)
+            assert abs(cylinder_probability(C, params, 32) - want) <= 1e-9 * mass
+
+
+def test_twenty_time_box_cylinder_agrees_with_monte_carlo():
+    params = WienerParams(x=0.2, y=-0.3, t=1.0, D=0.5)
+    times = tuple((k + 1) / 21 for k in range(20))
+    boxes = []
+    for s in times:
+        mean = params.x + s / params.t * (params.y - params.x)
+        sd = math.sqrt(2.0 * params.D * s * (params.t - s) / params.t)
+        boxes.append((mean - 2.5 * sd, mean + 2.0 * sd))
+    lo, hi = np.array(boxes).T
+    indicator = CylindricalFunctional(
+        times, lambda p: np.all((p >= lo) & (p <= hi), axis=-1).astype(float)
+    )
+    est, err = wiener_integral_mc(indicator, params, 100_000, seed=0)
+    quad = cylinder_probability(CylinderSet(times, tuple(boxes)), params, 64)
+    assert abs(est - quad) < 3.0 * err
 
 
 def _traced_peak_mib(fn):
@@ -285,6 +357,35 @@ def test_tensor_chain_memory_at_four_times_and_32_nodes():
     karr = np.array([2.0, 1.0, 0.0, 1.0])
     F = CylindricalFunctional(times, lambda X: np.prod(np.asarray(X) ** karr, axis=-1))
     assert _traced_peak_mib(lambda: wiener_integral_quadrature(F, PINNED, 32)) <= 80.01
+
+
+def test_cylinder_sweep_memory_is_linear_in_the_nodes():
+    # no node tensor: O(n) vectors and kernel blocks of at most 2**14 cells
+    times = (0.2, 0.4, 0.6, 0.8)
+    C = CylinderSet(times, ((-1.0, 1.0), (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.5)))
+    assert _traced_peak_mib(lambda: cylinder_probability(C, PINNED, 32)) < 1.0
+    C = CylinderSet((0.2, 0.5, 0.8), ((-1.0, 1.0), (0.0, np.inf), (-np.inf, 0.5)))
+    assert _traced_peak_mib(lambda: cylinder_probability(C, PINNED, 2048)) <= 4.0
+
+
+def test_cylinder_probability_bytes_do_not_depend_on_the_blas_thread_count():
+    script = (
+        "import numpy as np\n"
+        "from rieszkit.wiener import CylinderSet, WienerParams, cylinder_probability\n"
+        "C = CylinderSet((0.3, 0.7, 1.0, 1.4), ((-1.0, 1.0), (-np.inf, np.inf),"
+        " (0.0, np.inf), (-np.inf, 0.5)))\n"
+        "print(repr(cylinder_probability(C, WienerParams(0.3, -0.2, 1.7, 0.8), 256)))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_constant_functional_integrates_to_total_mass():
