@@ -248,7 +248,7 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     G = _guard(cond.Partition.from_spec, partition_spec, space.labels)
     xi = _guard(cond.cond_expectation, X, G, space)
     report = _guard(cond.verify_duality, X, xi, G, space, tol)
-    block = cond._block_ids(G)
+    block = G._ids
     zero_mass = np.zeros(len(report.residuals), dtype=int)
     zero_mass[list(xi.zero_mass_blocks)] = 1
     rows = list(zip(

@@ -10,7 +10,10 @@ increasing levels stabilizes after finitely many steps.
 Spaces, variables and partitions are stored as arrays. Their public
 tuple fields (``atoms``, ``values``, ``blocks``) are built from the
 arrays on first access and then kept, so equality, hashing and repr
-are those of the tuples.
+are those of the tuples. Results are built by the same constructor as
+user-built variables, so they get the same conversion, finiteness check
+and read-only array. A partition keeps the block of every atom once an
+average has been spread over its atoms.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -45,11 +47,13 @@ _MASS_TOL = 1e-12
 
 
 class _Views:
-    """Tuple views of the stored arrays, built on first access and kept.
+    """Views of the stored arrays, built on first access and kept.
 
     ``_VIEWS`` maps an attribute to its builder. A field that is a view is
     removed from the instance once its array is stored, so reading it,
     directly or through the dataclass equality, hash and repr, lands here.
+    A view that is not a field, such as a partition's block ids, is
+    derived the same way: once, when first read.
     """
 
     _VIEWS = {}
@@ -145,22 +149,10 @@ class RandomVariable(_Views):
 
     def __post_init__(self):
         x = _as_floats(self.values)
-        object.__delattr__(self, "values")
-        self._set_values(x)
-
-    def _set_values(self, x: np.ndarray) -> None:
         if not np.isfinite(x).all():
             raise ValueError("values must all be finite")
+        object.__delattr__(self, "values")
         object.__setattr__(self, "_x", _frozen(x))
-
-    @classmethod
-    def _of(cls, x: np.ndarray, **fields):
-        """An instance over the float64 array ``x``, which it takes over."""
-        rv = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(rv, name, value)
-        rv._set_values(x)
-        return rv
 
     @property
     def array(self) -> np.ndarray:
@@ -197,7 +189,9 @@ class Partition(_Views):
     """Disjoint blocks of atom indices; stands in for a sub-sigma-algebra.
 
     Stored as ``_order``, the blocks concatenated in the order given, and
-    ``_starts``, the offset of each block in it, then its length.
+    ``_starts``, the offset of each block in it, then its length. ``_ids``,
+    the read-only block of every atom, is built on first read and then
+    kept; only a partition that covers its atoms can build it.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -206,7 +200,12 @@ class Partition(_Views):
         flat, st = self._order.tolist(), self._starts.tolist()
         return tuple(tuple(flat[s:e]) for s, e in zip(st, st[1:]))
 
-    _VIEWS = {"blocks": _blocks}
+    def _atom_blocks(self) -> np.ndarray:
+        ids = np.empty(len(self._order), dtype=np.intp)
+        ids[self._order] = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
+        return _frozen(ids)
+
+    _VIEWS = {"blocks": _blocks, "_ids": _atom_blocks}
 
     def __post_init__(self):
         blocks = [b if isinstance(b, (tuple, list)) else tuple(b) for b in self.blocks]
@@ -287,13 +286,6 @@ def _check_alignment(X: RandomVariable, G: Partition, space: FiniteMeasureSpace)
         raise ValueError("partition does not cover the atom indices of the space")
 
 
-def _block_ids(G: Partition) -> np.ndarray:
-    """The block of every atom, for a partition that covers its atoms."""
-    ids = np.empty(len(G._order), dtype=np.intp)
-    ids[G._order] = np.repeat(np.arange(len(G._starts) - 1), np.diff(G._starts))
-    return ids
-
-
 class _BlockSums:
     """Per-block sums of x*p over one partition of one space.
 
@@ -314,10 +306,6 @@ class _BlockSums:
         xs, ps = x[self.order], self.ps
         return np.array([np.dot(xs[s:e], ps[s:e]) for s, e in self.bounds])
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        return _block_ids(self.G)
-
     def block_average(self, x: np.ndarray) -> np.ndarray:
         """(sum of x*p) / (sum of p), one value per block; zero-mass blocks hold 0."""
         avg = np.zeros(len(self.mass))
@@ -326,7 +314,7 @@ class _BlockSums:
 
     def average(self, x: np.ndarray) -> np.ndarray:
         """The block averages of x spread over the atoms."""
-        return self.block_average(x)[self.ids]
+        return self.block_average(x)[self.G._ids]
 
     def zero_mass(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.mass == 0.0).tolist())
@@ -345,7 +333,7 @@ def cond_expectation(
     """
     _check_alignment(X, G, space)
     blocks = _BlockSums(G, space)
-    return ConditionedRV._of(blocks.average(X._x), zero_mass_blocks=blocks.zero_mass())
+    return ConditionedRV(blocks.average(X._x), zero_mass_blocks=blocks.zero_mass())
 
 
 def cond_expectation_l1(
@@ -369,10 +357,9 @@ def cond_expectation_l1(
     x_minus = np.maximum(-xv, 0.0)
     top = max(x_plus.max(initial=0.0), x_minus.max(initial=0.0))
 
-    ids = blocks.ids.tolist()
+    ids = G._ids.tolist()
     levels = _ladder_indices(j_max)
     history = []
-    result = None
     converged = False
     j_reached = levels[-1]
     for j in levels:
@@ -381,13 +368,12 @@ def cond_expectation_l1(
         # one float object per block, shared by the block's atoms
         xi_p, xi_m = blocks.block_average(tp).tolist(), blocks.block_average(tm).tolist()
         history.append((j, tuple(map(xi_p.__getitem__, ids)), tuple(map(xi_m.__getitem__, ids))))
-        result = blocks.average(tp - tm)
         if top <= j:
             converged = True
             j_reached = j
             break
-    return L1LadderResult._of(
-        result,
+    return L1LadderResult(
+        blocks.average(tp - tm),
         zero_mass_blocks=blocks.zero_mass(),
         converged=converged,
         j_reached=j_reached,

@@ -61,4 +61,9 @@ class ContractViolationError(RieszkitError):
 
 
 class BudgetError(RieszkitError):
-    """Requested tensor-quadrature work exceeds the configured budget."""
+    """Requested quadrature work exceeds the configured budget.
+
+    Two guards raise it: N*n**N kernel evaluations for the tensor grid over
+    N times with n nodes each, and B*n**2 for the sweep of
+    ``cylinder_probability`` over its B boxed times.
+    """

@@ -329,9 +329,12 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     """Empirical-mean oracle L(f) = mean of f over the sample points.
 
     The oracle's promised support is [min, max] of the samples. Raises
-    ValueError for no samples or a non-finite one (NaN or +-inf).
+    ValueError for samples that are not one-dimensional, for no samples,
+    or for a non-finite one (NaN or +-inf).
     """
     xs = np.asarray(samples, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"samples must be one-dimensional, got shape {xs.shape}")
     if xs.size == 0:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(xs)):

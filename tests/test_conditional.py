@@ -445,3 +445,23 @@ def test_random_variable_hands_out_fresh_writable_arrays():
         a[0] = -7.0
         assert rv.values == before and rv.array.tolist() == list(before)
     assert X.values == (1.0, 2.0, 3.0)
+
+
+def test_truncation_ladder_spreads_block_averages_once(monkeypatch):
+    import rieszkit.conditional as cond
+
+    spread = cond._BlockSums.average
+    calls = []
+
+    def counted(self, x):
+        calls.append(len(x))
+        return spread(self, x)
+
+    monkeypatch.setattr(cond._BlockSums, "average", counted)
+    X = RandomVariable((60.0, -3.0, 0.5, 12.0, -60.0, 7.0))
+    G = Partition(((0, 3), (1, 4, 5), (2,)))
+    space = FiniteMeasureSpace.uniform(6)
+    out = cond_expectation_l1(X, G, space, j_max=64)
+    assert len(out.ladder) == 7 and out.converged and out.j_reached == 64
+    assert calls == [6]
+    assert out.values == cond_expectation(X, G, space).values

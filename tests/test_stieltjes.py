@@ -569,6 +569,12 @@ def test_factory_validation():
             oracle_from_samples([0.1, bad, 0.9])
 
 
+def test_sample_oracle_rejects_samples_that_are_not_one_dimensional():
+    for bad in (0.5, np.array(0.5), [[0.1, 0.9], [0.4, 0.6]], np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            oracle_from_samples(bad)
+
+
 def test_cdf_breakpoints_are_sorted():
     F = CdfLike(lambda x: np.asarray(x, dtype=float), 0.0, 1.0,
                 breakpoints=(0.7, 0.3))
