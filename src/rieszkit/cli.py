@@ -26,6 +26,7 @@ from . import hilbert as hb
 from . import stieltjes as st
 from . import wiener as wn
 from .errors import RieszkitError
+from .numerics import _check_tol
 
 
 def _cell(v):
@@ -224,25 +225,28 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     zero_mass), where residual is the block's duality defect.
     """
     labels, probs, values = [], [], []
-    with open(input_path, newline="") as fh:
-        for k, row in enumerate(_csv.reader(fh)):
-            if not row or not any(c.strip() for c in row):
-                continue
-            if len(row) < 3:
-                raise click.UsageError(
-                    f"{input_path}: row {k + 1} has {len(row)} fields, need 3"
-                )
-            try:
-                p, v = float(row[1]), float(row[2])
-            except ValueError:
-                if k == 0:
-                    continue  # header row
-                raise click.UsageError(
-                    f"{input_path}: row {k + 1} is not (label, probability, value)"
-                )
-            labels.append(row[0].strip())
-            probs.append(p)
-            values.append(v)
+    try:
+        with open(input_path, newline="") as fh:
+            for k, row in enumerate(_csv.reader(fh)):
+                if not row or not any(c.strip() for c in row):
+                    continue
+                if len(row) < 3:
+                    raise click.UsageError(
+                        f"{input_path}: row {k + 1} has {len(row)} fields, need 3"
+                    )
+                try:
+                    p, v = float(row[1]), float(row[2])
+                except ValueError:
+                    if k == 0:
+                        continue  # header row
+                    raise click.UsageError(
+                        f"{input_path}: row {k + 1} is not (label, probability, value)"
+                    )
+                labels.append(row[0].strip())
+                probs.append(p)
+                values.append(v)
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{input_path}: cannot decode as text ({exc})")
     space = _guard(cond.FiniteMeasureSpace, tuple(zip(labels, probs)))
     X = _guard(cond.RandomVariable, tuple(values))
     G = _guard(cond.Partition.from_spec, partition_spec, space.labels)
@@ -284,8 +288,7 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     Emits columns (n_nodes, residual) for the configuration given by
     --x, --z, --u, --s, --t, --D.
     """
-    if not 0 < tol < math.inf:
-        raise click.UsageError(f"tol must be positive and finite, got {tol}")
+    _guard(_check_tol, tol)
     counts = _parse_list(nodes, "--nodes", int)
     rows = []
     for n in counts:
@@ -412,7 +415,7 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     ts = _parse_list(times, "--times")
     params = _guard(wn.WienerParams, x, y, t, d_coef)
     # drawn path by path, as a loop of sample_bridge on this generator would
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(_guard(np.random.Philox, key=seed))
     z = rng.standard_normal((paths, len(ts)))
     pos = _guard(wn._bridge_positions, params, ts, z)
     if not np.all(np.isfinite(pos)):

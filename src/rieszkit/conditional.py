@@ -18,7 +18,6 @@ average has been spread over its atoms.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -26,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _ladder_indices
+from .numerics import _check_limit, _check_probabilities, _check_tol, _ladder_indices
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -42,8 +41,6 @@ __all__ = [
     "holder_bound_check",
     "HolderReport",
 ]
-
-_MASS_TOL = 1e-12
 
 
 class _Views:
@@ -75,15 +72,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_floats(items) -> np.ndarray:
-    """``items`` as a 1-d float64 array, each converted as ``float()`` would."""
-    try:
-        arr = np.array(items, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 1 or np.isnan(arr).any():
-        # numpy reads None as NaN and takes nested or scalar input by its
-        # shape; one float() per item raises what it raises, or agrees
-        arr = np.array([float(v) for v in items], dtype=float)
+    """``items`` as a 1-d float64 array; ``ValueError`` for any other shape."""
+    arr = np.array(items, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"need a flat sequence of reals, got shape {arr.shape}")
     return arr
 
 
@@ -100,11 +92,8 @@ class FiniteMeasureSpace(_Views):
     }
 
     def __post_init__(self):
-        labels, probs = [], []
-        for lab, p in self.atoms:
-            labels.append(str(lab))
-            probs.append(p)
-        probs = _as_floats(probs)
+        labels = [str(lab) for lab, _ in self.atoms]
+        probs = _as_floats([p for _, p in self.atoms])
         if not labels:
             raise ValueError("need at least one atom")
         if len(set(labels)) != len(labels):
@@ -114,10 +103,7 @@ class FiniteMeasureSpace(_Views):
         self._set_probs(probs)
 
     def _set_probs(self, probs: np.ndarray) -> None:
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > _MASS_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        _check_probabilities(probs)
         object.__setattr__(self, "_probs", _frozen(probs))
 
     @classmethod
@@ -348,8 +334,7 @@ def cond_expectation_l1(
     cond_expectation(X) exactly; if j_max is too small the last ladder
     state is returned with ``converged=False``. ``j_max`` must be finite.
     """
-    if not 1 <= j_max < math.inf:
-        raise ValueError(f"j_max must be >= 1 and finite, got {j_max}")
+    _check_limit("j_max", j_max)
     _check_alignment(X, G, space)
     blocks = _BlockSums(G, space)
     xv = X._x
@@ -402,8 +387,7 @@ def verify_duality(
     ``tol`` must be positive and finite (``ValueError`` otherwise; NaN
     included).
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     _check_alignment(X, G, space)
     if len(xi) != space.n:
         raise ValueError(f"candidate has {len(xi)} values for {space.n} atoms")

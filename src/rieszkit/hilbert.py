@@ -15,7 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IntegrabilityError
-from .numerics import QuadratureRule, _check_finite, _evaluate, gauss_legendre
+from .numerics import (
+    QuadratureRule, _check_finite, _check_probabilities, _evaluate, gauss_legendre,
+)
 
 __all__ = [
     "BASIS_KINDS",
@@ -125,13 +127,15 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class HilbertVector:
-    """Coefficient vector against an orthonormal basis."""
+    """Coefficient vector against an orthonormal basis; ``coeffs`` is read-only."""
 
     coeffs: np.ndarray
     basis: OrthonormalBasis
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        # a read-only view: a caller's float array keeps its flags, and its later writes show
+        coeffs = np.asarray(self.coeffs, dtype=float).view()
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.shape != (self.basis.size,):
             raise ValueError(
@@ -210,10 +214,7 @@ def riesz_representer(l_on_basis: Sequence[float], basis: OrthonormalBasis) -> H
     In coordinates the representer is the tabulation itself: w with
     w_i = L(e_i) satisfies <u, w> = sum_i u_i L(e_i) for every u.
     """
-    values = np.asarray(l_on_basis, dtype=float)
-    if values.shape != (basis.size,):
-        raise ValueError(f"expected {basis.size} functional values, got {values.shape}")
-    return HilbertVector(values, basis)
+    return HilbertVector(l_on_basis, basis)
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,7 @@ class DiscreteHValuedLaw:
         if (self.atoms is None) == (self.sampler is None):
             raise ValueError("provide exactly one of atoms or sampler")
         if self.atoms is not None:
-            probs = np.array([p for p, _ in self.atoms], dtype=float)
-            if np.any(probs < 0) or np.any(probs > 1):
-                raise ValueError("atom probabilities must lie in [0, 1]")
-            if abs(probs.sum() - 1.0) > 1e-12:
-                raise ValueError(
-                    f"atom probabilities sum to {probs.sum()!r}, expected 1 within 1e-12"
-                )
+            _check_probabilities(np.array([p for p, _ in self.atoms], dtype=float))
             for _, v in self.atoms:
                 if v.basis != self.basis:
                     raise ValueError("atom vectors must share the law's basis")

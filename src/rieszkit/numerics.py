@@ -4,8 +4,10 @@ All other modules integrate through the rules built here. Nodes and weights
 come from numpy's orthogonal-polynomial routines. The canonical n-point
 Legendre and Hermite rules are computed once per n and cached (the last
 128 of them); a Legendre rule on [a, b] is an affine map of the cached
-canonical one. The nodes and weights of every rule are read-only, so
-rules are immutable and safe to share across threads.
+canonical one. Nodes and weights are read-only, so the rules of
+``gauss_legendre`` and ``gauss_hermite`` are immutable and thread-safe;
+a rule built from your own arrays is a read-only view that shows your
+later writes. The argument checks several modules share live here too.
 """
 
 from __future__ import annotations
@@ -39,12 +41,37 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(xi)) for xi in x])
 
 
+_MASS_TOL = 1e-12  # probabilities must sum to 1 within this
+_HERMITE_MAX = 370  # numpy's Hermite weights underflow beyond this n
+
+
+def _check_tol(tol) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _check_limit(name: str, value) -> None:
+    # an infinite ladder limit would double the ladder forever
+    if not 1 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 1 and finite, got {value}")
+
+
+def _check_probabilities(probs: np.ndarray) -> None:
+    if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite and nonnegative")
+    if abs(probs.sum() - 1.0) > _MASS_TOL:
+        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+
+
 def _check_finite(vals: np.ndarray, x: np.ndarray) -> None:
-    """Raise ``NumericError`` at the first point where ``vals`` is not finite."""
+    """Raise ``NumericError`` at the first value that is not finite: at
+    abscissa ``x[k]``, or on path k, row k of an (M, N) batch ``x``."""
     bad = ~np.isfinite(vals)
     if bad.any():
-        x_bad = float(x[bad][0])
-        raise NumericError(f"integrand not finite at x={x_bad!r}", point=x_bad)
+        k = int(np.argmax(bad))
+        point = float(x[k]) if x.ndim == 1 else tuple(x[k].tolist())
+        where = f"at x={point!r}" if x.ndim == 1 else f"on path {k} at {point}"
+        raise NumericError(f"integrand not finite {where}", point=point)
 
 
 def _ladder_indices(limit: int) -> list[int]:
@@ -59,7 +86,7 @@ def _ladder_indices(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable node/weight pair; ``nodes`` and ``weights`` are read-only.
+    """Node/weight pair; ``nodes`` and ``weights`` are read-only arrays.
 
     ``kind`` is ``"legendre"`` for a rule on a finite interval (weight 1)
     or ``"hermite"`` for a rule on the whole line with weight exp(-u^2).
@@ -70,7 +97,7 @@ class QuadratureRule:
     kind: str = "legendre"
 
     def __post_init__(self):
-        # read-only views: the caller's arrays keep their flags, the rule's cannot change
+        # read-only views: the caller's arrays keep their flags, and their later writes show
         nodes = np.asarray(self.nodes, dtype=float).view()
         weights = np.asarray(self.weights, dtype=float).view()
         nodes.flags.writeable = weights.flags.writeable = False
@@ -125,10 +152,11 @@ def gauss_hermite(n: int) -> QuadratureRule:
 
     Integrates u -> p(u) exp(-u^2) exactly for polynomials p of degree
     <= 2n-1; the weights sum to sqrt(pi). The rule is built once per n and
-    cached, so every call with the same n returns the same rule.
+    cached, so every call with the same n returns the same rule. Beyond
+    n = 370 numpy's weights underflow, so n must lie in 1..370.
     """
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
+    if not 1 <= n <= _HERMITE_MAX:
+        raise ValueError(f"need 1 <= n <= {_HERMITE_MAX} Hermite nodes, got n={n}")
     return _canonical_rule("hermite", int(n))
 
 
@@ -167,8 +195,7 @@ def adaptive_integrate(
     bisections a panel is accepted as is. A ``tol`` that is not positive
     and finite (NaN included) raises ``ValueError``.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if not a < b:
         if a == b:
             return 0.0

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import _evaluate, _ladder_indices
+from .numerics import _check_limit, _check_tol, _evaluate, _ladder_indices
 
 __all__ = [
     "CdfLike",
@@ -184,8 +184,7 @@ def ls_integrate(
         raise ValueError(f"support endpoints must be finite, got {support}")
     if lo > hi:
         raise ValueError(f"support must be ordered, got {support}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if lo == hi:
         return 0.0
 
@@ -230,8 +229,7 @@ class RampSpec:
     j: int
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError(f"slope parameter j must be >= 1, got {self.j}")
+        _check_limit("slope parameter j", self.j)
 
 
 def make_ramp(spec: RampSpec) -> Callable:
@@ -249,8 +247,7 @@ def make_ramp(spec: RampSpec) -> Callable:
 
 def make_cutoff(j: int) -> Callable:
     """Compact-support plateau: 1 on [-j, j], affine to 0 at +-(j+1)."""
-    if j < 1:
-        raise ValueError(f"cutoff index must be >= 1, got {j}")
+    _check_limit("cutoff index", j)
 
     def cutoff(t):
         return np.interp(
@@ -453,12 +450,9 @@ def recover_cdf(
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if not (1 <= j_max < math.inf and 1 <= m_max < math.inf):
-        raise ValueError(
-            f"j_max and m_max must be >= 1 and finite, got {j_max}, {m_max}"
-        )
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_limit("j_max", j_max)
+    _check_limit("m_max", m_max)
+    _check_tol(tol)
 
     values: list[float] = []
     js: list[int] = []
@@ -520,8 +514,7 @@ def total_mass(L: ExpectationOracle, j_max: int = 64) -> float:
     ``support``, and may not decrease by more than 1e-12. ``j_max`` must
     be finite.
     """
-    if not 1 <= j_max < math.inf:
-        raise ValueError(f"j_max must be >= 1 and finite, got {j_max}")
+    _check_limit("j_max", j_max)
     return _cutoff_limit(L, None, j_max, 1e-12, 1e-12)[0]
 
 

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, NumericError
-from .numerics import _evaluate, gauss_hermite, gauss_legendre
+from .errors import BudgetError, ConvergenceError
+from .numerics import _check_finite, _evaluate, gauss_hermite, gauss_legendre
 
 __all__ = [
     "WienerParams",
@@ -178,8 +178,7 @@ def check_compatibility(
         raise ValueError(f"need finite x, z, u, s, t and D, got {(x, z, u, s, t, D)}")
     if not u < s < t:
         raise ValueError(f"need u < s < t, got u={u}, s={s}, t={t}")
-    if n_nodes < 8:
-        raise ValueError(f"need n_nodes >= 8, got {n_nodes}")
+    _check_grid(n_nodes)
     rule = gauss_hermite(n_nodes)
     if t - s <= s - u:
         scale = math.sqrt(4.0 * D * (t - s))
@@ -201,14 +200,23 @@ def _check_horizon(times: Sequence[float], params: WienerParams) -> None:
         )
 
 
-def _check_budget(n_axes: int, n_nodes: int) -> None:
-    work = n_axes * float(n_nodes) ** n_axes
+def _check_grid(n_nodes: int, n_axes: int = 0, sweep: bool = False) -> None:
+    """ValueError below 8 nodes per axis; BudgetError above the work budget of
+    n_axes * n_nodes**2 kernel evaluations for the cylinder sweep over n_axes
+    boxed times, n_axes * n_nodes**n_axes for the tensor grid over n_axes times."""
+    if n_nodes < 8:
+        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
+    work = n_axes * float(n_nodes) ** (2 if sweep else n_axes)
     if work > _WORK_BUDGET:
+        what, axes = ("cylinder sweep", "boxed times") if sweep else ("tensor quadrature", "axes")
         raise BudgetError(
-            f"tensor quadrature needs ~{work:.2e} kernel evaluations for "
-            f"{n_axes} axes at {n_nodes} nodes (budget {_WORK_BUDGET:.0e}); "
-            "use wiener_integral_mc instead"
+            f"{what} needs ~{work:.2e} kernel evaluations for {n_axes} {axes} at "
+            f"{n_nodes} nodes (budget {_WORK_BUDGET:.0e}); use wiener_integral_mc instead"
         )
+
+
+def _check_budget(n_axes: int, n_nodes: int) -> None:  # called by perfbench's self-check
+    _check_grid(n_nodes, n_axes)
 
 
 def _chain(params: WienerParams, times, n_nodes: int):
@@ -220,13 +228,11 @@ def _chain(params: WienerParams, times, n_nodes: int):
     weights absorb, and weights also carries the final hop to the
     endpoint. A step reads only the last column and the weights, so
     memory is a few floats per node combination. Raises ValueError for
-    n_nodes < 8 or a time at or past the horizon, BudgetError above the
+    a time at or past the horizon or n_nodes < 8, BudgetError above the
     work budget.
     """
-    if n_nodes < 8:
-        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
     _check_horizon(times, params)
-    _check_budget(len(times), n_nodes)
+    _check_grid(n_nodes, len(times))
     rule = gauss_hermite(n_nodes)
     unit_weights = rule.weights / math.sqrt(math.pi)
     prev_t = 0.0
@@ -271,23 +277,15 @@ def cylinder_probability(
     hop to the pinned endpoint. Work is B * n_nodes^2 kernel evaluations
     for B boxed times and memory O(n_nodes); with every box the whole
     line the result is exactly heat_kernel(x - y, t, D), the total mass.
-    An empty (clipped) box gives 0.0. Raises ValueError for n_nodes < 8
-    or a time at or past the horizon, BudgetError above the work budget.
+    An empty (clipped) box gives 0.0. Raises ValueError for a time at or
+    past the horizon or n_nodes < 8, BudgetError above the work budget.
     """
-    if n_nodes < 8:
-        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
     _check_horizon(C.times, params)
     boxed = [
         (s, box) for s, box in zip(C.times, C.boxes)
         if not (box[0] == -np.inf and box[1] == np.inf)
     ]
-    work = len(boxed) * float(n_nodes) ** 2
-    if work > _WORK_BUDGET:
-        raise BudgetError(
-            f"cylinder sweep needs ~{work:.2e} kernel evaluations for "
-            f"{len(boxed)} boxed times at {n_nodes} nodes (budget "
-            f"{_WORK_BUDGET:.0e}); use wiener_integral_mc instead"
-        )
+    _check_grid(n_nodes, len(boxed), sweep=True)
     window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
     prev_t = 0.0
     prev = np.full(1, params.x)
@@ -314,7 +312,8 @@ def wiener_integral_quadrature(
     so a constant functional integrates to exactly the total mass.
     Memory: F receives the N path values of all n_nodes^N node
     combinations as one (n_nodes^N, N) array; the chain adds a few
-    floats per combination, and F its own temporaries.
+    floats per combination, and F its own temporaries. A value of F that
+    is not finite raises NumericError naming its node combination.
     """
     cols, wts = _chain(params, F.times, n_nodes)
     coords = np.empty((len(wts), len(cols)))
@@ -322,7 +321,12 @@ def wiener_integral_quadrature(
         # row r of cols[k] fills a contiguous run of grid rows
         coords.reshape(len(cols[k]), -1, len(cols))[:, :, k] = cols[k][:, None]
     del cols  # leave F the room the columns took
-    return float(np.dot(wts, F.evaluate(coords)))
+    vals = F.evaluate(coords)
+    total = float(np.dot(wts, vals))
+    # the weights are >= 0, so any value that is not finite makes the sum so too
+    if not math.isfinite(total):
+        _check_finite(vals, coords)
+    return total
 
 
 def node_refinement_table(
@@ -394,14 +398,7 @@ def wiener_integral_mc(
     z = gen.standard_normal((len(F.times), n_paths)).T
     pos = _bridge_positions(params, F.times, z)
     vals = F.evaluate(pos)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        k = int(bad[0])
-        raise NumericError(
-            f"functional returned {vals[k]!r} on path {k} "
-            f"(times={F.times}, positions={tuple(pos[k])})",
-            point=tuple(pos[k]),
-        )
+    _check_finite(vals, pos)
     mass = heat_kernel(params.x - params.y, params.t, params.D)
     estimate = mass * float(np.mean(vals))
     spread = float(np.std(vals, ddof=1))

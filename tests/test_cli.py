@@ -292,6 +292,12 @@ def test_usage_errors(tmp_path):
         for bad in ("nan", "inf"):
             result = run("compat-check", flag, bad, "--format", "json")
             assert result.exit_code == 2, (flag, bad)
+    assert run("bridge-sample", "--seed", "-1").exit_code == 2
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("a,0.5,1.0\nb\xe9,0.5,3.0\n".encode("latin-1"))
+    result = run("condexp", "--input", str(latin1), "--partition", "a|b\xe9")
+    assert result.exit_code == 2
+    assert str(latin1) in combined_output(result)
 
 
 def test_csv_cells_match_cell_by_cell_formatting(tmp_path):

@@ -233,6 +233,9 @@ def test_variable_validation():
         RandomVariable((1.0, float("nan")))
     with pytest.raises(ValueError):
         RandomVariable((float("inf"),))
+    for malformed in ((None,), ((1, 2),), 5.0):
+        with pytest.raises(ValueError):
+            RandomVariable(malformed)
 
 
 def test_partition_validation():

@@ -319,6 +319,8 @@ def test_basis_and_law_validation():
     with pytest.raises(ValueError):
         DiscreteHValuedLaw.from_atoms([(1.4, v), (-0.4, v)])
     with pytest.raises(ValueError):
+        DiscreteHValuedLaw.from_atoms([(float("nan"), v)])
+    with pytest.raises(ValueError):
         DiscreteHValuedLaw(basis=LEG32)
     with pytest.raises(ValueError):
         DiscreteHValuedLaw(basis=LEG32, atoms=((1.0, v),), sampler=lambda om: v)
@@ -329,3 +331,14 @@ def test_basis_and_law_validation():
         bochner_expectation(prefix_indicator_law(LEG32), basis=other)
     with pytest.raises(ValueError):
         riesz_representer(np.zeros(8), LEG32)
+
+
+def test_vector_coefficients_are_read_only():
+    arr = np.zeros(32)
+    law = DiscreteHValuedLaw.from_atoms([(1.0, HilbertVector.unit(LEG32, 1))])
+    for v in (HilbertVector(np.ones(32), LEG32), riesz_representer(arr, LEG32),
+              bochner_expectation(law)):
+        with pytest.raises(ValueError):
+            v.coeffs[0] = 5.0
+    # the caller's array keeps its flags
+    assert arr.flags.writeable

@@ -200,6 +200,10 @@ def test_invalid_rule_arguments():
         gauss_legendre(4, 2.0, 1.0)
     with pytest.raises(ValueError):
         gauss_hermite(0)
+    # from 371 nodes numpy's Hermite weights underflow
+    with pytest.raises(ValueError, match="370"):
+        gauss_hermite(371)
+    assert np.all(gauss_hermite(370).weights > 0)
     with pytest.raises(ValueError):
         adaptive_integrate(lambda u: u, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):

@@ -513,6 +513,23 @@ def test_mc_reports_the_offending_path():
     assert "path" in str(err.value)
 
 
+def test_tensor_quadrature_reports_the_offending_node_combination():
+    # NaN wherever the path is below 0 at the first time; np.where warns of nothing
+    def F(times):
+        return CylindricalFunctional(
+            times, lambda p: np.where(p[..., 0] < 0.0, np.nan, 1.0), bound=1.0
+        )
+
+    for call in (
+        lambda: wiener_integral_quadrature(F((0.3, 0.6)), PINNED, 8),
+        lambda: node_refinement_table(F((0.3, 0.6)), PINNED, (8, 16)),
+        lambda: integrate_pointwise_limit([F((0.3,)), F((0.3, 0.6))], PINNED, 8),
+    ):
+        with pytest.raises(NumericError, match="path") as err:
+            call()
+        assert err.value.point[0] < 0.0
+
+
 def test_mc_validation():
     F = CylindricalFunctional((0.5,), ones_fn)
     with pytest.raises(ValueError):
