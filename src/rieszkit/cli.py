@@ -21,6 +21,7 @@ import warnings
 import click
 import numpy as np
 
+from . import __version__
 from . import conditional as cond
 from . import hilbert as hb
 from . import stieltjes as st
@@ -98,21 +99,25 @@ _seed_opt = click.option("--seed", type=int, default=0, show_default=True,
                          help="RNG seed for anything stochastic.")
 
 
-class _Failure(click.ClickException):
-    exit_code = 1
+class _Command(click.Command):
+    """The one error boundary of every subcommand: a ``RieszkitError`` exits 1,
+    a ``ValueError`` is a usage error (exit 2) under the subcommand's usage line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RieszkitError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}")
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
 
 
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except RieszkitError as exc:
-        raise _Failure(f"{type(exc).__name__}: {exc}")
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+class _Group(click.Group):
+    command_class = _Command
 
 
-@click.group()
-@click.version_option(package_name="rieszkit")
+@click.group(cls=_Group)
+@click.version_option(__version__)
 def main():
     """Numerical toolkit for representer-based integration and recovery.
 
@@ -142,8 +147,8 @@ def bochner(basis, size, grid_n, fmt, out):
     if size < 1 or grid_n < 1:
         raise click.UsageError("--size and --grid-n must be positive")
     b = hb.OrthonormalBasis(kind=basis, size=size)
-    law = _guard(hb.prefix_indicator_law, b)
-    mu = _guard(hb.bochner_expectation, law)
+    law = hb.prefix_indicator_law(b)
+    mu = hb.bochner_expectation(law)
     ts = (np.arange(grid_n) + 0.5) / grid_n
     recon = mu.reconstruct(ts)
     rows = [(float(t), float(r), float(1.0 - t)) for t, r in zip(ts, recon)]
@@ -186,8 +191,8 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
                 f"--law {law} takes {len(defaults)} --law-args, got {len(given)}"
             )
         args = given or defaults
-        alpha = _guard(factory, *args)
-        oracle = _guard(st.oracle_from_cdf, alpha, (args[0] - 0.5, args[-1] + 0.5))
+        alpha = factory(*args)
+        oracle = st.oracle_from_cdf(alpha, (args[0] - 0.5, args[-1] + 0.5))
         source = f"{law}({','.join(repr(a) for a in given)})"
     else:
         try:
@@ -197,10 +202,10 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
                 data = np.loadtxt(samples, delimiter=",").ravel()
         except ValueError as exc:
             raise click.UsageError(f"{samples}: not comma-separated reals ({exc})")
-        oracle = _guard(st.oracle_from_samples, data)
+        oracle = st.oracle_from_samples(data)
         source = f"samples:{samples}"
     xs = np.linspace(grid_lo, grid_hi, grid_n)
-    F = _guard(st.RecoveredCdf(oracle, j_max, m_max, tol).eval, xs)
+    F = st.RecoveredCdf(oracle, j_max, m_max, tol).eval(xs)
     rows = list(zip(xs.tolist(), F.tolist()))
     meta = {
         "command": "recover-cdf", "oracle": source, "j_max": j_max,
@@ -247,11 +252,11 @@ def condexp(input_path, partition_spec, tol, fmt, out):
                 values.append(v)
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"{input_path}: cannot decode as text ({exc})")
-    space = _guard(cond.FiniteMeasureSpace, tuple(zip(labels, probs)))
-    X = _guard(cond.RandomVariable, tuple(values))
-    G = _guard(cond.Partition.from_spec, partition_spec, space.labels)
-    xi = _guard(cond.cond_expectation, X, G, space)
-    report = _guard(cond.verify_duality, X, xi, G, space, tol)
+    space = cond.FiniteMeasureSpace(tuple(zip(labels, probs)))
+    X = cond.RandomVariable(tuple(values))
+    G = cond.Partition.from_spec(partition_spec, space.labels)
+    xi = cond.cond_expectation(X, G, space)
+    report = cond.verify_duality(X, xi, G, space, tol)
     block = G._ids
     zero_mass = np.zeros(len(report.residuals), dtype=int)
     zero_mass[list(xi.zero_mass_blocks)] = 1
@@ -288,11 +293,9 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     Emits columns (n_nodes, residual) for the configuration given by
     --x, --z, --u, --s, --t, --D.
     """
-    _guard(_check_tol, tol)
+    _check_tol(tol)
     counts = _parse_list(nodes, "--nodes", int)
-    rows = []
-    for n in counts:
-        rows.append((n, float(_guard(wn.check_compatibility, x, z, u, s, t, d_coef, n))))
+    rows = [(n, float(wn.check_compatibility(x, z, u, s, t, d_coef, n))) for n in counts]
     meta = {
         "command": "compat-check", "x": x, "z": z, "u": u, "s": s, "t": t,
         "D": d_coef, "nodes": list(counts), "tol": tol,
@@ -365,22 +368,22 @@ def wiener_integrate(f_spec, times, x, y, t, d_coef, nodes, paths, seed, fmt, ou
     """
     ts = _parse_list(times, "--times")
     counts = _parse_list(nodes, "--nodes", int)
-    params = _guard(wn.WienerParams, x, y, t, d_coef)
-    functional, cyl = _guard(_parse_functional, f_spec, ts)
+    params = wn.WienerParams(x, y, t, d_coef)
+    functional, cyl = _parse_functional(f_spec, ts)
     rows = []
     prev = None
     for n in counts:
         if cyl is not None:
-            val = float(_guard(wn.cylinder_probability, cyl, params, n))
+            val = float(wn.cylinder_probability(cyl, params, n))
         else:
-            val = float(_guard(wn.wiener_integral_quadrature, functional, params, n))
+            val = float(wn.wiener_integral_quadrature(functional, params, n))
         rows.append(
             ("quadrature", n, None, val, None,
              abs(val - prev) if prev is not None else None)
         )
         prev = val
     if paths is not None:
-        est, se = _guard(wn.wiener_integral_mc, functional, params, paths, seed)
+        est, se = wn.wiener_integral_mc(functional, params, paths, seed)
         rows.append(("mc", None, paths, float(est), float(se), None))
     meta = {
         "command": "wiener-integrate", "F": f_spec, "times": list(ts),
@@ -413,11 +416,11 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     if paths < 1:
         raise click.UsageError("--paths must be >= 1")
     ts = _parse_list(times, "--times")
-    params = _guard(wn.WienerParams, x, y, t, d_coef)
+    params = wn.WienerParams(x, y, t, d_coef)
     # drawn path by path, as a loop of sample_bridge on this generator would
-    rng = np.random.Generator(_guard(np.random.Philox, key=seed))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((paths, len(ts)))
-    pos = _guard(wn._bridge_positions, params, ts, z)
+    pos = wn._bridge_positions(params, ts, z)
     if not np.all(np.isfinite(pos)):
         raise click.UsageError("positions must be finite")
     rows = [(k, ti, p) for k, row in enumerate(pos.tolist()) for ti, p in zip(ts, row)]
@@ -460,9 +463,7 @@ def selftest(seed, fmt, out):
     checks.append(("transition_identity_residual", resid, 0.0, 1e-10))
 
     params = wn.WienerParams(0.0, 0.0, 1.0, 0.5)
-    const = wn.CylindricalFunctional(
-        (0.5,), lambda X: np.ones(np.asarray(X).shape[:-1]), bound=1.0
-    )
+    const, _ = _parse_functional("const", (0.5,))
     mass = wn.wiener_integral_quadrature(const, params, 32)
     checks.append(("path_measure_total_mass", mass, 1.0 / math.sqrt(2 * math.pi), 1e-8))
 
@@ -493,7 +494,7 @@ def selftest(seed, fmt, out):
         rows, meta, fmt, out,
     )
     if not all_ok:
-        raise _Failure("selftest found failing checks")
+        raise click.ClickException("selftest found failing checks")
 
 
 if __name__ == "__main__":

@@ -265,10 +265,12 @@ class ConjugateExponents:
             raise ValueError(f"1/p + 1/q = {1.0/p + 1.0/q!r}, not 1")
 
 
-def _check_alignment(X: RandomVariable, G: Partition, space: FiniteMeasureSpace):
-    if len(X) != space.n:
-        raise ValueError(f"variable has {len(X)} values for {space.n} atoms")
-    if not G.covers(space.n):
+def _check_alignment(space: FiniteMeasureSpace, G: Partition | None = None, **variables):
+    """``ValueError`` unless each named variable has one value per atom and G covers them."""
+    for name, v in variables.items():
+        if len(v) != space.n:
+            raise ValueError(f"{name} has {len(v)} values for {space.n} atoms")
+    if G is not None and not G.covers(space.n):
         raise ValueError("partition does not cover the atom indices of the space")
 
 
@@ -317,7 +319,7 @@ def cond_expectation(
     value 0 and are reported in ``zero_mass_blocks``; any block-constant
     choice there would do, since those atoms carry no mass.
     """
-    _check_alignment(X, G, space)
+    _check_alignment(space, G, X=X)
     blocks = _BlockSums(G, space)
     return ConditionedRV(blocks.average(X._x), zero_mass_blocks=blocks.zero_mass())
 
@@ -335,7 +337,7 @@ def cond_expectation_l1(
     state is returned with ``converged=False``. ``j_max`` must be finite.
     """
     _check_limit("j_max", j_max)
-    _check_alignment(X, G, space)
+    _check_alignment(space, G, X=X)
     blocks = _BlockSums(G, space)
     xv = X._x
     x_plus = np.maximum(xv, 0.0)
@@ -388,9 +390,7 @@ def verify_duality(
     included).
     """
     _check_tol(tol)
-    _check_alignment(X, G, space)
-    if len(xi) != space.n:
-        raise ValueError(f"candidate has {len(xi)} values for {space.n} atoms")
+    _check_alignment(space, G, X=X, xi=xi)
     blocks = _BlockSums(G, space)
     residuals = np.abs(blocks.sums(X._x) - blocks.sums(xi._x))
     return DualityReport(
@@ -416,8 +416,7 @@ def holder_bound_check(
     space: FiniteMeasureSpace,
 ) -> HolderReport:
     """Evaluate both sides of the pairing bound and compare."""
-    if len(X) != space.n or len(Y) != space.n:
-        raise ValueError("X and Y must align with the atoms of the space")
+    _check_alignment(space, X=X, Y=Y)
     p, x, y = space._probs, X._x, Y._x
     lhs = abs(float(np.dot(x * y, p)))
     norm_x = float(np.dot(np.abs(x) ** exps.p, p)) ** (1.0 / exps.p)

@@ -57,15 +57,11 @@ class OrthonormalBasis:
             raise ValueError(f"basis size must be >= 1, got {self.size}")
 
     def evaluate(self, index: int, t) -> np.ndarray:
-        """Value of e_index at points t in (0,1)."""
+        """e_index at points t in (0,1): row ``index`` of ``evaluate_all(t)``, shaped as t."""
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} outside 0..{self.size - 1}")
         t = np.asarray(t, dtype=float)
-        if self.kind == "shifted_legendre":
-            coeff = np.zeros(index + 1)
-            coeff[index] = np.sqrt(2 * index + 1)
-            return np.polynomial.legendre.legval(2.0 * t - 1.0, coeff)
-        return np.sqrt(2.0) * np.sin((index + 1) * np.pi * t)
+        return self.evaluate_all(t)[index].reshape(t.shape)[()]
 
     def evaluate_all(self, t) -> np.ndarray:
         """Matrix of basis values, shape (size, len(t))."""
@@ -125,9 +121,10 @@ class OrthonormalBasis:
         return (E * rule.weights) @ E.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertVector:
-    """Coefficient vector against an orthonormal basis; ``coeffs`` is read-only."""
+    """Coefficient vector against an orthonormal basis; ``coeffs`` is
+    read-only, and ``==`` and ``hash`` go by identity."""
 
     coeffs: np.ndarray
     basis: OrthonormalBasis
@@ -256,13 +253,6 @@ class DiscreteHValuedLaw:
     ) -> "DiscreteHValuedLaw":
         return cls(basis=basis, sampler=sampler, omega_rule=omega_rule)
 
-    def _rule(self) -> QuadratureRule:
-        # 64 nodes resolve the piecewise-smooth coefficient integrands of
-        # the segment-indicator example; callers can override.
-        if self.omega_rule is not None:
-            return self.omega_rule
-        return gauss_legendre(64, 0.0, 1.0)
-
     def coefficient_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(weights, rows): every law as weighted coefficient rows.
 
@@ -274,7 +264,9 @@ class DiscreteHValuedLaw:
         if self.atoms is not None:
             probs = np.array([p for p, _ in self.atoms], dtype=float)
             return probs, np.array([v.coeffs for _, v in self.atoms])
-        rule = self._rule()
+        # 64 nodes resolve the piecewise-smooth coefficient integrands of
+        # the segment-indicator example; callers can override.
+        rule = self.omega_rule if self.omega_rule is not None else gauss_legendre(64, 0.0, 1.0)
         sampler = self.sampler
         if isinstance(sampler, _PrefixIndicator) and sampler.basis == self.basis:
             return rule.weights, self.basis.indicator_coefficients(rule.nodes)
@@ -297,22 +289,28 @@ def bochner_expectation(
     """
     if basis is not None and basis != law.basis:
         raise ValueError("basis does not match the law's basis")
-    weights, rows = law.coefficient_matrix()
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    c = weights @ rows
-    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(c))):
-        raise IntegrabilityError("expected norm of the law is not finite")
-    return HilbertVector(c, law.basis)
+    # |c_i| <= E ||X||, which _checked_rows has found finite
+    weights, rows, _ = _checked_rows(law)
+    return HilbertVector(weights @ rows, law.basis)
 
 
 def expected_norm(law: DiscreteHValuedLaw) -> float:
     """E ||X||: the weights of ``law.coefficient_matrix()`` dotted with
-    the norms of its rows, the integrability functional of the law."""
+    the norms of its rows, the integrability functional of the law.
+    Raises ``IntegrabilityError`` when it is not finite."""
+    return _checked_rows(law)[2]
+
+
+def _checked_rows(law: DiscreteHValuedLaw) -> tuple[np.ndarray, np.ndarray, float]:
+    """(weights, rows, E ||X||) of the law; ``IntegrabilityError`` unless
+    E ||X|| is finite."""
     weights, rows = law.coefficient_matrix()
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if not np.all(np.isfinite(norms)):
-        raise IntegrabilityError("expected norm is not finite")
-    return float(np.dot(weights, norms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        en = float(np.dot(weights, norms))
+    if not np.isfinite(en):
+        raise IntegrabilityError("expected norm of the law is not finite")
+    return weights, rows, en
 
 
 @dataclass(frozen=True)

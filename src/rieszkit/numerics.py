@@ -84,9 +84,10 @@ def _ladder_indices(limit: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Node/weight pair; ``nodes`` and ``weights`` are read-only arrays.
+    """Node/weight pair; ``nodes`` and ``weights`` are read-only arrays,
+    and ``==`` and ``hash`` go by identity.
 
     ``kind`` is ``"legendre"`` for a rule on a finite interval (weight 1)
     or ``"hermite"`` for a rule on the whole line with weight exp(-u^2).

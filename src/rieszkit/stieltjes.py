@@ -156,6 +156,14 @@ def _rs_level(f, alpha, lo, hi, tag_right_end, n_cells):
     return [float(np.dot(v, m)) for v, m in zip(values, masses)]
 
 
+def _check_support(name: str, support) -> tuple[float, float]:
+    """``support`` as floats (lo, hi); ``ValueError`` unless -inf < lo <= hi < inf."""
+    lo, hi = map(float, support)
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"{name} must be finite and ordered, got {support}")
+    return lo, hi
+
+
 def ls_integrate(
     f: Callable,
     alpha: CdfLike,
@@ -176,14 +184,10 @@ def ls_integrate(
     2**14 cells per segment on, each pass takes one segment. Both
     callbacks therefore receive flat 1-d arrays that span several
     segments and must act pointwise. The support endpoints must be
-    finite, and ``tol`` positive and finite (``ValueError`` otherwise; a
-    NaN ``tol`` counts as not positive).
+    finite and ordered, and ``tol`` positive and finite (``ValueError``
+    otherwise; a NaN ``tol`` counts as not positive).
     """
-    lo, hi = float(support[0]), float(support[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"support endpoints must be finite, got {support}")
-    if lo > hi:
-        raise ValueError(f"support must be ordered, got {support}")
+    lo, hi = _check_support("support", support)
     _check_tol(tol)
     if lo == hi:
         return 0.0
@@ -293,12 +297,7 @@ class ExpectationOracle:
 
     def __post_init__(self):
         if self.support is not None:
-            a, b = (float(v) for v in self.support)
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError(f"oracle support must be finite, got {self.support}")
-            if a > b:
-                raise ValueError(f"oracle support must be ordered, got {self.support}")
-            object.__setattr__(self, "support", (a, b))
+            object.__setattr__(self, "support", _check_support("oracle support", self.support))
 
     def _covered_by(self, m: int) -> bool:
         """Is the support inside [-m, m], where the cutoff of index m is 1?"""

@@ -190,6 +190,20 @@ def test_wiener_integrate_budget_exceeded():
     assert "BudgetError" in combined_output(result)
 
 
+def test_library_errors_leave_through_the_subcommand():
+    # a library ValueError is a usage error of the subcommand that met it
+    result = run("recover-cdf", "--law", "uniform", "--law-args", "1,0",
+                 prog_name="rieszkit")
+    assert result.exit_code == 2
+    assert result.stderr.startswith("Usage: rieszkit recover-cdf [OPTIONS]\n")
+    assert result.stderr.endswith("Error: need lo < hi, got 1.0, 0.0\n")
+    # a RieszkitError fails the run, without a usage line
+    result = run("wiener-integrate", "--F", "mono:2,2,2,2,2",
+                 "--times", "0.1,0.2,0.3,0.4,0.5", "--nodes", "64", prog_name="rieszkit")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("Error: BudgetError: tensor quadrature needs")
+
+
 def test_wiener_integrate_rejects_bad_specs():
     assert run("wiener-integrate", "--F", "gauss").exit_code == 2
     assert run("wiener-integrate", "--F", "mono:1,2").exit_code == 2

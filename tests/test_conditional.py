@@ -284,7 +284,7 @@ def test_duality_tolerance_must_be_positive(tol):
 
 
 def test_alignment_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^X has 2 values for 4 atoms$"):
         cond_expectation(RandomVariable((1.0, 2.0)), PAIRS, UNIF4)
     with pytest.raises(ValueError):
         cond_expectation(X1234, Partition(((0, 1),)), UNIF4)
@@ -295,11 +295,15 @@ def test_alignment_validation():
     cond_expectation(X1234, Partition(((0, 3), (1, 2))), UNIF4)
     with pytest.raises(ValueError):
         cond_expectation_l1(X1234, PAIRS, UNIF4, j_max=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^xi has 1 values for 4 atoms$"):
         verify_duality(X1234, RandomVariable((1.0,)), PAIRS, UNIF4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Y has 1 values for 4 atoms$"):
         holder_bound_check(
             X1234, RandomVariable((1.0,)), ConjugateExponents(2.0), UNIF4
+        )
+    with pytest.raises(ValueError, match="^X has 1 values for 4 atoms$"):
+        holder_bound_check(
+            RandomVariable((1.0,)), X1234, ConjugateExponents(2.0), UNIF4
         )
 
 

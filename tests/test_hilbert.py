@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rieszkit.errors import IntegrabilityError, NumericError
 from rieszkit.hilbert import (
+    BASIS_KINDS,
     DiscreteHValuedLaw,
     HilbertVector,
     OrthonormalBasis,
@@ -271,6 +273,18 @@ def test_non_integrable_law_is_rejected():
     with pytest.raises(IntegrabilityError):
         bochner_expectation(atomic)
 
+    # every vector has norm 10, but the one omega weight sits near the float
+    # ceiling, so E||X|| overflows: both functions raise, and quietly
+    ten = HilbertVector([10.0, 0.0, 0.0, 0.0], basis)
+    heavy = DiscreteHValuedLaw.from_sampler(
+        lambda om: ten, basis, QuadratureRule([0.5], [1e308])
+    )
+    for fn in (expected_norm, bochner_expectation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrabilityError, match="not finite"):
+                fn(heavy)
+
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -296,6 +310,31 @@ def test_cauchy_schwarz_bound_property(data):
     law = DiscreteHValuedLaw.from_atoms(atoms)
     pairing = inner_product(u, bochner_expectation(law))
     assert abs(pairing) <= u.norm() * expected_norm(law) + 1e-8
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("t", [0.3, np.linspace(0.01, 0.99, 7), np.full((2, 3), 0.6)])
+def test_evaluate_is_the_row_of_evaluate_all(kind, t):
+    basis = OrthonormalBasis(kind=kind, size=12)
+    rows = basis.evaluate_all(np.ravel(t))
+    for i in (0, 5, 11):
+        value = basis.evaluate(i, t)
+        assert np.shape(value) == np.shape(t)
+        assert np.max(np.abs(np.ravel(value) - rows[i])) <= 1e-14
+
+
+def test_array_dataclasses_compare_by_identity():
+    v = HilbertVector.unit(LEG32, 0)
+    rule = gauss_legendre(8, 0.0, 1.0)
+    law = DiscreteHValuedLaw.from_atoms([(1.0, v)])
+    for obj, twin in (
+        (v, HilbertVector.unit(LEG32, 0)),
+        (rule, QuadratureRule(rule.nodes, rule.weights)),
+        (law, DiscreteHValuedLaw.from_atoms([(1.0, HilbertVector.unit(LEG32, 0))])),
+    ):
+        assert obj == obj and hash(obj) == hash(obj)
+        assert obj != twin
+        assert len({obj, twin}) == 2
 
 
 def test_basis_and_law_validation():

@@ -1,4 +1,9 @@
 import importlib
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import rieszkit
 
@@ -43,3 +48,18 @@ def test_package_exports_each_modules_public_names_once():
         assert set(module.__all__) == PUBLIC_NAMES[name]
         for public in module.__all__:
             assert getattr(rieszkit, public) is getattr(module, public)
+
+
+def test_version_runs_from_source():
+    # the CLI reports rieszkit.__version__ without installed metadata, and
+    # that version is the one pyproject.toml declares
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "rieszkit.cli", "--version"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert rieszkit.__version__ in result.stdout
+    declared = re.search(r'^version = "([^"]+)"', (root / "pyproject.toml").read_text(), re.M)
+    assert declared.group(1) == rieszkit.__version__

@@ -708,3 +708,5 @@ def test_invalid_oracle_support_is_rejected(support):
         ExpectationOracle(apply=lambda f: 0.0, support=support)
     with pytest.raises(ValueError, match="oracle support"):
         oracle_from_cdf(uniform_cdf(), support)
+    with pytest.raises(ValueError, match="^support must be finite and ordered"):
+        ls_integrate(lambda t: t, uniform_cdf(), support)
