@@ -57,15 +57,16 @@ class OrthonormalBasis:
             raise ValueError(f"basis size must be >= 1, got {self.size}")
 
     def evaluate(self, index: int, t) -> np.ndarray:
-        """e_index at points t in (0,1): row ``index`` of ``evaluate_all(t)``, shaped as t."""
+        """e_index at points t in (0,1), shaped as t: row ``index`` of
+        ``evaluate_all(t)``, built on the basis truncated after e_index."""
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} outside 0..{self.size - 1}")
-        t = np.asarray(t, dtype=float)
-        return self.evaluate_all(t)[index].reshape(t.shape)[()]
+        row = OrthonormalBasis(self.kind, index + 1).evaluate_all(t)[index]
+        return row.reshape(np.shape(t))[()]
 
     def evaluate_all(self, t) -> np.ndarray:
-        """Matrix of basis values, shape (size, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        """Matrix of basis values at the flattened points t, shape (size, t.size)."""
+        t = np.ravel(np.asarray(t, dtype=float))
         if self.kind == "shifted_legendre":
             V = np.polynomial.legendre.legvander(2.0 * t - 1.0, self.size - 1)
             scale = np.sqrt(2.0 * np.arange(self.size) + 1.0)

@@ -204,6 +204,19 @@ def test_library_errors_leave_through_the_subcommand():
     assert result.stderr.startswith("Error: BudgetError: tensor quadrature needs")
 
 
+def test_selftest_lets_a_library_value_error_through(monkeypatch):
+    # selftest's options cannot cause a ValueError, so one from its checks
+    # is a bug and must not pass for a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr("rieszkit.hilbert.expected_norm", broken)
+    result = run("selftest")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
+    assert "Usage:" not in combined_output(result)
+
+
 def test_wiener_integrate_rejects_bad_specs():
     assert run("wiener-integrate", "--F", "gauss").exit_code == 2
     assert run("wiener-integrate", "--F", "mono:1,2").exit_code == 2

@@ -313,14 +313,17 @@ def test_cauchy_schwarz_bound_property(data):
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
-@pytest.mark.parametrize("t", [0.3, np.linspace(0.01, 0.99, 7), np.full((2, 3), 0.6)])
+@pytest.mark.parametrize(
+    "t", [0.3, np.linspace(0.01, 0.99, 7), np.linspace(0.05, 0.95, 6).reshape(2, 3)]
+)
 def test_evaluate_is_the_row_of_evaluate_all(kind, t):
     basis = OrthonormalBasis(kind=kind, size=12)
     rows = basis.evaluate_all(np.ravel(t))
+    assert np.array_equal(basis.evaluate_all(t), rows)
     for i in (0, 5, 11):
         value = basis.evaluate(i, t)
         assert np.shape(value) == np.shape(t)
-        assert np.max(np.abs(np.ravel(value) - rows[i])) <= 1e-14
+        assert np.max(np.abs(value - rows[i].reshape(np.shape(t)))) <= 1e-14
 
 
 def test_array_dataclasses_compare_by_identity():
