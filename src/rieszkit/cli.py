@@ -421,8 +421,6 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((paths, len(ts)))
     pos = wn._bridge_positions(params, ts, z)
-    if not np.all(np.isfinite(pos)):
-        raise click.UsageError("positions must be finite")
     rows = [(k, ti, p) for k, row in enumerate(pos.tolist()) for ti, p in zip(ts, row)]
     meta = {
         "command": "bridge-sample", "times": list(ts), "x": x, "y": y,

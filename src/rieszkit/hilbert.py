@@ -162,16 +162,14 @@ class HilbertVector:
         return cls(c, basis)
 
 
-def _check_same_basis(u: HilbertVector, v: HilbertVector) -> None:
-    if u.basis != v.basis:
-        raise ValueError(
-            f"basis mismatch: {u.basis.kind}/{u.basis.size} vs {v.basis.kind}/{v.basis.size}"
-        )
+def _check_same_basis(a: OrthonormalBasis, b: OrthonormalBasis) -> None:
+    if a != b:
+        raise ValueError(f"basis mismatch: {a.kind}/{a.size} vs {b.kind}/{b.size}")
 
 
 def inner_product(u: HilbertVector, v: HilbertVector) -> float:
     """<u, v> as the coefficient dot product (Parseval)."""
-    _check_same_basis(u, v)
+    _check_same_basis(u.basis, v.basis)
     return float(np.dot(u.coeffs, v.coeffs))
 
 
@@ -235,8 +233,7 @@ class DiscreteHValuedLaw:
         if self.atoms is not None:
             _check_probabilities(np.array([p for p, _ in self.atoms], dtype=float))
             for _, v in self.atoms:
-                if v.basis != self.basis:
-                    raise ValueError("atom vectors must share the law's basis")
+                _check_same_basis(v.basis, self.basis)
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple[float, HilbertVector]]) -> "DiscreteHValuedLaw":
@@ -274,8 +271,7 @@ class DiscreteHValuedLaw:
         rows = np.empty((rule.nodes.size, self.basis.size))
         for k, om in enumerate(rule.nodes):
             v = sampler(om)
-            if v.basis != self.basis:
-                raise ValueError("sampler returned a vector on a different basis")
+            _check_same_basis(v.basis, self.basis)
             rows[k] = v.coeffs
         return rule.weights, rows
 
@@ -288,8 +284,8 @@ def bochner_expectation(
     Coefficient i is E<X, e_i>: with (weights, rows) from
     ``law.coefficient_matrix()``, it is ``weights @ rows``.
     """
-    if basis is not None and basis != law.basis:
-        raise ValueError("basis does not match the law's basis")
+    if basis is not None:
+        _check_same_basis(basis, law.basis)
     # |c_i| <= E ||X||, which _checked_rows has found finite
     weights, rows, _ = _checked_rows(law)
     return HilbertVector(weights @ rows, law.basis)

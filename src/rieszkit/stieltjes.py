@@ -2,7 +2,8 @@
 
 A right-continuous nondecreasing generator plays the role of the
 distribution function. Integration against it is done by refined
-Riemann-Stieltjes sums with declared jump points handled atomically.
+Riemann-Stieltjes sums with declared jump points handled atomically, or,
+for the ramp and cutoff probes, by parts, piece by piece.
 Going the other way, a black-box expectation functional is probed with
 ramp and cutoff functions; the double limit (cutoff first, then ramp
 slope) recovers the distribution function pointwise.
@@ -10,14 +11,16 @@ slope) recovers the distribution function pointwise.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import _check_limit, _check_tol, _evaluate, _ladder_indices
+from .numerics import _check_limit, _check_tol, _evaluate, _ladder_indices, adaptive_integrate
 
 __all__ = [
     "CdfLike",
@@ -164,6 +167,105 @@ def _check_support(name: str, support) -> tuple[float, float]:
     return lo, hi
 
 
+class _Probe:
+    """Ramp, cutoff or their product: a product of at most two
+    piecewise-linear factors.
+
+    Each factor is an ``np.interp`` table ``(knots, values, left, right)``
+    and the probe's value is the product of the factors' values, in
+    order. ``breakpoints`` lists every knot. Between adjacent breakpoints
+    each factor is affine, so the probe is a polynomial of degree <= 2
+    there, and its derivative is exact from the knot table. Outside the
+    breakpoints the probe is constant.
+    """
+
+    def __init__(self, *factors):
+        self._factors = factors
+        self.breakpoints = tuple(sorted(set().union(*(f[0] for f in factors))))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = None
+        for knots, values, left, right in self._factors:
+            value = np.interp(t, knots, values, left=left, right=right)
+            out = value if out is None else out * value
+        return out
+
+    @cached_property
+    def _slopes(self) -> list[tuple[float, float]]:
+        """(d0, d1) per piece between adjacent breakpoints, with
+        f'(t) = d0 + d1 (t - the piece's left end)."""
+        table = []
+        for a in self.breakpoints[:-1]:
+            # f(a + u) = c0 + c1 u + c2 u**2, one affine factor v + s u at a time
+            c0, c1, c2 = 1.0, 0.0, 0.0
+            for knots, values, left, right in self._factors:
+                k = bisect.bisect_right(knots, a) - 1
+                if k < 0:
+                    v, s = left, 0.0
+                elif k == len(knots) - 1:
+                    v, s = right, 0.0
+                else:
+                    s = (values[k + 1] - values[k]) / (knots[k + 1] - knots[k])
+                    v = values[k] + s * (a - knots[k])
+                c0, c1, c2 = c0 * v, c1 * v + c0 * s, c2 * v + c1 * s
+            table.append((c1, 2.0 * c2))
+        return table
+
+    def slope_on(self, a: float) -> tuple[float, float, float] | None:
+        """(anchor, d0, d1) with f'(t) = d0 + d1 (t - anchor) on the piece
+        between breakpoints that holds [a, a + h) for small h; None where
+        f is constant there."""
+        p = bisect.bisect_right(self.breakpoints, a) - 1
+        if not 0 <= p < len(self._slopes) or self._slopes[p] == (0.0, 0.0):
+            return None
+        return (self.breakpoints[p], *self._slopes[p])
+
+
+# The by-parts branch spends this share of ls_integrate's tol on the
+# ordinary integrals of its sloped pieces, and never asks them for less
+# than this many ulps of the integrand's scale per unit length.
+_BY_PARTS_SHARE = 1e-2
+_ROUNDING_ULPS = 100
+
+
+def _integrate_by_parts(f: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) -> float:
+    """Integral of the probe f over (lo, hi] against alpha, piece by piece.
+
+    On a piece (a, b] between adjacent breakpoints, Stieltjes integration
+    by parts in centred form gives
+    f(b) (alpha(b) - alpha(a)) - int_a^b (alpha(t) - alpha(a)) f'(t) dt.
+    alpha is evaluated at all piece ends in one call; where f' = 0 or
+    alpha does not move, the ordinary integral is 0 and is not computed.
+    Otherwise ``adaptive_integrate`` computes it, split at alpha's
+    declared jumps, to a budget of ``_BY_PARTS_SHARE * tol`` spread over
+    (lo, hi] by length. Per unit length the budget never drops below 100
+    ulps of max|alpha| * max|f'| on the piece, the scale of the rounding
+    in the integrand, so however small ``tol`` is, panels that differ
+    only by rounding are accepted and the bisection ends.
+    """
+    edges = np.array(sorted({lo, hi}.union(x for x in f.breakpoints if lo < x < hi)))
+    heights = _evaluate(alpha.eval, edges)
+    values = f(edges[1:])
+    jumps = alpha.breakpoints or ()
+    rate = _BY_PARTS_SHARE * tol / (hi - lo)
+    total = 0.0
+    for a, b, fb, ha, hb in zip(edges[:-1], edges[1:], values, heights[:-1], heights[1:]):
+        part = fb * (hb - ha)
+        slope = f.slope_on(a)
+        if slope is not None and hb != ha:
+            anchor, d0, d1 = slope
+            scale = max(abs(ha), abs(hb)) * max(abs(d0 + d1 * (a - anchor)),
+                                                abs(d0 + d1 * (b - anchor)))
+            budget = max(rate, _ROUNDING_ULPS * np.finfo(float).eps * scale) * (b - a)
+            part -= adaptive_integrate(
+                lambda t: (alpha.eval(t) - ha) * (d0 + d1 * (t - anchor)),
+                a, b, max(budget, math.ulp(0.0)), jumps,  # a tiny piece's budget can underflow
+            )
+        total += part
+    return float(total)
+
+
 def ls_integrate(
     f: Callable,
     alpha: CdfLike,
@@ -186,11 +288,21 @@ def ls_integrate(
     segments and must act pointwise. The support endpoints must be
     finite and ordered, and ``tol`` positive and finite (``ValueError``
     otherwise; a NaN ``tol`` counts as not positive).
+
+    A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
+    the two as ``recover_cdf`` and ``total_mass`` use them, is integrated
+    by parts instead (see ``_integrate_by_parts``): a piece where the
+    probe is constant costs two values of alpha, a sloped piece one
+    ``adaptive_integrate`` call on alpha. That branch never raises
+    ``ConvergenceError`` and ignores ``max_depth``. Any other f takes the
+    Riemann-Stieltjes path.
     """
     lo, hi = _check_support("support", support)
     _check_tol(tol)
     if lo == hi:
         return 0.0
+    if isinstance(f, _Probe):
+        return _integrate_by_parts(f, alpha, lo, hi, tol)
 
     jumps = set()
     edges = {lo, hi}
@@ -239,39 +351,19 @@ class RampSpec:
 def make_ramp(spec: RampSpec) -> Callable:
     """Continuous f with f=1 on (-inf, x], affine on [x, x+1/j], 0 beyond."""
     x, width = spec.x, 1.0 / spec.j
-
-    def ramp(t):
-        return np.interp(
-            np.asarray(t, dtype=float), [x, x + width], [1.0, 0.0], left=1.0, right=0.0
-        )
-
-    ramp.breakpoints = (x, x + width)
-    return ramp
+    return _Probe(((x, x + width), (1.0, 0.0), 1.0, 0.0))
 
 
 def make_cutoff(j: int) -> Callable:
     """Compact-support plateau: 1 on [-j, j], affine to 0 at +-(j+1)."""
     _check_limit("cutoff index", j)
-
-    def cutoff(t):
-        return np.interp(
-            np.asarray(t, dtype=float),
-            [-(j + 1.0), -float(j), float(j), j + 1.0],
-            [0.0, 1.0, 1.0, 0.0],
-            left=0.0,
-            right=0.0,
-        )
-
-    cutoff.breakpoints = (-(j + 1.0), -float(j), float(j), j + 1.0)
-    return cutoff
+    return _Probe(
+        ((-(j + 1.0), -float(j), float(j), j + 1.0), (0.0, 1.0, 1.0, 0.0), 0.0, 0.0)
+    )
 
 
-def _probe_product(ramp: Callable, cutoff: Callable) -> Callable:
-    def g(t):
-        return ramp(t) * cutoff(t)
-
-    g.breakpoints = tuple(sorted(set(ramp.breakpoints) | set(cutoff.breakpoints)))
-    return g
+def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
+    return _Probe(*ramp._factors, *cutoff._factors)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,11 @@ class WienerParams:
             raise ValueError(f"horizon t must be positive, got {self.t}")
         if not (self.D > 0 and np.isfinite(self.D)):
             raise ValueError(f"diffusion D must be positive, got {self.D}")
+        # every bridge mean and heat-kernel exponent is built from these
+        if not math.isfinite(self.y - self.x):
+            raise ValueError(f"y - x overflows for x={self.x!r}, y={self.y!r}")
+        if not math.isfinite(4.0 * self.D * self.t):
+            raise ValueError(f"4*D*t overflows for D={self.D!r}, t={self.t!r}")
 
 
 def _checked_times(times) -> tuple[float, ...]:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 from click.testing import CliRunner
@@ -264,6 +265,21 @@ def test_output_file_matches_stdout(tmp_path):
     assert filed.exit_code == 0
     assert filed.output == ""
     assert target.read_text() == direct.output
+
+
+def test_overflowing_endpoints_are_a_usage_error_without_warnings():
+    commands = (
+        ("bridge-sample", "--x", "1e308", "--y", "-1e308", "--times", "0.5"),
+        ("wiener-integrate", "--x", "1e308", "--y", "-1e308", "--paths", "100",
+         "--nodes", "8"),
+    )
+    for args in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(*args)
+        assert result.exit_code == 2, args
+        assert "y - x overflows" in combined_output(result)
+        assert caught == [], args
 
 
 def test_usage_errors(tmp_path):

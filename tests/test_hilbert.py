@@ -375,6 +375,25 @@ def test_basis_and_law_validation():
         riesz_representer(np.zeros(8), LEG32)
 
 
+def test_every_basis_check_names_both_bases():
+    v = HilbertVector.unit(LEG32, 0)
+    sine = OrthonormalBasis(kind="fourier_sine", size=8)
+    w = HilbertVector.unit(sine, 0)
+    law = prefix_indicator_law(LEG32)
+    checks = (
+        (lambda: inner_product(v, w), "shifted_legendre/32 vs fourier_sine/8"),
+        (lambda: DiscreteHValuedLaw(basis=LEG32, atoms=((1.0, w),)),
+         "fourier_sine/8 vs shifted_legendre/32"),
+        (lambda: DiscreteHValuedLaw.from_sampler(lambda om: w, LEG32).coefficient_matrix(),
+         "fourier_sine/8 vs shifted_legendre/32"),
+        (lambda: bochner_expectation(law, basis=sine), "fourier_sine/8 vs shifted_legendre/32"),
+    )
+    for call, bases in checks:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"basis mismatch: {bases}"
+
+
 def test_vector_coefficients_are_read_only():
     arr = np.zeros(32)
     law = DiscreteHValuedLaw.from_atoms([(1.0, HilbertVector.unit(LEG32, 1))])

@@ -108,6 +108,28 @@ def test_adaptive_declared_kink():
     assert abs(got - exact) < 1e-12
 
 
+def test_adaptive_sees_a_kink_next_to_a_panel_end():
+    # 0.3% of the interval from its end, the kink lies beyond the outermost
+    # of the 15 Gauss nodes (0.6% in): only the guarded ends of the low rule see it
+    kink = 0.997
+    got = adaptive_integrate(lambda u: np.abs(u - kink), 0.0, 1.0, 1e-12)
+    assert abs(got - (kink**2 + (1.0 - kink) ** 2) / 2.0) < 1e-12
+
+
+def test_adaptive_never_evaluates_a_panel_end():
+    # a jump at a declared breakpoint costs one panel per side
+    calls = []
+
+    def step(u):
+        u = np.asarray(u, dtype=float)
+        calls.append(u.copy())
+        return np.where(u < 0.5, 0.0, 1.0)
+
+    assert adaptive_integrate(step, 0.0, 1.0, 1e-12, breakpoints=[0.5]) == 0.5
+    assert len(calls) == 2
+    assert not any(np.isin(u, (0.0, 0.5, 1.0)).any() for u in calls)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     cf=st.lists(st.floats(min_value=-1, max_value=1), min_size=1, max_size=5),

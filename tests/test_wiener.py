@@ -586,6 +586,15 @@ def test_pointwise_limit_flags_oscillation():
     assert len(err.value.estimates) == 2
 
 
+def test_params_reject_scales_that_overflow():
+    with pytest.raises(ValueError, match=r"^y - x overflows"):
+        WienerParams(x=1e308, y=-1e308)
+    with pytest.raises(ValueError, match=r"^4\*D\*t overflows"):
+        WienerParams(t=2.0, D=1e308)
+    # the largest scales that still fit are accepted
+    WienerParams(x=-8e307, y=8e307, t=1.0, D=4e307)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         WienerParams(t=0.0)
