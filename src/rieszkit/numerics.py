@@ -212,10 +212,11 @@ def adaptive_integrate(
     kink right next to a panel end, which no Gauss node does, and the
     integrand is never evaluated at a panel end itself. Supplying
     ``breakpoints`` forces subdivision at known kinks, which is the
-    intended way to handle piecewise-smooth integrands. For integrands
-    with undeclared kinks the result is best effort: after ``max_depth``
-    bisections a panel is accepted as is. A ``tol`` that is not positive
-    and finite (NaN included) raises ``ValueError``.
+    intended way to handle piecewise-smooth integrands; a point listed
+    twice splits once. For integrands with undeclared kinks the result
+    is best effort: after ``max_depth`` bisections a panel is accepted as
+    is. A ``tol`` that is not positive and finite (NaN included) raises
+    ``ValueError``.
     """
     _check_tol(tol)
     if not a < b:
@@ -225,7 +226,7 @@ def adaptive_integrate(
 
     edges = [a]
     if breakpoints is not None:
-        edges.extend(sorted(x for x in breakpoints if a < x < b))
+        edges.extend(sorted({x for x in breakpoints if a < x < b}))
     edges.append(b)
 
     total = 0.0

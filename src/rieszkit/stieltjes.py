@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import _check_limit, _check_tol, _evaluate, _ladder_indices, adaptive_integrate
+from .numerics import (_check_finite, _check_limit, _check_tol, _evaluate, _ladder_indices,
+                       adaptive_integrate)
 
 __all__ = [
     "CdfLike",
@@ -48,37 +49,46 @@ class CdfLike:
 
     ``c_minus`` and ``c_plus`` record the limits at -inf and +inf;
     ``breakpoints`` lists known jump abscissae so integration can treat
-    them atomically.
+    them atomically. ``kinks`` lists the abscissae where the generator is
+    continuous but not smooth (its density jumps); they are stored sorted
+    without repeats, and a kink that is not finite raises ``ValueError``.
     """
 
     eval: Callable
     c_minus: float
     c_plus: float
     breakpoints: tuple[float, ...] | None = None
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.c_minus <= self.c_plus:
             raise ValueError(f"c_minus={self.c_minus} exceeds c_plus={self.c_plus}")
         if self.breakpoints is not None:
             object.__setattr__(self, "breakpoints", tuple(sorted(self.breakpoints)))
+        kinks = tuple(sorted(set(map(float, self.kinks))))
+        if not all(map(math.isfinite, kinks)):
+            raise ValueError(f"kinks must be finite, got {self.kinks}")
+        object.__setattr__(self, "kinks", kinks)
 
     def __call__(self, x):
         return self.eval(x)
 
 
 def uniform_cdf(lo: float = 0.0, hi: float = 1.0) -> CdfLike:
-    """CDF of the uniform law on (lo, hi)."""
+    """CDF of the uniform law on (lo, hi); its kinks are lo and hi."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
     return CdfLike(
         lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0),
         0.0,
         1.0,
+        kinks=(lo, hi),
     )
 
 
 def triangular_cdf(lo: float = 0.0, mode: float = 0.5, hi: float = 1.0) -> CdfLike:
-    """CDF of the triangular law with the given support and mode."""
+    """CDF of the triangular law with the given support and mode; its
+    kinks are lo, mode and hi."""
     if not lo < hi or not lo <= mode <= hi:
         raise ValueError(f"need lo <= mode <= hi with lo < hi, got {lo}, {mode}, {hi}")
 
@@ -98,7 +108,7 @@ def triangular_cdf(lo: float = 0.0, mode: float = 0.5, hi: float = 1.0) -> CdfLi
             x <= lo, 0.0, np.where(x >= hi, 1.0, np.where(x <= mode, up, down))
         )
 
-    return CdfLike(F, 0.0, 1.0)
+    return CdfLike(F, 0.0, 1.0, kinks=(lo, mode, hi))
 
 
 def two_atom_cdf(x1: float, p1: float, x2: float) -> CdfLike:
@@ -145,7 +155,8 @@ def _rs_level(f, alpha, lo, hi, tag_right_end, n_cells):
     them. Row k of the node matrix is ``np.linspace(lo[k], hi[k],
     n_cells + 1)`` bit for bit. When a segment's right end is a declared
     jump, its last cell is tagged at that end so the jump contributes
-    f(jump) * mass exactly at every refinement level.
+    f(jump) * mass exactly at every refinement level. A value of f that
+    is not finite raises ``NumericError`` at its tag.
     """
     nodes = np.arange(n_cells + 1.0) * ((hi - lo) / n_cells)[:, None] + lo[:, None]
     nodes[:, -1] = hi
@@ -154,8 +165,11 @@ def _rs_level(f, alpha, lo, hi, tag_right_end, n_cells):
     tags = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
     tags[tag_right_end, -1] = hi[tag_right_end]
     del nodes, heights
-    values = _evaluate(f, tags.ravel()).reshape(tags.shape)
-    del tags
+    flat_tags = tags.ravel()
+    values = _evaluate(f, flat_tags)
+    _check_finite(values, flat_tags)
+    values = values.reshape(tags.shape)
+    del tags, flat_tags
     return [float(np.dot(v, m)) for v, m in zip(values, masses)]
 
 
@@ -238,16 +252,18 @@ def _integrate_by_parts(f: _Probe, alpha: CdfLike, lo: float, hi: float, tol: fl
     alpha is evaluated at all piece ends in one call; where f' = 0 or
     alpha does not move, the ordinary integral is 0 and is not computed.
     Otherwise ``adaptive_integrate`` computes it, split at alpha's
-    declared jumps, to a budget of ``_BY_PARTS_SHARE * tol`` spread over
-    (lo, hi] by length. Per unit length the budget never drops below 100
-    ulps of max|alpha| * max|f'| on the piece, the scale of the rounding
-    in the integrand, so however small ``tol`` is, panels that differ
-    only by rounding are accepted and the bisection ends.
+    declared jumps and kinks, to a budget of ``_BY_PARTS_SHARE * tol``
+    spread over (lo, hi] by length. Between those split points a law with
+    a piecewise-polynomial CDF of degree <= 2 makes the integrand a cubic
+    at most, which one panel integrates. Per unit length the budget never
+    drops below 100 ulps of max|alpha| * max|f'| on the piece, the scale
+    of the rounding in the integrand, so however small ``tol`` is, panels
+    that differ only by rounding are accepted and the bisection ends.
     """
     edges = np.array(sorted({lo, hi}.union(x for x in f.breakpoints if lo < x < hi)))
     heights = _evaluate(alpha.eval, edges)
     values = f(edges[1:])
-    jumps = alpha.breakpoints or ()
+    splits = (alpha.breakpoints or ()) + alpha.kinks
     rate = _BY_PARTS_SHARE * tol / (hi - lo)
     total = 0.0
     for a, b, fb, ha, hb in zip(edges[:-1], edges[1:], values, heights[:-1], heights[1:]):
@@ -260,7 +276,7 @@ def _integrate_by_parts(f: _Probe, alpha: CdfLike, lo: float, hi: float, tol: fl
             budget = max(rate, _ROUNDING_ULPS * np.finfo(float).eps * scale) * (b - a)
             part -= adaptive_integrate(
                 lambda t: (alpha.eval(t) - ha) * (d0 + d1 * (t - anchor)),
-                a, b, max(budget, math.ulp(0.0)), jumps,  # a tiny piece's budget can underflow
+                a, b, max(budget, math.ulp(0.0)), splits,  # a tiny piece's budget can underflow
             )
         total += part
     return float(total)
@@ -285,9 +301,11 @@ def ls_integrate(
     the cells of all segments, in passes of at most 2**14 cells; from
     2**14 cells per segment on, each pass takes one segment. Both
     callbacks therefore receive flat 1-d arrays that span several
-    segments and must act pointwise. The support endpoints must be
-    finite and ordered, and ``tol`` positive and finite (``ValueError``
-    otherwise; a NaN ``tol`` counts as not positive).
+    segments and must act pointwise. A value of f that is not finite
+    raises ``NumericError`` carrying its abscissa as ``point``. The
+    support endpoints must be finite and ordered, and ``tol`` positive
+    and finite (``ValueError`` otherwise; a NaN ``tol`` counts as not
+    positive).
 
     A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
     the two as ``recover_cdf`` and ``total_mass`` use them, is integrated

@@ -282,6 +282,17 @@ def test_overflowing_endpoints_are_a_usage_error_without_warnings():
         assert caught == [], args
 
 
+def test_far_apart_endpoints_integrate_to_zero_without_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run("wiener-integrate", "--x", "0", "--y", "1e200", "--paths", "100",
+                     "--nodes", "8")
+    assert result.exit_code == 0
+    assert caught == []
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [float(r["value"]) for r in rows] == [0.0, 0.0]
+
+
 def test_usage_errors(tmp_path):
     assert run().exit_code == 2
     assert run("no-such-command").exit_code == 2

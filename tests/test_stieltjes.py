@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rieszkit.errors import ContractViolationError, ConvergenceError, RieszkitError
+from rieszkit.errors import ContractViolationError, ConvergenceError, NumericError, RieszkitError
 from rieszkit.numerics import _evaluate
 from rieszkit.stieltjes import (
     CdfLike,
@@ -108,6 +108,22 @@ def test_ls_integrate_reports_nonconvergence():
     last_two = err.value.estimates
     assert len(last_two) == 2
     assert all(abs(v - 1.0 / 3.0) < 1e-3 for v in last_two)
+
+
+def test_ls_integrate_reports_a_non_finite_integrand_at_its_abscissa():
+    # the first level has 8 cells on (0, 1]: the first tag past 0.6 is 0.6875
+    for bad in (math.nan, math.inf, -math.inf):
+        def f(t, bad=bad):
+            return np.where(np.asarray(t, dtype=float) > 0.6, bad, 1.0)
+
+        with pytest.raises(NumericError, match="not finite") as caught:
+            ls_integrate(f, uniform_cdf(), (0.0, 1.0))
+        assert caught.value.point == 0.6875
+    # a declared jump is tagged at itself
+    with pytest.raises(NumericError) as caught:
+        ls_integrate(lambda t: np.where(np.asarray(t) >= 0.7, math.inf, 1.0),
+                     two_atom_cdf(0.3, 0.6, 0.7), (0.0, 1.0))
+    assert caught.value.point == 0.7
 
 
 def test_ls_integrate_validation():
@@ -356,6 +372,64 @@ def test_by_parts_work_stays_bounded_at_a_tiny_tol():
             assert abs(value - _closed_form(probe, law)) <= 1e-14
             # rounding, not tol, ends the bisection: a few hundred panels
             assert sum(points) < 10_000
+
+
+# (law for _closed_form, its CDF, the support, probes (x, j, m) whose
+# sloped pieces hold kinks of the law)
+_KINKED_PROBES = (
+    (("uniform", (0.0, 1.0)), uniform_cdf(), (-0.5, 1.5),
+     ((0.9, 2, 2), (-0.2, 4, 1), (-0.3, 1, 2), (0.9644, 14, 2))),
+    (("triangular", (0.0, 0.5, 1.0)), triangular_cdf(), (-0.5, 1.5),
+     ((0.4997, 4, 2), (0.3, 1, 2), (0.9644, 14, 2), (-0.1, 1, 1))),
+    # quadratic pieces: the cutoff of index 2 bends inside each ramp
+    (("uniform", (-2.5, 2.5)), uniform_cdf(-2.5, 2.5), (-3.0, 3.0),
+     ((1.8, 1, 2), (-2.7, 2, 2), (2.3, 4, 2))),
+)
+
+
+@pytest.mark.parametrize("law, cdf, support, probes", _KINKED_PROBES)
+def test_by_parts_takes_one_panel_between_declared_kinks(law, cdf, support, probes):
+    tol = 1e-8
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return cdf.eval(x)
+
+    counted = dataclasses.replace(cdf, eval=counting)
+    unkinked = CdfLike(cdf.eval, cdf.c_minus, cdf.c_plus)
+    splits = set(cdf.kinks)
+    for x, j, m in probes:
+        probe = _probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m))
+        sizes.clear()
+        value = ls_integrate(probe, counted, support, tol)
+        assert abs(value - _closed_form(probe, law)) <= 1e-12, (x, j, m)
+        assert abs(value - ls_integrate(probe, unkinked, support, tol)) <= tol, (x, j, m)
+        # one call on the piece ends, then one 22-point panel per stretch
+        # of a sloped piece between the law's kinks
+        edges = sorted({*support, *(k for k in probe.breakpoints
+                                    if support[0] < k < support[1])})
+        stretches = held = 0
+        for a, b in zip(edges[:-1], edges[1:]):
+            if probe.slope_on(a) is not None and cdf.eval(a) != cdf.eval(b):
+                inside = sum(a < k < b for k in splits)
+                stretches += 1 + inside
+                held += inside
+        assert held > 0, (x, j, m)
+        assert sizes == [len(edges)] + [22] * stretches, (x, j, m)
+
+
+def test_cdf_kinks_are_sorted_once_each_and_finite():
+    F = CdfLike(lambda x: np.asarray(x, dtype=float), 0.0, 1.0, kinks=(0.7, 0.3, 0.7))
+    assert F.kinks == (0.3, 0.7)
+    assert CdfLike(F.eval, 0.0, 1.0).kinks == ()
+    assert uniform_cdf(-1.0, 2.0).kinks == (-1.0, 2.0)
+    assert triangular_cdf().kinks == (0.0, 0.5, 1.0)
+    assert triangular_cdf(0.0, 0.0, 1.0).kinks == (0.0, 1.0)
+    assert two_atom_cdf(0.3, 0.6, 0.7).kinks == point_mass_cdf(0.2).kinks == ()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kinks must be finite"):
+            CdfLike(F.eval, 0.0, 1.0, kinks=(0.5, bad))
 
 
 def test_by_parts_takes_jumps_of_alpha_at_face_value():

@@ -52,6 +52,13 @@ def test_heat_kernel_standard_value():
     assert abs(heat_kernel(1.0, 1.0, 0.5) - 0.24197) < 1e-5
 
 
+def test_heat_kernel_underflows_to_zero_where_its_exponent_overflows():
+    # dx**2 overflows to inf, and exp(-inf) is the exact underflowed value
+    assert heat_kernel(1e200, 1.0, 1.0) == 0.0
+    vals = heat_kernel(np.array([-1e200, 0.0, 1e160]), 1.0, 1e-300)
+    assert vals[0] == vals[2] == 0.0 and vals[1] == heat_kernel(0.0, 1.0, 1e-300)
+
+
 def test_heat_kernel_symmetry_and_vectorization():
     xs = np.array([-1.5, -0.2, 0.0, 0.2, 1.5])
     vals = heat_kernel(xs, 0.8, 0.4)
