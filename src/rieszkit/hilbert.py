@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IntegrabilityError
 from .numerics import (
-    QuadratureRule, _check_finite, _check_probabilities, _evaluate, gauss_legendre,
+    QuadratureRule, _check_finite, _check_probabilities, _evaluate, _split, gauss_legendre,
 )
 
 __all__ = [
@@ -182,16 +182,14 @@ def project(
     """Coefficients <f, e_i> of a square-integrable f by quadrature.
 
     ``breakpoints`` splits (0,1) at known discontinuities of f so each
-    smooth piece gets its own Gauss-Legendre panel.
+    smooth piece gets its own Gauss-Legendre panel; it may be any
+    sequence or 1-d array, and a point listed twice splits once. With no
+    breakpoints (None or empty) the basis's own projection rule is used.
     """
-    if breakpoints:
-        edges = [0.0] + sorted(x for x in breakpoints if 0.0 < x < 1.0) + [1.0]
+    if breakpoints is not None and len(breakpoints) > 0:
+        edges = _split(0.0, 1.0, breakpoints)
         per_piece = n_nodes if n_nodes is not None else max(64, basis.size + 16)
-        rules = [
-            gauss_legendre(per_piece, lo, hi)
-            for lo, hi in zip(edges[:-1], edges[1:])
-            if hi > lo
-        ]
+        rules = [gauss_legendre(per_piece, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         nodes = np.concatenate([r.nodes for r in rules])
         weights = np.concatenate([r.weights for r in rules])
     else:

@@ -74,6 +74,11 @@ def _check_finite(vals: np.ndarray, x: np.ndarray) -> None:
         raise NumericError(f"integrand not finite {where}", point=point)
 
 
+def _split(a: float, b: float, points) -> list[float]:
+    """[a, the distinct points strictly inside (a, b) in order, b]."""
+    return [a, *sorted({x for x in points if a < x < b}), b]
+
+
 def _ladder_indices(limit: int) -> list[int]:
     """Doubling ladder 1, 2, 4, ... capped by ``limit``, which always ends it."""
     out = [1]
@@ -224,11 +229,7 @@ def adaptive_integrate(
             return 0.0
         raise ValueError(f"need a <= b, got a={a}, b={b}")
 
-    edges = [a]
-    if breakpoints is not None:
-        edges.extend(sorted({x for x in breakpoints if a < x < b}))
-    edges.append(b)
-
+    edges = _split(a, b, () if breakpoints is None else breakpoints)
     total = 0.0
     length = b - a
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
 from .numerics import (_check_finite, _check_limit, _check_tol, _evaluate, _ladder_indices,
-                       adaptive_integrate)
+                       _split, adaptive_integrate)
 
 __all__ = [
     "CdfLike",
@@ -50,25 +50,26 @@ class CdfLike:
     ``c_minus`` and ``c_plus`` record the limits at -inf and +inf;
     ``breakpoints`` lists known jump abscissae so integration can treat
     them atomically. ``kinks`` lists the abscissae where the generator is
-    continuous but not smooth (its density jumps); they are stored sorted
-    without repeats, and a kink that is not finite raises ``ValueError``.
+    continuous but not smooth (its density jumps). Both lists default to
+    ``()`` and are stored sorted, each point once; a point that is not
+    finite raises ``ValueError`` naming its list.
     """
 
     eval: Callable
     c_minus: float
     c_plus: float
-    breakpoints: tuple[float, ...] | None = None
+    breakpoints: tuple[float, ...] = ()
     kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.c_minus <= self.c_plus:
             raise ValueError(f"c_minus={self.c_minus} exceeds c_plus={self.c_plus}")
-        if self.breakpoints is not None:
-            object.__setattr__(self, "breakpoints", tuple(sorted(self.breakpoints)))
-        kinks = tuple(sorted(set(map(float, self.kinks))))
-        if not all(map(math.isfinite, kinks)):
-            raise ValueError(f"kinks must be finite, got {self.kinks}")
-        object.__setattr__(self, "kinks", kinks)
+        for name in ("breakpoints", "kinks"):
+            given = getattr(self, name)
+            points = tuple(sorted(set(map(float, given))))
+            if not all(map(math.isfinite, points)):
+                raise ValueError(f"{name} must be finite, got {given}")
+            object.__setattr__(self, name, points)
 
     def __call__(self, x):
         return self.eval(x)
@@ -136,41 +137,26 @@ def point_mass_cdf(at: float = 0.0) -> CdfLike:
 
 def ls_measure_interval(alpha: CdfLike, a: float, b: float) -> float:
     """Mass of the half-open interval (a, b] under the measure of ``alpha``."""
-    if a > b:
+    if not a <= b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     return float(alpha.eval(b)) - float(alpha.eval(a))
 
 
-# Cells one refinement pass hands to alpha and f at most: segments share a
-# pass while they fit, so from 2**14 cells per segment on a pass is one
-# segment and peak memory does not grow with the number of breakpoints.
-_CELLS_PER_PASS = 2**14
-
-
-def _rs_level(f, alpha, lo, hi, tag_right_end, n_cells):
-    """Riemann-Stieltjes sums with midpoint tags, one per segment.
-
-    ``lo``, ``hi`` and ``tag_right_end`` are arrays over the segments;
-    alpha and f are each called once on the flattened points of all of
-    them. Row k of the node matrix is ``np.linspace(lo[k], hi[k],
-    n_cells + 1)`` bit for bit. When a segment's right end is a declared
-    jump, its last cell is tagged at that end so the jump contributes
-    f(jump) * mass exactly at every refinement level. A value of f that
-    is not finite raises ``NumericError`` at its tag.
+def _rs_segment(f, alpha, a, b, n_cells):
+    """Riemann-Stieltjes sum over (a, b] on ``n_cells`` equal cells with
+    midpoint tags. When b is a declared jump of alpha, the last cell is
+    tagged at b so the jump contributes f(b) * mass exactly at every
+    refinement level. A value of f that is not finite raises
+    ``NumericError`` at its tag.
     """
-    nodes = np.arange(n_cells + 1.0) * ((hi - lo) / n_cells)[:, None] + lo[:, None]
-    nodes[:, -1] = hi
-    heights = _evaluate(alpha.eval, nodes.ravel()).reshape(nodes.shape)
-    masses = heights[:, 1:] - heights[:, :-1]
-    tags = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-    tags[tag_right_end, -1] = hi[tag_right_end]
-    del nodes, heights
-    flat_tags = tags.ravel()
-    values = _evaluate(f, flat_tags)
-    _check_finite(values, flat_tags)
-    values = values.reshape(tags.shape)
-    del tags, flat_tags
-    return [float(np.dot(v, m)) for v, m in zip(values, masses)]
+    nodes = np.linspace(a, b, n_cells + 1)
+    masses = np.diff(_evaluate(alpha.eval, nodes))
+    tags = 0.5 * (nodes[:-1] + nodes[1:])
+    if b in alpha.breakpoints:
+        tags[-1] = b
+    values = _evaluate(f, tags)
+    _check_finite(values, tags)
+    return float(np.dot(values, masses))
 
 
 def _check_support(name: str, support) -> tuple[float, float]:
@@ -260,10 +246,10 @@ def _integrate_by_parts(f: _Probe, alpha: CdfLike, lo: float, hi: float, tol: fl
     of the rounding in the integrand, so however small ``tol`` is, panels
     that differ only by rounding are accepted and the bisection ends.
     """
-    edges = np.array(sorted({lo, hi}.union(x for x in f.breakpoints if lo < x < hi)))
+    edges = np.array(_split(lo, hi, f.breakpoints))
     heights = _evaluate(alpha.eval, edges)
     values = f(edges[1:])
-    splits = (alpha.breakpoints or ()) + alpha.kinks
+    splits = alpha.breakpoints + alpha.kinks
     rate = _BY_PARTS_SHARE * tol / (hi - lo)
     total = 0.0
     for a, b, fb, ha, hb in zip(edges[:-1], edges[1:], values, heights[:-1], heights[1:]):
@@ -297,15 +283,14 @@ def ls_integrate(
     ``breakpoints`` attribute (its kink locations), panels are aligned
     with them, which speeds convergence but is never required.
 
-    Each refinement level calls ``alpha.eval`` once and ``f`` once over
-    the cells of all segments, in passes of at most 2**14 cells; from
-    2**14 cells per segment on, each pass takes one segment. Both
-    callbacks therefore receive flat 1-d arrays that span several
-    segments and must act pointwise. A value of f that is not finite
-    raises ``NumericError`` carrying its abscissa as ``point``. The
-    support endpoints must be finite and ordered, and ``tol`` positive
-    and finite (``ValueError`` otherwise; a NaN ``tol`` counts as not
-    positive).
+    The support is cut at alpha's declared jumps and f's breakpoints.
+    At a refinement level of n cells per segment, ``alpha.eval`` is
+    called once on the n + 1 nodes and ``f`` once on the n tags of each
+    segment, one segment after the other, so peak memory is that of one
+    segment. A value of f that is not finite raises ``NumericError``
+    carrying its abscissa as ``point``. The support endpoints must be
+    finite and ordered, and ``tol`` positive and finite (``ValueError``
+    otherwise; a NaN ``tol`` counts as not positive).
 
     A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
     the two as ``recover_cdf`` and ``total_mass`` use them, is integrated
@@ -322,26 +307,12 @@ def ls_integrate(
     if isinstance(f, _Probe):
         return _integrate_by_parts(f, alpha, lo, hi, tol)
 
-    jumps = set()
-    edges = {lo, hi}
-    if alpha.breakpoints:
-        interior = [x for x in alpha.breakpoints if lo < x <= hi]
-        jumps.update(interior)
-        edges.update(x for x in interior if x < hi)
-    edges.update(x for x in getattr(f, "breakpoints", ()) if lo < x < hi)
-    edges = np.array(sorted(edges))
-    seg_lo, seg_hi = edges[:-1], edges[1:]
-    seg_jump = np.array([b in jumps for b in seg_hi])
-
+    edges = _split(lo, hi, [*alpha.breakpoints, *getattr(f, "breakpoints", ())])
     estimates: list[float] = []
     for depth in range(3, max_depth + 1):
         n_cells = 2**depth
-        per_pass = max(1, _CELLS_PER_PASS // n_cells)
-        sums: list[float] = []
-        for k in range(0, len(seg_lo), per_pass):
-            sl = slice(k, k + per_pass)
-            sums += _rs_level(f, alpha, seg_lo[sl], seg_hi[sl], seg_jump[sl], n_cells)
-        estimates.append(sum(sums))
+        estimates.append(sum(_rs_segment(f, alpha, a, b, n_cells)
+                             for a, b in zip(edges[:-1], edges[1:])))
         if (
             len(estimates) >= 3
             and abs(estimates[-1] - estimates[-2]) < tol
@@ -675,7 +646,7 @@ class RecoveredCdf:
 
     def as_cdf(self, grid=None) -> CdfLike:
         """Package the recovery as a CdfLike generator (normalized: c- = 0)."""
-        breakpoints = self.detect_breakpoints(grid) if grid is not None else None
+        breakpoints = self.detect_breakpoints(grid) if grid is not None else ()
         return CdfLike(
             eval=self.eval,
             c_minus=0.0,

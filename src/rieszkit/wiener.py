@@ -159,7 +159,8 @@ class BridgePath:
 def heat_kernel(dx, dt: float, D: float):
     """Transition density (4*pi*D*dt)^(-1/2) * exp(-dx^2 / (4*D*dt)).
 
-    Vectorized over dx; dt and D must be finite positive scalars. Where
+    Vectorized over dx; dt and D must be finite positive scalars, and
+    4*D*dt must not underflow to 0 (``ValueError`` otherwise). Where
     dx^2 / (4*D*dt) overflows the exponent is -inf, and the value is the
     exact underflowed 0, without a warning.
     """
@@ -167,8 +168,11 @@ def heat_kernel(dx, dt: float, D: float):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not (D > 0 and math.isfinite(D)):
         raise ValueError(f"D must be finite and positive, got {D}")
+    spread = 4.0 * D * dt
+    if spread == 0.0:
+        raise ValueError(f"4*D*dt underflows to 0 (D={D}, dt={dt})")
     dx = np.asarray(dx, dtype=float)
-    out = np.exp(-(dx**2) / (4.0 * D * dt)) / math.sqrt(4.0 * math.pi * D * dt)
+    out = np.exp(-(dx**2) / spread) / math.sqrt(4.0 * math.pi * D * dt)
     return float(out) if out.ndim == 0 else out
 
 

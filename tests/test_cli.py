@@ -307,6 +307,11 @@ def test_usage_errors(tmp_path):
     assert run("compat-check", "--nodes", "").exit_code == 2
     assert run("wiener-integrate", "--nodes", "").exit_code == 2
     assert run("wiener-integrate", "--nodes", "8,x").exit_code == 2
+    result = run("wiener-integrate", "--x", "0", "--y", "0", "--t", "1e-300", "--D", "1e-300",
+                 "--times", "5e-301", "--paths", "100", "--nodes", "8")
+    assert result.exit_code == 2
+    assert "underflows" in result.stderr
+    assert "Warning" not in combined_output(result)
     draws = tmp_path / "draws.csv"
     draws.write_text("0.1\nnan\n0.9\n")
     result = run("recover-cdf", "--samples", str(draws), "--grid-n", "3")

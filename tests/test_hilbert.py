@@ -113,6 +113,21 @@ def test_project_with_breakpoint_matches_closed_form_indicator():
     assert np.max(np.abs(chi_q.coeffs - chi_c)) < 1e-10
 
 
+def test_project_takes_breakpoints_as_any_sequence_with_repeats():
+    def chi(s):
+        return (np.asarray(s, dtype=float) < 0.3).astype(float)
+
+    want = project(chi, LEG32, breakpoints=[0.3, 0.6]).coeffs
+    for breakpoints in (np.array([0.3, 0.6]), (0.6, 0.3), [0.3, 0.6, 0.3, 1.0],
+                        np.array([0.6, 0.3, 0.6])):
+        got = project(chi, LEG32, breakpoints=breakpoints).coeffs
+        assert got.tobytes() == want.tobytes()
+    # no breakpoints, as None or empty, is the basis's own projection rule
+    plain = project(chi, LEG32).coeffs.tobytes()
+    for empty in ([], (), np.array([])):
+        assert project(chi, LEG32, breakpoints=empty).coeffs.tobytes() == plain
+
+
 def test_representer_of_coordinate_functional_is_basis_vector():
     values = [0.0] * 32
     values[0] = 1.0

@@ -126,7 +126,7 @@ def test_adaptive_never_evaluates_a_panel_end():
         calls.append(u.copy())
         return np.where(u < 0.5, 0.0, 1.0)
 
-    for breakpoints in ([0.5], [0.5, 1.0, 0.5, 0.0]):
+    for breakpoints in ([0.5], [0.5, 1.0, 0.5, 0.0], np.array([0.5, 0.5, 0.0])):
         calls.clear()
         assert adaptive_integrate(step, 0.0, 1.0, 1e-12, breakpoints=breakpoints) == 0.5
         assert len(calls) == 2

@@ -20,7 +20,6 @@ from rieszkit.stieltjes import (
     RecoveredCdf,
     ls_integrate,
     ls_measure_interval,
-    _CELLS_PER_PASS,
     _probe_product,
     make_cutoff,
     make_ramp,
@@ -64,8 +63,9 @@ def test_measure_interval_examples():
     assert ls_measure_interval(F, 0.25, 0.5) == 0.25
     assert ls_measure_interval(F, 0.3, 0.3) == 0.0
     assert ls_measure_interval(two_atom_cdf(0.3, 0.6, 0.7), 0.2, 0.3) == 0.6
-    with pytest.raises(ValueError):
-        ls_measure_interval(F, 0.5, 0.25)
+    for a, b in ((0.5, 0.25), (math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="need a <= b"):
+            ls_measure_interval(F, a, b)
 
 
 def test_ls_integrate_constant_against_uniform():
@@ -140,8 +140,8 @@ def test_ls_integrate_validation():
             ls_integrate(lambda t: 1.0, F, support, 1e-8)
 
 
-# The per-segment refinement loop that ls_integrate batches across its
-# segments, kept verbatim as the reference the batched passes must equal.
+# A per-segment refinement loop written apart from the library: the
+# reference that ls_integrate must equal bit for bit.
 def _reference_rs_level(f, alpha, lo, hi, n_cells, tag_right_end):
     nodes = np.linspace(lo, hi, n_cells + 1)
     masses = np.diff(_evaluate(alpha.eval, nodes))
@@ -420,16 +420,20 @@ def test_by_parts_takes_one_panel_between_declared_kinks(law, cdf, support, prob
 
 
 def test_cdf_kinks_are_sorted_once_each_and_finite():
-    F = CdfLike(lambda x: np.asarray(x, dtype=float), 0.0, 1.0, kinks=(0.7, 0.3, 0.7))
+    F = CdfLike(lambda x: np.asarray(x, dtype=float), 0.0, 1.0, kinks=(0.7, 0.3, 0.7),
+                breakpoints=np.array([0.5, 0.2, 0.5]))
     assert F.kinks == (0.3, 0.7)
-    assert CdfLike(F.eval, 0.0, 1.0).kinks == ()
+    assert F.breakpoints == (0.2, 0.5)
+    assert CdfLike(F.eval, 0.0, 1.0).kinks == CdfLike(F.eval, 0.0, 1.0).breakpoints == ()
+    assert RecoveredCdf(oracle_from_samples([0.25, 0.75])).as_cdf().breakpoints == ()
     assert uniform_cdf(-1.0, 2.0).kinks == (-1.0, 2.0)
     assert triangular_cdf().kinks == (0.0, 0.5, 1.0)
     assert triangular_cdf(0.0, 0.0, 1.0).kinks == (0.0, 1.0)
     assert two_atom_cdf(0.3, 0.6, 0.7).kinks == point_mass_cdf(0.2).kinks == ()
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="kinks must be finite"):
-            CdfLike(F.eval, 0.0, 1.0, kinks=(0.5, bad))
+        for name in ("kinks", "breakpoints"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CdfLike(F.eval, 0.0, 1.0, **{name: (0.5, bad, 0.2)})
 
 
 def test_by_parts_takes_jumps_of_alpha_at_face_value():
@@ -461,7 +465,7 @@ def _many_kinks(n_knots):
 
 
 def test_ls_integrate_equals_the_per_segment_loop_across_several_passes():
-    # 13 segments: from 2**11 cells on a level no longer fits one pass
+    # 13 segments, refined to 2**14 cells each
     f = _many_kinks(12)
     smooth, atoms = uniform_cdf(-0.5, 0.5), two_atom_cdf(-0.2, 0.3, 0.25)
     mixture = CdfLike(lambda x: 0.5 * smooth(x) + 0.5 * atoms(x), 0.0, 1.0,
@@ -479,7 +483,7 @@ def test_ls_integrate_nonconvergence_estimates_equal_the_per_segment_loop():
     assert kind == "estimates"
 
 
-def test_ls_integrate_calls_alpha_and_f_once_per_level_in_bounded_passes():
+def test_ls_integrate_calls_alpha_and_f_once_per_segment_and_level():
     log = []
 
     def recording(name, fn):
@@ -497,18 +501,12 @@ def test_ls_integrate_calls_alpha_and_f_once_per_level_in_bounded_passes():
     with pytest.raises(ConvergenceError):
         ls_integrate(f, alpha, (-0.5, 0.5), tol=1e-15, max_depth=max_depth)
 
+    # per level, each segment in turn: alpha on its n + 1 nodes, then f on its n tags
     segments = len(inner.breakpoints) + 1
     expected = []
     for depth in range(3, max_depth + 1):
         n_cells = 2**depth
-        per_pass = max(1, _CELLS_PER_PASS // n_cells)
-        if n_cells * segments <= _CELLS_PER_PASS:
-            assert per_pass >= segments  # the whole level is one pass
-        for k in range(0, segments, per_pass):
-            taken = min(per_pass, segments - k)
-            for name, size in (("alpha", taken * (n_cells + 1)), ("f", taken * n_cells)):
-                assert size <= max(_CELLS_PER_PASS, n_cells) + segments
-                expected.append((name, size))
+        expected += [("alpha", n_cells + 1), ("f", n_cells)] * segments
     assert log == expected
 
 

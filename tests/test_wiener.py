@@ -67,6 +67,11 @@ def test_heat_kernel_symmetry_and_vectorization():
 
 
 def test_heat_kernel_validation():
+    # 4*D*dt underflows to 0 although D and dt are positive
+    with pytest.raises(ValueError, match="underflows"):
+        heat_kernel(0.0, 5e-301, 1e-300)
+    with pytest.raises(ValueError, match="underflows"):
+        heat_kernel(np.array([0.0, 1.0]), 1e-200, 1e-200)
     with pytest.raises(ValueError):
         heat_kernel(0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
