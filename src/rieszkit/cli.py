@@ -419,9 +419,9 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     params = wn.WienerParams(x, y, t, d_coef)
     # drawn path by path, as a loop of sample_bridge on this generator would
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((paths, len(ts)))
-    pos = wn._bridge_positions(params, ts, z)
-    rows = [(k, ti, p) for k, row in enumerate(pos.tolist()) for ti, p in zip(ts, row)]
+    _, cols = wn._bridge_positions(params, ts, lambda n: rng.standard_normal((paths, n)).T)
+    pos = np.column_stack(cols).tolist()
+    rows = [(k, ti, p) for k, row in enumerate(pos) for ti, p in zip(ts, row)]
     meta = {
         "command": "bridge-sample", "times": list(ts), "x": x, "y": y,
         "t": t, "D": d_coef, "paths": paths, "seed": seed,

@@ -650,6 +650,6 @@ class RecoveredCdf:
         return CdfLike(
             eval=self.eval,
             c_minus=0.0,
-            c_plus=total_mass(self.oracle, self.j_max),
+            c_plus=total_mass(self.oracle, self.m_max),
             breakpoints=breakpoints,
         )

@@ -81,8 +81,9 @@ def _checked_times(times) -> tuple[float, ...]:
     ts = tuple(float(s) for s in times)
     if not ts:
         raise ValueError("need at least one time")
-    if any(s <= 0 for s in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"times must be strictly increasing and positive, got {ts}")
+    # the chain 0 < t_1 < ... < t_N < inf, false where any t_i is NaN
+    if not all(a < b < math.inf for a, b in zip((0.0, *ts), ts)):
+        raise ValueError(f"times must be finite, positive and strictly increasing, got {ts}")
     return ts
 
 
@@ -150,7 +151,7 @@ class BridgePath:
         object.__setattr__(self, "positions", pos)
         if len(pos) != len(self.times):
             raise ValueError("positions must align with times")
-        if not all(np.isfinite(pos)):
+        if not all(map(math.isfinite, pos)):
             raise ValueError("positions must be finite")
 
 
@@ -365,32 +366,29 @@ def sample_bridge(
     Sequential conditioning: given the previous value a at time r, the
     value at time s is Gaussian with mean a + (s-r)/(t-r)*(y-a) and
     variance 2*D*(s-r)*(t-s)/(t-r). The marginal at time s then has mean
-    x + (s/t)*(y-x) and variance 2*D*s*(t-s)/t.
+    x + (s/t)*(y-x) and variance 2*D*s*(t-s)/t. Times that break the
+    contract raise ``ValueError`` before ``rng`` is drawn from.
     """
-    ts = _checked_times(times)
-    _check_horizon(ts, params)  # before drawing: ``rng`` belongs to the caller
-    pos = _bridge_positions(params, ts, rng.standard_normal((1, len(ts))))
-    return BridgePath(times=ts, positions=tuple(pos[0]))
+    ts, pos = _bridge_positions(params, times, lambda n: rng.standard_normal(n).tolist())
+    return BridgePath(times=ts, positions=tuple(pos))
 
 
-def _bridge_positions(
-    params: WienerParams, times: Sequence[float], z: np.ndarray
-) -> np.ndarray:
-    """(n_paths, N) bridge values; z[k, i] is the standard-normal innovation
-    of path k at time i in the sequential conditioning of ``sample_bridge``."""
+def _bridge_positions(params: WienerParams, times: Sequence[float], draw: Callable):
+    """Checked times, and per time the bridge value or the column of batch values.
+    ``draw(N)`` runs after the checks and gives N standard-normal innovations in
+    time order, floats for one path or arrays for a batch: the same bits either way."""
     ts = _checked_times(times)
     _check_horizon(ts, params)
-    pos = np.empty(z.shape)
-    prev_t = 0.0
-    prev = np.full(z.shape[0], params.x)
-    for i, s in enumerate(ts):
+    pos = []
+    prev_t, prev = 0.0, params.x
+    for s, z in zip(ts, draw(len(ts))):
         gap = params.t - prev_t
         mean = prev + (s - prev_t) / gap * (params.y - prev)
         var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
-        prev = mean + math.sqrt(var) * z[:, i]
-        pos[:, i] = prev
+        prev = mean + math.sqrt(var) * z
+        pos.append(prev)
         prev_t = s
-    return pos
+    return ts, pos
 
 
 def wiener_integral_mc(
@@ -401,15 +399,16 @@ def wiener_integral_mc(
     Draws paths from the normalized bridge law and rescales by the total
     mass heat_kernel(x - y, t, D): estimate = mass * sample mean of fn,
     stderr = mass * sample standard error. Deterministic given (seed,
-    n_paths).
+    n_paths). Needs ``n_paths >= 100`` and every time of F below the
+    horizon t (``ValueError`` otherwise).
     """
     if n_paths < 100:
         raise ValueError(f"need n_paths >= 100, got {n_paths}")
     # counter-based generator filled time by time: each (time, path) draw is
     # a fixed function of (seed, indices), independent of any schedule
     gen = np.random.Generator(np.random.Philox(key=seed))
-    z = gen.standard_normal((len(F.times), n_paths)).T
-    pos = _bridge_positions(params, F.times, z)
+    _, cols = _bridge_positions(params, F.times, lambda n: gen.standard_normal((n, n_paths)))
+    pos = np.column_stack(cols)
     vals = F.evaluate(pos)
     _check_finite(vals, pos)
     mass = heat_kernel(params.x - params.y, params.t, params.D)

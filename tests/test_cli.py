@@ -258,6 +258,27 @@ def test_bridge_sample_matches_a_loop_of_sample_bridge():
     assert [(int(k), float(t), float(x)) for k, t, x in rows] == expected
 
 
+def test_bridge_sample_bits_are_those_of_sample_bridge_path_by_path():
+    # one recurrence serves both routes: floats for a path, arrays for a batch
+    gen = np.random.default_rng(2024)
+    for n_times in range(1, 9):
+        t = float(gen.uniform(0.1, 5.0))
+        params = WienerParams(float(gen.normal()), float(gen.normal()), t,
+                              float(gen.uniform(0.05, 3.0)))
+        times = tuple(sorted(float(s) for s in gen.uniform(0.0, t, n_times)))
+        seed = int(gen.integers(2**32))
+        result = run("bridge-sample", "--times", ",".join(map(repr, times)),
+                     "--x", repr(params.x), "--y", repr(params.y), "--t", repr(t),
+                     "--D", repr(params.D), "--paths", "7", "--seed", str(seed),
+                     "--format", "json")
+        assert result.exit_code == 0, result.output
+        got = [float(p).hex() for _, _, p in json.loads(result.output)["rows"]]
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        want = [v.hex() for _ in range(7)
+                for v in sample_bridge(params, times, rng).positions]
+        assert got == want, n_times
+
+
 def test_output_file_matches_stdout(tmp_path):
     target = tmp_path / "table.csv"
     direct = run("compat-check", "--nodes", "8,16")
@@ -352,6 +373,10 @@ def test_usage_errors(tmp_path):
             result = run("compat-check", flag, bad, "--format", "json")
             assert result.exit_code == 2, (flag, bad)
     assert run("bridge-sample", "--seed", "-1").exit_code == 2
+    for cmd in (("bridge-sample",), ("wiener-integrate", "--nodes", "8")):
+        result = run(*cmd, "--times", "nan,0.5")
+        assert result.exit_code == 2, cmd
+        assert "times must be finite" in combined_output(result)
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes("a,0.5,1.0\nb\xe9,0.5,3.0\n".encode("latin-1"))
     result = run("condexp", "--input", str(latin1), "--partition", "a|b\xe9")

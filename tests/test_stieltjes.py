@@ -740,6 +740,17 @@ def test_recovered_cdf_memoizes_and_packages():
     assert abs(packaged.c_plus - 1.0) < 1e-6
 
 
+def test_packaged_mass_runs_the_cutoff_ladder_to_m_max():
+    # no support promise, so the mass ladder runs until two cutoffs agree;
+    # capped at j_max = 2 it would stop at 0.875, below the recovered F(3)
+    alpha = uniform_cdf(1.5, 2.5)
+    oracle = ExpectationOracle(lambda f: ls_integrate(f, alpha, (1.0, 3.0), 1e-10))
+    rec = RecoveredCdf(oracle, j_max=2, m_max=64)
+    c_plus = rec.as_cdf().c_plus
+    assert c_plus == total_mass(oracle, 64)
+    assert c_plus >= rec.eval(3.0) == 1.0
+
+
 def test_functional_reproduction_through_recovered_cdf():
     rng = np.random.default_rng(3)
     for alpha in (uniform_cdf(), triangular_cdf()):

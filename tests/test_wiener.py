@@ -480,11 +480,25 @@ def test_bridge_path_validation():
         BridgePath((0.25, 0.5), (0.0,))
     with pytest.raises(ValueError):
         BridgePath((0.5,), (float("inf"),))
+    with pytest.raises(ValueError):
+        BridgePath((float("nan"),), (0.0,))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_bridge(PINNED, (1.0,), rng)
     with pytest.raises(ValueError):
         sample_bridge(PINNED, (), rng)
+    # a NaN time is refused as a time, not as a position it produced
+    with pytest.raises(ValueError, match="times must be finite"):
+        sample_bridge(PINNED, (0.5, float("nan")), rng)
+
+
+def test_rejected_bridge_draw_leaves_the_generator_untouched():
+    rng = np.random.default_rng(3)  # PCG64: its state compares with ==
+    state = rng.bit_generator.state
+    for times in ((0.5, 1.0), (float("nan"),), ()):
+        with pytest.raises(ValueError):
+            sample_bridge(PINNED, times, rng)
+        assert rng.bit_generator.state == state, times
 
 
 def test_mc_constant_functional_is_exact_with_zero_stderr():
@@ -549,6 +563,8 @@ def test_mc_validation():
     beyond = CylindricalFunctional((1.5,), ones_fn)
     with pytest.raises(ValueError):
         wiener_integral_mc(beyond, PINNED, 500)
+    with pytest.raises(ValueError):
+        wiener_integral_mc(CylindricalFunctional((float("nan"),), ones_fn), PINNED, 500)
 
 
 def test_pointwise_limit_of_truncated_squares():
