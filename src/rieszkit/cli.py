@@ -181,11 +181,13 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
     """
     if (law is None) == (samples is None):
         raise click.UsageError("provide exactly one of --law or --samples")
+    if law is None and law_args is not None:
+        raise click.UsageError("--law-args needs --law")
     if grid_n < 1 or not -math.inf < grid_lo < grid_hi < math.inf:
         raise click.UsageError("need finite grid-lo < grid-hi and grid-n >= 1")
     if law is not None:
         factory, defaults = _LAWS[law]
-        given = _parse_list(law_args, "--law-args") if law_args else ()
+        given = _parse_list(law_args, "--law-args") if law_args is not None else ()
         if given and len(given) != len(defaults):
             raise click.UsageError(
                 f"--law {law} takes {len(defaults)} --law-args, got {len(given)}"

@@ -19,7 +19,7 @@ average has been spread over its atoms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -249,20 +249,17 @@ class Partition(_Views):
 
 @dataclass(frozen=True)
 class ConjugateExponents:
-    """Exponent pair with 1/p + 1/q = 1; q is derived from p when omitted."""
+    """Exponent pair with 1/p + 1/q = 1; q = p / (p - 1) is derived from p."""
 
     p: float
-    q: float = None  # type: ignore[assignment]
+    q: float = field(init=False)
 
     def __post_init__(self):
         p = float(self.p)
         if not (1.0 < p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {p}")
-        q = p / (p - 1.0) if self.q is None else float(self.q)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-            raise ValueError(f"1/p + 1/q = {1.0/p + 1.0/q!r}, not 1")
+        object.__setattr__(self, "q", p / (p - 1.0))
 
 
 def _check_alignment(space: FiniteMeasureSpace, G: Partition | None = None, **variables):

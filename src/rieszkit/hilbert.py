@@ -102,22 +102,18 @@ class OrthonormalBasis:
                 c[:, 1:] = (P[:, 2:] - P[:, : n - 1]) / (2.0 * np.sqrt(2 * i + 1))
         return c[0] if om.ndim == 0 else c
 
-    def projection_rule(self, n_nodes: int | None = None) -> QuadratureRule:
-        """Default quadrature for inner products against this basis.
+    def projection_rule(self) -> QuadratureRule:
+        """Quadrature for inner products against this basis.
 
         The sine kind needs roughly three nodes per basis index to push the
         Gram matrix to 1e-8 identity; the polynomial kind is exact at
         far fewer.
         """
-        if n_nodes is None:
-            if self.kind == "fourier_sine":
-                n_nodes = max(64, 3 * self.size)
-            else:
-                n_nodes = max(64, self.size + 16)
-        return gauss_legendre(int(n_nodes), 0.0, 1.0)
+        per_index = 3 * self.size if self.kind == "fourier_sine" else self.size + 16
+        return gauss_legendre(max(64, per_index), 0.0, 1.0)
 
-    def gram_matrix(self, n_nodes: int | None = None) -> np.ndarray:
-        rule = self.projection_rule(n_nodes)
+    def gram_matrix(self) -> np.ndarray:
+        rule = self.projection_rule()
         E = self.evaluate_all(rule.nodes)
         return (E * rule.weights) @ E.T
 
@@ -174,26 +170,24 @@ def inner_product(u: HilbertVector, v: HilbertVector) -> float:
 
 
 def project(
-    f: Callable,
-    basis: OrthonormalBasis,
-    n_nodes: int | None = None,
-    breakpoints: Sequence[float] | None = None,
+    f: Callable, basis: OrthonormalBasis, breakpoints: Sequence[float] | None = None
 ) -> HilbertVector:
     """Coefficients <f, e_i> of a square-integrable f by quadrature.
 
     ``breakpoints`` splits (0,1) at known discontinuities of f so each
-    smooth piece gets its own Gauss-Legendre panel; it may be any
-    sequence or 1-d array, and a point listed twice splits once. With no
-    breakpoints (None or empty) the basis's own projection rule is used.
+    smooth piece gets its own max(64, size + 16)-point Gauss-Legendre
+    panel; it may be any sequence or 1-d array, and a point listed twice
+    splits once. With no breakpoints (None or empty) the basis's own
+    projection rule is used.
     """
     if breakpoints is not None and len(breakpoints) > 0:
         edges = _split(0.0, 1.0, breakpoints)
-        per_piece = n_nodes if n_nodes is not None else max(64, basis.size + 16)
+        per_piece = max(64, basis.size + 16)
         rules = [gauss_legendre(per_piece, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         nodes = np.concatenate([r.nodes for r in rules])
         weights = np.concatenate([r.weights for r in rules])
     else:
-        rule = basis.projection_rule(n_nodes)
+        rule = basis.projection_rule()
         nodes, weights = rule.nodes, rule.weights
 
     fv = _evaluate(f, nodes)
@@ -274,16 +268,12 @@ class DiscreteHValuedLaw:
         return rule.weights, rows
 
 
-def bochner_expectation(
-    law: DiscreteHValuedLaw, basis: OrthonormalBasis | None = None
-) -> HilbertVector:
+def bochner_expectation(law: DiscreteHValuedLaw) -> HilbertVector:
     """Expectation vector E(X): the representer of u -> E<u, X>.
 
     Coefficient i is E<X, e_i>: with (weights, rows) from
     ``law.coefficient_matrix()``, it is ``weights @ rows``.
     """
-    if basis is not None:
-        _check_same_basis(basis, law.basis)
     # |c_i| <= E ||X||, which _checked_rows has found finite
     weights, rows, _ = _checked_rows(law)
     return HilbertVector(weights @ rows, law.basis)
@@ -318,14 +308,12 @@ class _PrefixIndicator:
         return HilbertVector(self.basis.indicator_coefficients(omega), self.basis)
 
 
-def prefix_indicator_law(
-    basis: OrthonormalBasis, omega_rule: QuadratureRule | None = None
-) -> DiscreteHValuedLaw:
+def prefix_indicator_law(basis: OrthonormalBasis) -> DiscreteHValuedLaw:
     """Law of the segment indicator omega -> 1_(0,omega) under uniform omega.
 
     The worked example of the expectation construction: its expectation is
     the function t -> 1 - t, and its expected norm is 2/3. Coefficients are
     computed from closed-form antiderivatives, so the only approximations
-    are basis truncation and the omega quadrature.
+    are basis truncation and the law's 64-point omega rule.
     """
-    return DiscreteHValuedLaw.from_sampler(_PrefixIndicator(basis), basis, omega_rule)
+    return DiscreteHValuedLaw.from_sampler(_PrefixIndicator(basis), basis)

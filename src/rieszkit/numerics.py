@@ -92,15 +92,10 @@ def _ladder_indices(limit: int) -> list[int]:
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Node/weight pair; ``nodes`` and ``weights`` are read-only arrays,
-    and ``==`` and ``hash`` go by identity.
-
-    ``kind`` is ``"legendre"`` for a rule on a finite interval (weight 1)
-    or ``"hermite"`` for a rule on the whole line with weight exp(-u^2).
-    """
+    and ``==`` and ``hash`` go by identity."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "legendre"
 
     def __post_init__(self):
         # read-only views: the caller's arrays keep their flags, and their later writes show
@@ -117,8 +112,6 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
         if not np.all(weights > 0):
             raise ValueError("weights must all be positive")
-        if self.kind not in ("legendre", "hermite"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
 
     def integrate(self, f: Callable) -> float:
         """Apply the rule to ``f``: sum of weights times node values."""
@@ -134,7 +127,7 @@ def _canonical_rule(kind: str, n: int) -> QuadratureRule:
         "legendre": np.polynomial.legendre.leggauss,
         "hermite": np.polynomial.hermite.hermgauss,
     }[kind]
-    return QuadratureRule(*gauss(n), kind=kind)
+    return QuadratureRule(*gauss(n))
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
@@ -150,7 +143,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     unit = _canonical_rule("legendre", int(n))
     nodes = 0.5 * (b - a) * unit.nodes + 0.5 * (b + a)
     weights = 0.5 * (b - a) * unit.weights
-    return QuadratureRule(nodes, weights, kind="legendre")
+    return QuadratureRule(nodes, weights)
 
 
 def gauss_hermite(n: int) -> QuadratureRule:
@@ -186,6 +179,7 @@ _HIGH = np.polynomial.legendre.leggauss(15)
 _LOW = _guarded_lobatto7(2.0**-30)
 _PAIR_NODES = np.concatenate([_HIGH[0], _LOW[0]])
 _N_HIGH = len(_HIGH[0])
+_MAX_DEPTH = 48  # bisections before a panel is accepted as is
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
@@ -206,7 +200,6 @@ def adaptive_integrate(
     b: float,
     tol: float,
     breakpoints: Sequence[float] | None = None,
-    max_depth: int = 48,
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -219,8 +212,8 @@ def adaptive_integrate(
     ``breakpoints`` forces subdivision at known kinks, which is the
     intended way to handle piecewise-smooth integrands; a point listed
     twice splits once. For integrands with undeclared kinks the result
-    is best effort: after ``max_depth`` bisections a panel is accepted as
-    is. A ``tol`` that is not positive and finite (NaN included) raises
+    is best effort: after 48 bisections a panel is accepted as is. A
+    ``tol`` that is not positive and finite (NaN included) raises
     ``ValueError``.
     """
     _check_tol(tol)
@@ -238,7 +231,7 @@ def adaptive_integrate(
         while stack:
             x0, x1, budget, depth = stack.pop()
             est, err = _panel(f, x0, x1)
-            if err <= budget or depth >= max_depth:
+            if err <= budget or depth >= _MAX_DEPTH:
                 total += est
             else:
                 mid = 0.5 * (x0 + x1)

@@ -359,9 +359,9 @@ def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
 class ExpectationOracle:
     """Black-box expectation functional on compact-support continuous functions.
 
-    When ``positive`` is set the oracle promises |L(f)| <= sup|f| for the
-    probe functions used here (all bounded by 1), and the recovery routines
-    enforce that bound.
+    The functional is positive: the oracle promises |L(f)| <= sup|f| for
+    the probe functions used here (all bounded by 1), and the recovery
+    routines enforce that bound.
 
     ``support``, when given as ``(a, b)``, is a second promise: L(f)
     depends only on the values of f on the closed interval [a, b]. Once a
@@ -373,7 +373,6 @@ class ExpectationOracle:
     """
 
     apply: Callable
-    positive: bool = True
     support: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -397,7 +396,6 @@ def oracle_from_cdf(
     """
     return ExpectationOracle(
         apply=lambda f: ls_integrate(f, alpha, support, tol),
-        positive=True,
         support=support,
     )
 
@@ -418,18 +416,8 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
         raise ValueError("samples must be finite")
     return ExpectationOracle(
         apply=lambda f: float(np.mean(_evaluate(f, xs))),
-        positive=True,
         support=(xs.min(), xs.max()),
     )
-
-
-def _check_bound(oracle: ExpectationOracle, value: float) -> None:
-    # probe functions are all bounded by 1 in sup norm
-    if oracle.positive and abs(value) > 1.0 + 1e-8:
-        raise ContractViolationError(
-            f"oracle returned {value!r} for a probe bounded by 1; "
-            "|L(f)| <= sup|f| is violated"
-        )
 
 
 def _cutoff_limit(
@@ -445,7 +433,11 @@ def _cutoff_limit(
         if ramp is not None:
             probe = _probe_product(ramp, probe)
         value = float(oracle.apply(probe))
-        _check_bound(oracle, value)
+        if abs(value) > 1.0 + 1e-8:  # every probe is bounded by 1 in sup norm
+            raise ContractViolationError(
+                f"oracle returned {value!r} for a probe bounded by 1; "
+                "|L(f)| <= sup|f| is violated"
+            )
         if prev is not None:
             if value < prev - slack:
                 where = "" if at is None else f" (x={at[0]}, j={at[1]})"
@@ -585,17 +577,17 @@ def recover_cdf(
     return result
 
 
-def total_mass(L: ExpectationOracle, j_max: int = 64) -> float:
+def total_mass(L: ExpectationOracle, m_max: int = 64) -> float:
     """Total mass of the represented measure: the limit of L over cutoffs.
 
     It is the cutoff limit that ``recover_cdf`` takes inside every ramp,
     run on the bare cutoffs: the ladder stops when two successive values
     agree within 1e-12, or at the first cutoff that covers the oracle's
-    ``support``, and may not decrease by more than 1e-12. ``j_max`` must
-    be finite.
+    ``support``, and may not decrease by more than 1e-12. ``m_max`` must
+    be at least 1 and finite.
     """
-    _check_limit("j_max", j_max)
-    return _cutoff_limit(L, None, j_max, 1e-12, 1e-12)[0]
+    _check_limit("m_max", m_max)
+    return _cutoff_limit(L, None, m_max, 1e-12, 1e-12)[0]
 
 
 class RecoveredCdf:
@@ -604,7 +596,8 @@ class RecoveredCdf:
     Point evaluations are memoized (dict insert is atomic under the GIL,
     so concurrent queries at distinct points are safe and independent of
     order). Jump locations are detected by comparing values across a
-    small symmetric window.
+    small symmetric window. ``j_max``, ``m_max`` and ``tol`` are checked
+    at construction, with the ``ValueError`` that ``recover_cdf`` raises.
     """
 
     def __init__(
@@ -614,6 +607,9 @@ class RecoveredCdf:
         m_max: int = 64,
         tol: float = 1e-6,
     ):
+        _check_limit("j_max", j_max)
+        _check_limit("m_max", m_max)
+        _check_tol(tol)
         self.oracle = oracle
         self.j_max = j_max
         self.m_max = m_max
@@ -636,11 +632,12 @@ class RecoveredCdf:
 
     __call__ = eval
 
-    def detect_breakpoints(self, grid, h: float = 1e-4) -> tuple[float, ...]:
-        """Grid points where the recovered F jumps by more than 10 * tol."""
+    def detect_breakpoints(self, grid) -> tuple[float, ...]:
+        """Grid points x where the recovered F rises by more than 10 * tol
+        from x - 1e-4 to x + 1e-4."""
         found = []
         for x in np.asarray(grid, dtype=float):
-            if self._point(x + h) - self._point(x - h) > 10.0 * self.tol:
+            if self._point(x + 1e-4) - self._point(x - 1e-4) > 10.0 * self.tol:
                 found.append(float(x))
         return tuple(found)
 

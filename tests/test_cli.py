@@ -325,6 +325,7 @@ def test_usage_errors(tmp_path):
     assert run("recover-cdf", "--law", "uniform", "--law-args", "1,2,3").exit_code == 2
     assert run("recover-cdf", "--law", "two-atom", "--law-args", "0.3").exit_code == 2
     assert run("recover-cdf", "--law", "triangular", "--law-args", "0,1").exit_code == 2
+    assert run("recover-cdf", "--law", "two-atom", "--law-args", "").exit_code == 2
     assert run("compat-check", "--nodes", "").exit_code == 2
     assert run("wiener-integrate", "--nodes", "").exit_code == 2
     assert run("wiener-integrate", "--nodes", "8,x").exit_code == 2
@@ -334,6 +335,10 @@ def test_usage_errors(tmp_path):
     assert "underflows" in result.stderr
     assert "Warning" not in combined_output(result)
     draws = tmp_path / "draws.csv"
+    draws.write_text("0.1\n0.9\n")
+    result = run("recover-cdf", "--samples", str(draws), "--law-args", "5,6", "--grid-n", "3")
+    assert result.exit_code == 2
+    assert "--law-args needs --law" in combined_output(result)
     draws.write_text("0.1\nnan\n0.9\n")
     result = run("recover-cdf", "--samples", str(draws), "--grid-n", "3")
     assert result.exit_code == 2

@@ -272,8 +272,7 @@ def test_exponent_validation():
         ConjugateExponents(1.0)
     with pytest.raises(ValueError):
         ConjugateExponents(float("inf"))
-    with pytest.raises(ValueError):
-        ConjugateExponents(2.0, 1.9)
+    assert ConjugateExponents(3.0).q == 1.5
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -385,8 +385,6 @@ def test_basis_and_law_validation():
     with pytest.raises(ValueError):
         inner_product(v, HilbertVector.unit(other, 0))
     with pytest.raises(ValueError):
-        bochner_expectation(prefix_indicator_law(LEG32), basis=other)
-    with pytest.raises(ValueError):
         riesz_representer(np.zeros(8), LEG32)
 
 
@@ -394,14 +392,12 @@ def test_every_basis_check_names_both_bases():
     v = HilbertVector.unit(LEG32, 0)
     sine = OrthonormalBasis(kind="fourier_sine", size=8)
     w = HilbertVector.unit(sine, 0)
-    law = prefix_indicator_law(LEG32)
     checks = (
         (lambda: inner_product(v, w), "shifted_legendre/32 vs fourier_sine/8"),
         (lambda: DiscreteHValuedLaw(basis=LEG32, atoms=((1.0, w),)),
          "fourier_sine/8 vs shifted_legendre/32"),
         (lambda: DiscreteHValuedLaw.from_sampler(lambda om: w, LEG32).coefficient_matrix(),
          "fourier_sine/8 vs shifted_legendre/32"),
-        (lambda: bochner_expectation(law, basis=sine), "fourier_sine/8 vs shifted_legendre/32"),
     )
     for call, bases in checks:
         with pytest.raises(ValueError) as err:

@@ -259,5 +259,3 @@ def test_rule_construction_validation():
         QuadratureRule(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0]), np.array([1.0]), kind="laguerre")

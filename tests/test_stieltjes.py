@@ -600,7 +600,7 @@ def test_total_mass_examples():
 # the oracles below break the decrease check.
 def test_oracle_breaking_sup_bound_is_rejected():
     for support in (None, (0.0, 0.0), (-1.5, 1.5)):
-        loud = ExpectationOracle(apply=lambda f: 2.0, positive=True, support=support)
+        loud = ExpectationOracle(apply=lambda f: 2.0, support=support)
         with pytest.raises(ContractViolationError):
             total_mass(loud)
         with pytest.raises(ContractViolationError):
@@ -685,8 +685,8 @@ def test_recover_validation():
     for tol in (0.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             recover_cdf(oracle, 0.5, tol=tol)
-    with pytest.raises(ValueError):
-        total_mass(oracle, j_max=0)
+    with pytest.raises(ValueError, match="m_max must be >= 1"):
+        total_mass(oracle, m_max=0)
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             recover_cdf(oracle, x)
@@ -709,8 +709,8 @@ def test_an_infinite_or_nan_ladder_limit_is_rejected(limit):
         recover_cdf(oracle, 0.5, j_max=limit)
     with pytest.raises(ValueError, match="must be >= 1"):
         recover_cdf(oracle, 0.5, m_max=limit)
-    with pytest.raises(ValueError, match="must be >= 1"):
-        total_mass(oracle, j_max=limit)
+    with pytest.raises(ValueError, match="m_max must be >= 1"):
+        total_mass(oracle, m_max=limit)
 
 
 def test_recovered_grid_is_monotone():
@@ -738,6 +738,16 @@ def test_recovered_cdf_memoizes_and_packages():
     assert isinstance(packaged, CdfLike)
     assert packaged.c_minus == 0.0
     assert abs(packaged.c_plus - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("limits, message", [
+    ({"j_max": 0}, "j_max must be >= 1"),
+    ({"m_max": math.inf}, "m_max must be >= 1"),
+    ({"tol": math.nan}, "tol must be positive"),
+])
+def test_recovered_cdf_checks_its_limits_at_construction(limits, message):
+    with pytest.raises(ValueError, match=message):
+        RecoveredCdf(oracle_from_cdf(uniform_cdf(), (-0.5, 1.5)), **limits)
 
 
 def test_packaged_mass_runs_the_cutoff_ladder_to_m_max():
