@@ -40,25 +40,28 @@ def _cell(v):
     return str(v)
 
 
-# cell types the csv module prints exactly as _cell does
-_PLAIN = {str, int, float, bool, type(None)}
+def _text(column):
+    """The cells of a column as ``_cell`` prints them; a text column is kept."""
+    try:
+        return list(map(float.__repr__, column))
+    except TypeError:  # a cell that is not a float
+        pass
+    return column if set(map(type, column)) <= {str} else list(map(_cell, column))
 
 
-def _csv_column(col):
-    return col if set(map(type, col)) <= _PLAIN else [_cell(v) for v in col]
-
-
-def _emit(columns, rows, meta, fmt: str, out: str | None) -> None:
+def _emit(names, columns, meta, fmt: str, out: str | None) -> None:
+    """Print a table given as one sequence of cells per column name."""
     if fmt == "csv":
         buf = io.StringIO()
+        # the writer owns the quoting; it is handed text cells only
         writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*map(_csv_column, zip(*rows))))
+        writer.writerow(names)
+        writer.writerows(zip(*map(_text, columns)))
         text = buf.getvalue()
     else:
         text = (
             json.dumps(
-                {"columns": list(columns), "rows": rows, "meta": meta},
+                {"columns": list(names), "rows": list(zip(*columns)), "meta": meta},
                 indent=2,
             )
             + "\n"
@@ -151,9 +154,9 @@ def bochner(basis, size, grid_n, fmt, out):
     mu = hb.bochner_expectation(law)
     ts = (np.arange(grid_n) + 0.5) / grid_n
     recon = mu.reconstruct(ts)
-    rows = [(float(t), float(r), float(1.0 - t)) for t, r in zip(ts, recon)]
+    columns = [ts.tolist(), recon.tolist(), (1.0 - ts).tolist()]
     meta = {"command": "bochner", "basis": basis, "size": size, "grid_n": grid_n}
-    _emit(("t", "reconstructed", "exact"), rows, meta, fmt, out)
+    _emit(("t", "reconstructed", "exact"), columns, meta, fmt, out)
 
 
 @main.command(name="recover-cdf")
@@ -208,12 +211,11 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
         source = f"samples:{samples}"
     xs = np.linspace(grid_lo, grid_hi, grid_n)
     F = st.RecoveredCdf(oracle, j_max, m_max, tol).eval(xs)
-    rows = list(zip(xs.tolist(), F.tolist()))
     meta = {
         "command": "recover-cdf", "oracle": source, "j_max": j_max,
         "m_max": m_max, "tol": tol,
     }
-    _emit(("x", "F"), rows, meta, fmt, out)
+    _emit(("x", "F"), [xs.tolist(), F.tolist()], meta, fmt, out)
 
 
 @main.command()
@@ -231,49 +233,72 @@ def condexp(input_path, partition_spec, tol, fmt, out):
     Emits one row per atom: (label, probability, x, xi, block, residual,
     zero_mass), where residual is the block's duality defect.
     """
-    labels, probs, values = [], [], []
-    try:
-        with open(input_path, newline="") as fh:
-            for k, row in enumerate(_csv.reader(fh)):
-                if not row or not any(c.strip() for c in row):
-                    continue
-                if len(row) < 3:
-                    raise click.UsageError(
-                        f"{input_path}: row {k + 1} has {len(row)} fields, need 3"
-                    )
-                try:
-                    p, v = float(row[1]), float(row[2])
-                except ValueError:
-                    if k == 0:
-                        continue  # header row
-                    raise click.UsageError(
-                        f"{input_path}: row {k + 1} is not (label, probability, value)"
-                    )
-                labels.append(row[0].strip())
-                probs.append(p)
-                values.append(v)
-    except UnicodeDecodeError as exc:
-        raise click.UsageError(f"{input_path}: cannot decode as text ({exc})")
+    labels, probs, values = _read_atoms(input_path)
     space = cond.FiniteMeasureSpace(tuple(zip(labels, probs)))
-    X = cond.RandomVariable(tuple(values))
+    X = cond.RandomVariable(values)
     G = cond.Partition.from_spec(partition_spec, space.labels)
     xi = cond.cond_expectation(X, G, space)
     report = cond.verify_duality(X, xi, G, space, tol)
-    block = G._ids
-    zero_mass = np.zeros(len(report.residuals), dtype=int)
-    zero_mass[list(xi.zero_mass_blocks)] = 1
-    rows = list(zip(
-        labels, probs, values, xi.values, block.tolist(),
-        np.array(report.residuals)[block].tolist(), zero_mass[block].tolist(),
-    ))
+    # xi, block, residual and zero_mass are functions of the block: each is
+    # built, and for CSV formatted, once per block, then spread over the atoms
+    n_blocks = len(report.residuals)
+    xi_block = np.empty(n_blocks)
+    xi_block[G._ids] = xi._x
+    zero_mass = [0] * n_blocks
+    for b in xi.zero_mass_blocks:
+        zero_mass[b] = 1
+    per_block = [xi_block.tolist(), range(n_blocks), report.residuals, zero_mass]
+    if fmt == "csv":
+        per_block = map(_text, per_block)
+    columns = [labels, probs, values]
+    columns += [np.array(c, dtype=object)[G._ids].tolist() for c in per_block]
     meta = {
         "command": "condexp", "partition": partition_spec, "tol": tol,
         "duality_passed": report.passed,
     }
     _emit(
         ("label", "probability", "x", "xi", "block", "residual", "zero_mass"),
-        rows, meta, fmt, out,
+        columns, meta, fmt, out,
     )
+
+
+def _record_fault(record: list) -> str:
+    """What keeps a record from being (label, probability, value); "" if nothing."""
+    if len(record) < 3:
+        return f"has {len(record)} fields, need 3"
+    try:
+        float(record[1]), float(record[2])
+    except ValueError:
+        return "is not (label, probability, value)"
+    return ""
+
+
+def _read_atoms(path: str) -> tuple[list, list, list]:
+    """The label, probability and value columns of a condexp input file.
+
+    The file is UTF-8, with or without a byte-order mark. Blank records are
+    skipped, labels are stripped and fields after the third are ignored.
+    The first other record is a header if its numbers do not parse.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = list(_csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{path}: cannot decode as text ({exc})")
+    # a record is blank when all its fields are; a label settles most at once
+    rows = [r for r in records if r and (r[0].strip() or any(map(str.strip, r)))]
+    header = rows.pop(0) if rows and len(rows[0]) >= 3 and _record_fault(rows[0]) else None
+    try:
+        probs = [float(r[1]) for r in rows]
+        values = [float(r[2]) for r in rows]
+    except (IndexError, ValueError):
+        # name the first bad record, numbered as in the file
+        for k, record in enumerate(records, 1):
+            fault = record is not header and any(map(str.strip, record)) and _record_fault(record)
+            if fault:
+                raise click.UsageError(f"{path}: row {k} {fault}")
+        raise
+    return [r[0].strip() for r in rows], probs, values
 
 
 @main.command(name="compat-check")
@@ -297,13 +322,13 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     """
     _check_tol(tol)
     counts = _parse_list(nodes, "--nodes", int)
-    rows = [(n, float(wn.check_compatibility(x, z, u, s, t, d_coef, n))) for n in counts]
+    resid = [float(wn.check_compatibility(x, z, u, s, t, d_coef, n)) for n in counts]
     meta = {
         "command": "compat-check", "x": x, "z": z, "u": u, "s": s, "t": t,
         "D": d_coef, "nodes": list(counts), "tol": tol,
-        "passed": bool(rows[-1][1] < tol),
+        "passed": bool(resid[-1] < tol),
     }
-    _emit(("n_nodes", "residual"), rows, meta, fmt, out)
+    _emit(("n_nodes", "residual"), [counts, resid], meta, fmt, out)
 
 
 def _parse_functional(spec: str, times: tuple[float, ...]):
@@ -394,7 +419,7 @@ def wiener_integrate(f_spec, times, x, y, t, d_coef, nodes, paths, seed, fmt, ou
     }
     _emit(
         ("method", "n_nodes", "n_paths", "value", "stderr", "delta"),
-        rows, meta, fmt, out,
+        list(zip(*rows)), meta, fmt, out,
     )
 
 
@@ -422,13 +447,15 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     # drawn path by path, as a loop of sample_bridge on this generator would
     rng = np.random.Generator(np.random.Philox(key=seed))
     _, cols = wn._bridge_positions(params, ts, lambda n: rng.standard_normal((paths, n)).T)
-    pos = np.column_stack(cols).tolist()
-    rows = [(k, ti, p) for k, row in enumerate(pos) for ti, p in zip(ts, row)]
+    columns = [
+        np.repeat(np.arange(paths), len(ts)).tolist(), list(ts) * paths,
+        np.column_stack(cols).ravel().tolist(),
+    ]
     meta = {
         "command": "bridge-sample", "times": list(ts), "x": x, "y": y,
         "t": t, "D": d_coef, "paths": paths, "seed": seed,
     }
-    _emit(("path", "t", "position"), rows, meta, fmt, out)
+    _emit(("path", "t", "position"), columns, meta, fmt, out)
 
 
 @main.command(cls=click.Command)  # no option can cause a ValueError: one is a bug
@@ -491,7 +518,7 @@ def selftest(seed, fmt, out):
     meta = {"command": "selftest", "seed": seed}
     _emit(
         ("check", "value", "reference", "abs_error", "bound", "status"),
-        rows, meta, fmt, out,
+        list(zip(*rows)), meta, fmt, out,
     )
     if not all_ok:
         raise click.ClickException("selftest found failing checks")

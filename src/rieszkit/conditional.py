@@ -97,7 +97,9 @@ class FiniteMeasureSpace(_Views):
         if not labels:
             raise ValueError("need at least one atom")
         if len(set(labels)) != len(labels):
-            raise ValueError("atom labels must be unique")
+            seen = set()
+            repeated = next(lab for lab in labels if lab in seen or seen.add(lab))
+            raise ValueError(f"atom labels must be unique; {repeated!r} repeats")
         object.__delattr__(self, "atoms")
         object.__setattr__(self, "labels", tuple(labels))
         self._set_probs(probs)
@@ -226,13 +228,14 @@ class Partition(_Views):
         index = {str(lab): k for k, lab in enumerate(labels)}
         blocks = []
         for chunk in spec.split("|"):
-            names = [s.strip() for s in chunk.split(",") if s.strip()]
+            names = list(filter(None, map(str.strip, chunk.split(","))))
             if not names:
                 raise ValueError(f"empty block in partition spec {spec!r}")
-            missing = [s for s in names if s not in index]
-            if missing:
-                raise ValueError(f"unknown atom label(s) {missing} in {spec!r}")
-            blocks.append(tuple(index[s] for s in names))
+            try:
+                blocks.append(tuple(map(index.__getitem__, names)))
+            except KeyError:
+                missing = [s for s in names if s not in index]
+                raise ValueError(f"unknown atom label(s) {missing} in {spec!r}") from None
         part = cls(tuple(blocks))
         if not part.covers(len(labels)):
             left_out = sorted(set(range(len(labels))).difference(part._order.tolist()))

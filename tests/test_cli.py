@@ -9,6 +9,9 @@ import numpy as np
 from click.testing import CliRunner
 
 from rieszkit.cli import _cell, _emit, main
+from rieszkit.conditional import (
+    FiniteMeasureSpace, Partition, RandomVariable, cond_expectation, verify_duality,
+)
 from rieszkit.wiener import WienerParams, sample_bridge
 
 
@@ -130,6 +133,117 @@ def test_condexp_rejects_unknown_label(tmp_path):
     path.write_text("a,0.5,1\nb,0.5,2\n")
     result = run("condexp", "--input", str(path), "--partition", "a|z")
     assert result.exit_code == 2
+
+
+def test_condexp_names_a_repeated_label(tmp_path):
+    path = tmp_path / "atoms.csv"
+    path.write_text("a,0.5,1\na,0.5,3\n")
+    result = run("condexp", "--input", str(path), "--partition", "a")
+    assert result.exit_code == 2
+    assert "atom labels must be unique; 'a' repeats" in result.stderr
+
+
+def test_condexp_reads_a_byte_order_mark_as_no_part_of_a_label(tmp_path):
+    path = tmp_path / "atoms.csv"
+    for text in ("a,0.5,1\nb,0.5,3\n", "label,probability,value\na,0.5,1\nb,0.5,3\n"):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        result = run("condexp", "--input", str(path), "--partition", "a|b")
+        assert result.exit_code == 0, result.stderr
+        _, rows = parse_csv(result.output)
+        assert [row[0] for row in rows] == ["a", "b"]
+
+
+def test_condexp_takes_the_header_from_the_first_non_blank_record(tmp_path):
+    path = tmp_path / "atoms.csv"
+    path.write_text("\n  ,\nlabel,p,v\na,0.5,1\n\nb,0.5,3\n")
+    result = run("condexp", "--input", str(path), "--partition", "a|b")
+    assert result.exit_code == 0, result.stderr
+    _, rows = parse_csv(result.output)
+    assert [row[:3] for row in rows] == [["a", "0.5", "1.0"], ["b", "0.5", "3.0"]]
+
+
+def _condexp_reference(path, spec, fmt, tol=1e-14):
+    """condexp by the row-by-row route: a loop over the records, then
+    csv.writer over _cell values. Returns (exit code, output or error)."""
+    labels, probs, values = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for k, row in enumerate(csv.reader(fh)):
+            if not row or not any(c.strip() for c in row):
+                continue
+            if len(row) < 3:
+                return 2, f"{path}: row {k + 1} has {len(row)} fields, need 3"
+            try:
+                p, v = float(row[1]), float(row[2])
+            except ValueError:
+                if k == 0:
+                    continue  # header row
+                return 2, f"{path}: row {k + 1} is not (label, probability, value)"
+            labels.append(row[0].strip())
+            probs.append(p)
+            values.append(v)
+    space = FiniteMeasureSpace(tuple(zip(labels, probs)))
+    X = RandomVariable(tuple(values))
+    G = Partition.from_spec(spec, space.labels)
+    xi = cond_expectation(X, G, space)
+    report = verify_duality(X, xi, G, space, tol)
+    block_of = {atom: b for b, block in enumerate(G.blocks) for atom in block}
+    rows = []
+    for k in range(len(labels)):
+        b = block_of[k]
+        rows.append((labels[k], probs[k], values[k], xi.values[k], b,
+                     report.residuals[b], int(b in xi.zero_mass_blocks)))
+    names = ["label", "probability", "x", "xi", "block", "residual", "zero_mass"]
+    if fmt == "json":
+        meta = {"command": "condexp", "partition": spec, "tol": tol,
+                "duality_passed": report.passed}
+        return 0, json.dumps({"columns": names, "rows": rows, "meta": meta}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return 0, buf.getvalue()
+
+
+def test_condexp_prints_the_bytes_of_the_row_by_row_route(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2000
+    weights = rng.dirichlet(np.ones(n)).tolist()
+    draws = rng.normal(0.0, 3.0, n).tolist()
+    dirichlet = "".join(f"a{k},{p!r},{x!r}\n" for k, (p, x) in enumerate(zip(weights, draws)))
+    dirichlet_spec = "|".join(",".join(f"a{k}" for k in range(b, n, 37)) for b in range(37))
+    cases = {
+        "header": ("label,probability,value\na,0.25,1\nb,0.75,-2.5e-3\n", "a|b"),
+        "no header": ("a,0.25,1\nb,0.75,-2.5e-3\n", "a,b"),
+        "blank records": ("\n \t\na,0.5,1\n , \n\nb,0.5,3\n\n", "a|b"),
+        "spaced labels": ("  a ,0.5,1\n\tb,0.5, 3 \n", "a|b"),
+        "quoted label": ('"x""y",0.5,1\nz,0.5,3\n', 'x"y|z'),
+        "extra fields": ("a,0.5,1,more,fields\nb,0.5,3,\n", "a|b"),
+        "zero mass": ("a,0.0,7\nb,1.0,2\nc,0.0,-1\nd,0.0,0.1\n", "a,c|b|d"),
+        "one atom": ("a,1.0,4.5\n", "a"),
+        "dirichlet": (dirichlet, dirichlet_spec),
+        "short record": ("a,0.5,1\nb,0.5,3\nc,0.5\nd,x,1\n", "a|b|c"),
+        "non-numeric": ("a,0.5,1\nb,0.5,3\n\nc,x,1\nd,0.5\n", "a|b|c"),
+        "blank label": ("a,0.5,1\n ,0.5,oops\nb,0.5,3\n", "a|b"),
+    }
+    path = tmp_path / "atoms.csv"
+    target = tmp_path / "table.out"
+    for name, (text, spec) in cases.items():
+        path.write_text(text)
+        for fmt in ("csv", "json"):
+            code, expected = _condexp_reference(path, spec, fmt)
+            args = ("condexp", "--input", str(path), "--partition", spec, "--format", fmt)
+            result = run(*args)
+            assert result.exit_code == code, (name, fmt, result.stderr)
+            if code:
+                assert f"Error: {expected}\n" in result.stderr, (name, fmt)
+                continue
+            assert result.output == expected, (name, fmt)
+            filed = run(*args, "--out", str(target))
+            assert filed.exit_code == 0 and filed.output == "", (name, fmt)
+            assert target.read_text() == expected, (name, fmt)
+    path.write_text(cases["quoted label"][0])
+    first = run("condexp", "--input", str(path), "--partition", 'x"y|z').output.splitlines()[1]
+    assert first.startswith('"x""y",0.5,1.0,1.0,0,')
 
 
 def test_condexp_rejects_short_rows(tmp_path):
@@ -398,7 +512,7 @@ def test_csv_cells_match_cell_by_cell_formatting(tmp_path):
         for k, f in enumerate(floats)
     ]
     target = tmp_path / "cells.csv"
-    _emit(("a", "b", "c", "d", "e", "f"), rows, {}, "csv", str(target))
+    _emit(("a", "b", "c", "d", "e", "f"), list(zip(*rows)), {}, "csv", str(target))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(("a", "b", "c", "d", "e", "f"))

@@ -202,8 +202,10 @@ def test_positivity_and_monotonicity_are_exact(n, seed):
 def test_space_validation():
     with pytest.raises(ValueError):
         FiniteMeasureSpace(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'a' repeats"):
         FiniteMeasureSpace((("a", 0.5), ("a", 0.5)))
+    with pytest.raises(ValueError, match="unique; 'a' repeats"):
+        FiniteMeasureSpace((("b", 0.25), ("a", 0.25), ("a", 0.25), ("b", 0.25)))
     with pytest.raises(ValueError):
         FiniteMeasureSpace((("a", -0.1), ("b", 1.1)))
     with pytest.raises(ValueError):
