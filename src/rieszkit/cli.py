@@ -13,7 +13,6 @@ selftest check fails, 2 on usage errors.
 from __future__ import annotations
 
 import csv as _csv
-import io
 import json
 import math
 import warnings
@@ -46,18 +45,34 @@ def _text(column):
         return list(map(float.__repr__, column))
     except TypeError:  # a cell that is not a float
         pass
-    return column if set(map(type, column)) <= {str} else list(map(_cell, column))
+    kinds = set(map(type, column))
+    if kinds <= {str}:
+        return column
+    return list(map(str if kinds == {int} else _cell, column))
+
+
+# float.__repr__ and str(int) never print one of these
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _quote(cells):
+    """A column of text cells as CSV writes them: a cell holding a comma, a
+    double quote, CR or LF is put in double quotes, with each inner quote
+    doubled. A column with none of these is returned as it is."""
+    joined = "".join(cells)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in _CSV_SPECIAL) else c
+            for c in cells]
 
 
 def _emit(names, columns, meta, fmt: str, out: str | None) -> None:
     """Print a table given as one sequence of cells per column name."""
     if fmt == "csv":
-        buf = io.StringIO()
-        # the writer owns the quoting; it is handed text cells only
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(zip(*map(_text, columns)))
-        text = buf.getvalue()
+        rows = zip(*(_quote(_text(c)) for c in columns))
+        # each row is joined as it is zipped, so no row tuple outlives its line;
+        # the empty last line ends the text with a newline
+        text = "\n".join([",".join(_quote(names)), *map(",".join, rows), ""])
     else:
         text = (
             json.dumps(
@@ -70,7 +85,8 @@ def _emit(names, columns, meta, fmt: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # color=True: control characters reach stdout as they reach --out
+        click.echo(text, nl=False, color=True)
 
 
 def _parse_list(text: str, flag: str, kind=float) -> tuple:
@@ -278,7 +294,8 @@ def _read_atoms(path: str) -> tuple[list, list, list]:
 
     The file is UTF-8, with or without a byte-order mark. Blank records are
     skipped, labels are stripped and fields after the third are ignored.
-    The first other record is a header if its numbers do not parse.
+    The first other record is a header if its numbers do not parse. A label
+    holding ',' or '|' is a usage error.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -298,7 +315,16 @@ def _read_atoms(path: str) -> tuple[list, list, list]:
             if fault:
                 raise click.UsageError(f"{path}: row {k} {fault}")
         raise
-    return [r[0].strip() for r in rows], probs, values
+    labels = [r[0].strip() for r in rows]
+    joined = "".join(labels)
+    if "," in joined or "|" in joined:
+        # --partition splits on both, so such an atom could never be covered
+        k, label = next((k, r[0].strip()) for k, r in enumerate(records, 1)
+                        if r is not header and r and ("," in r[0] or "|" in r[0]))
+        raise click.UsageError(
+            f"{path}: row {k} label {label!r} holds ',' or '|', which --partition cannot name"
+        )
+    return labels, probs, values
 
 
 @main.command(name="compat-check")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,12 +8,16 @@ import warnings
 
 import numpy as np
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from rieszkit.cli import _cell, _emit, main
 from rieszkit.conditional import (
     FiniteMeasureSpace, Partition, RandomVariable, cond_expectation, verify_duality,
 )
 from rieszkit.wiener import WienerParams, sample_bridge
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(*args, **kwargs):
@@ -402,6 +407,34 @@ def test_output_file_matches_stdout(tmp_path):
     assert target.read_text() == direct.output
 
 
+def test_control_characters_in_labels_reach_stdout_and_read_back(tmp_path):
+    # labels: an ANSI escape, which click strips from a stdout that is no
+    # terminal unless told not to; a CR, which csv.writer leaves unquoted
+    # before Python 3.13; and a double quote
+    args = ("condexp", "--input", str(DATA / "control_labels.csv"),
+            "--partition", '\x1b[31mred,a\rb|x"y')
+    target = tmp_path / "table.csv"
+    direct = run(*args)
+    filed = run(*args, "--out", str(target))
+    assert direct.exit_code == filed.exit_code == 0
+    assert direct.stdout_bytes == target.read_bytes()
+    _, rows = parse_csv(direct.stdout_bytes.decode())
+    assert [row[0] for row in rows] == ["\x1b[31mred", "a\rb", 'x"y']
+
+
+def test_condexp_rejects_a_label_the_partition_cannot_name(tmp_path):
+    path = tmp_path / "atoms.csv"
+    for text, row, label in (
+        ('a,0.5,1\n"x,y",0.5,2\n', 2, "x,y"),
+        ('label,p,v\n\na,0.25,1\nb,0.25,2\n p|q ,0.5,3\n"r,s",0,4\n', 5, "p|q"),
+    ):
+        path.write_text(text)
+        for fmt in ("csv", "json"):
+            result = run("condexp", "--input", str(path), "--partition", "a", "--format", fmt)
+            assert result.exit_code == 2, (text, fmt)
+            assert f"row {row} label {label!r} holds" in result.stderr, (text, fmt)
+
+
 def test_overflowing_endpoints_are_a_usage_error_without_warnings():
     commands = (
         ("bridge-sample", "--x", "1e308", "--y", "-1e308", "--times", "0.5"),
@@ -528,9 +561,56 @@ def test_cell_prints_numpy_floats_as_plain_floats():
     assert _cell(None) == "" and _cell(3) == "3" and _cell("a") == "a"
 
 
+def _emitted(names, columns):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(names, columns, {}, "csv", None)
+    return buf.getvalue()
+
+
+# no NUL: Python 3.10's csv.reader rejects it
+_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00\r")
+_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324])
+
+
+@st.composite
+def _tables(draw, specials):
+    """Column names and 2 or more columns of equal length (0 rows too); a
+    column holds cells of one kind, or of any kind."""
+    text = st.text(_CHARS | st.sampled_from(specials), max_size=6)
+    kinds = [_FLOATS, _FLOATS.map(np.float64), st.integers(-2**70, 2**70),
+             st.booleans(), st.none(), text]
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(2, 5))
+    columns = []
+    for _ in range(n_cols):
+        cell = draw(st.sampled_from([*kinds, st.one_of(kinds)]))
+        columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    return draw(st.lists(text, min_size=n_cols, max_size=n_cols)), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(',"\n é'))
+def test_csv_is_the_bytes_of_csv_writer_over_cell_texts(table):
+    # csv.writer leaves a bare CR unquoted before Python 3.13, so CR is not drawn here
+    names, columns = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([_cell(v) for v in row] for row in zip(*columns))
+    assert _emitted(names, columns) == expected.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(',"\n\r '))
+def test_csv_reads_back_to_the_cell_texts(table):
+    names, columns = table
+    rows = list(csv.reader(io.StringIO(_emitted(names, columns))))
+    assert rows == [list(names), *([_cell(v) for v in row] for row in zip(*columns))]
+
+
 # Recorded output of every command, CSV and JSON, keyed "command/format";
 # <DIR> stands for the directory holding the input files below.
-GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 GOLDEN_ARGS = {
     "bochner": ["bochner", "--size", "4", "--grid-n", "3"],
     "recover-cdf": ["recover-cdf", "--law", "triangular", "--grid-lo", "0.25",
