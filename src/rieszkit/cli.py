@@ -302,6 +302,8 @@ def _read_atoms(path: str) -> tuple[list, list, list]:
             records = list(_csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"{path}: cannot decode as text ({exc})")
+    except _csv.Error as exc:  # e.g. a field over csv's field size limit
+        raise click.UsageError(f"{path}: cannot read as CSV ({exc})")
     # a record is blank when all its fields are; a label settles most at once
     rows = [r for r in records if r and (r[0].strip() or any(map(str.strip, r)))]
     header = rows.pop(0) if rows and len(rows[0]) >= 3 and _record_fault(rows[0]) else None

@@ -453,36 +453,73 @@ def _cutoff_limit(
     return value, m  # the ladder always ends at m_max
 
 
-def _ramp_order(x, j: int, upper: float | None, value: float, tol: float) -> float:
-    """``value``, the ramp limit at j, unless it exceeds ``upper`` + tol."""
-    if upper is not None and value > upper + tol:
-        raise ContractViolationError(
-            f"ramp ladder increased at j={j} (x={x}): {upper!r} -> {value!r}", index=j
-        )
-    return value
+def _ramp_ladder(L, x, js, upper, m_max: int, tol: float, known=None):
+    """Yield (j, value, m) for each j in ``js``: the cutoff limit of the
+    ramp at (x, j) and the cutoff index its ladder stopped at, or
+    ``known[j]``, a rung already walked, which asks the oracle nothing.
+    Each value may exceed the one before it (``upper`` for the first, None
+    for none) by at most ``tol``."""
+    for j in js:
+        rung = known.get(j) if known else None
+        if rung is None:
+            rung = _cutoff_limit(L, make_ramp(RampSpec(float(x), j)), m_max, tol, tol / 2, (x, j))
+        value, m = rung
+        if upper is not None and value > upper + tol:
+            raise ContractViolationError(
+                f"ramp ladder increased at j={j} (x={x}): {upper!r} -> {value!r}", index=j
+            )
+        yield j, value, m
+        upper = value
 
 
-def _ramp_step(L, x, j: int, upper: float | None, m_max: int, tol: float):
-    """(value, m): the cutoff limit of the ramp at (x, j), checked against
-    ``upper``, the value at the next smaller j (None for the first)."""
-    ramp = make_ramp(RampSpec(float(x), j))
-    value, m = _cutoff_limit(L, ramp, m_max, tol, tol / 2, (x, j))
-    return _ramp_order(x, j, upper, value, tol), m
-
-
-def _fits_decay_model(js: Sequence[int], values: Sequence[float], slack: float) -> bool:
-    """Do the last three ladder values decay like c/j, within relative slack?"""
+def _richardson(js: Sequence[int], values: Sequence[float], slack: float) -> float | None:
+    """F with the c/j term removed from the last two ladder values, if the
+    last three decay like c/j within relative ``slack``; else None."""
     d1 = values[-3] - values[-2]
     d2 = values[-2] - values[-1]
-    if d1 <= 0:
-        return False
     expected = (1.0 / js[-2] - 1.0 / js[-1]) / (1.0 / js[-3] - 1.0 / js[-2])
-    return (1.0 - slack) * expected <= d2 / d1 <= (1.0 + slack) * expected
+    if d1 <= 0 or not (1.0 - slack) * expected <= d2 / d1 <= (1.0 + slack) * expected:
+        return None
+    return (js[-1] * values[-1] - js[-2] * values[-2]) / (js[-1] - js[-2])
 
 
-def _extrapolate_pair(j1: int, a1: float, j2: int, a2: float) -> float:
-    # removes the c/j term: F = (j2*a2 - j1*a1)/(j2 - j1)
-    return (j2 * a2 - j1 * a1) / (j2 - j1)
+_PLATEAU = 1e-12  # a ramp-ladder step this small is a plateau, taken as it is
+
+
+def _recover(L, x, j_max: int, m_max: int, tol: float):
+    """``recover_cdf`` on checked arguments: (value, method, js, ramp
+    ladder, m_reached)."""
+    js, values = [], []
+    for j, value, m_reached in _ramp_ladder(L, x, _ladder_indices(j_max), None, m_max, tol):
+        js.append(j)
+        values.append(value)
+        d = abs(value - values[-2]) if len(values) >= 2 else math.inf
+        # a plateau ends the ladder; one difference below tol can be a
+        # fluke (the ladder is linear, not settled, when an atom sits just
+        # right of x), so that stop asks for two
+        if d < _PLATEAU or (len(values) >= 3 and d < tol and abs(values[-2] - values[-3]) < tol):
+            break
+
+    raw = values[-1]
+    plateau = len(values) >= 2 and abs(raw - values[-2]) < _PLATEAU
+    extrapolated = None
+    if not plateau and len(values) >= 3:
+        extrapolated = _richardson(js, values, slack=0.25)
+        # the doubling ladder may straddle a regime change (support edge
+        # inside the last ramp window); retry on a tail of more closely
+        # spaced j just below the last one before settling for raw
+        tail = [(3 * js[-1]) // 4, (7 * js[-1]) // 8, js[-1]]
+        if extrapolated is None and js[-2] < tail[0] < tail[1] < tail[2]:
+            walk = _ramp_ladder(L, x, tail, values[-2], m_max, tol, {js[-1]: (raw, m_reached)})
+            extrapolated = _richardson(tail, [value for _, value, _ in walk], slack=0.2)
+    method = "plateau" if plateau else "raw" if extrapolated is None else "extrapolated"
+    value = raw if extrapolated is None else min(max(extrapolated, 0.0), raw)
+    return value, method, js, values, m_reached
+
+
+def _check_point(x) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
 
 
 def recover_cdf(
@@ -496,12 +533,14 @@ def recover_cdf(
     """Distribution-function value F(x) recovered from the oracle.
 
     Evaluates the oracle on products of the descending ramp at ``x`` with
-    growing cutoffs, takes the cutoff limit first, then the ramp-slope
-    limit. The raw ramp values approach F(x) from above, with excess
-    about density/(2j) when the law has a density near x, so the final
-    doubling step is extrapolated whenever that 1/j decay is confirmed by
-    the ladder itself; when it is not (atom near x, or no mass at all in
-    the ramp window), extrapolation is retried on a finer j-spacing and
+    growing cutoffs, takes the cutoff limit first, then the ramp-slope limit
+    over j = 1, 2, 4, ..., ``j_max``, which stops early at a plateau (two
+    values within 1e-12) or once two successive differences are below
+    ``tol``. The raw ramp values approach F(x) from above, with excess about
+    density/(2j) when the law has a density near x, so the final doubling
+    step is extrapolated whenever that 1/j decay is confirmed by the ladder
+    itself; when it is not (atom near x, or no mass at all in the ramp
+    window), extrapolation is retried on the closer ladder 3j/4, 7j/8, j and
     otherwise the raw value at the largest j is returned, which is then
     already exact up to the unresolvable window. All candidate values are
     clamped to [0, a_last] since the ramps dominate the indicator.
@@ -520,52 +559,11 @@ def recover_cdf(
     a ``j_max`` or ``m_max`` that is below 1 or not finite, or a ``tol``
     that is not positive and finite (NaN included), raises ``ValueError``.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    _check_point(x)
     _check_limit("j_max", j_max)
     _check_limit("m_max", m_max)
     _check_tol(tol)
-
-    values: list[float] = []
-    js: list[int] = []
-    plateau = False
-    for j in _ladder_indices(j_max):
-        upper = values[-1] if values else None
-        value, m_reached = _ramp_step(L, x, j, upper, m_max, tol)
-        values.append(value)
-        js.append(j)
-        if len(values) >= 2:
-            d = abs(values[-1] - values[-2])
-            if d < 1e-12:
-                plateau = True
-                break
-            # one small difference can be a fluke (the ladder is linear,
-            # not settled, when an atom sits just right of x); ask for two
-            if len(values) >= 3 and d < tol and abs(values[-2] - values[-3]) < tol:
-                break
-
-    raw = values[-1]
-    result = raw
-    method = "plateau" if plateau else "raw"
-    if not plateau and len(values) >= 3:
-        if _fits_decay_model(js, values, slack=0.25):
-            result = _extrapolate_pair(js[-2], values[-2], js[-1], raw)
-            method = "extrapolated"
-        else:
-            # the doubling ladder may straddle a regime change (support
-            # edge inside the last ramp window); retry on a tail of more
-            # closely spaced j just below j_max before settling for raw
-            j_last = js[-1]
-            aux = [(3 * j_last) // 4, (7 * j_last) // 8, j_last]
-            if js[-2] < aux[0] < aux[1] < aux[2]:
-                a1, _ = _ramp_step(L, x, aux[0], values[-2], m_max, tol)
-                a2, _ = _ramp_step(L, x, aux[1], a1, m_max, tol)
-                _ramp_order(x, aux[2], a2, raw, tol)
-                if _fits_decay_model(aux, [a1, a2, raw], slack=0.2):
-                    result = _extrapolate_pair(aux[1], a2, aux[2], raw)
-                    method = "extrapolated"
-    result = min(max(result, 0.0), raw)
-
+    result, method, js, values, m_reached = _recover(L, x, j_max, m_max, tol)
     if full_output:
         info = {
             "j_reached": js[-1],
@@ -619,9 +617,8 @@ class RecoveredCdf:
     def _point(self, x: float) -> float:
         key = float(x)
         if key not in self._cache:
-            self._cache[key] = recover_cdf(
-                self.oracle, key, self.j_max, self.m_max, self.tol
-            )
+            _check_point(key)
+            self._cache[key] = _recover(self.oracle, key, self.j_max, self.m_max, self.tol)[0]
         return self._cache[key]
 
     def eval(self, x):

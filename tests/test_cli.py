@@ -7,13 +7,16 @@ import pathlib
 import warnings
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from rieszkit import hilbert as hb
 from rieszkit.cli import _cell, _emit, main
 from rieszkit.conditional import (
     FiniteMeasureSpace, Partition, RandomVariable, cond_expectation, verify_duality,
 )
+from rieszkit.stieltjes import oracle_from_cdf, recover_cdf, uniform_cdf
 from rieszkit.wiener import WienerParams, sample_bridge
 
 
@@ -88,6 +91,43 @@ def test_recover_cdf_uniform_grid():
     assert header == ["x", "F"]
     for x, F in rows:
         assert abs(float(F) - float(x)) < 1e-3
+
+
+def test_bochner_fourier_sine_is_the_library_expansion():
+    doc = json.loads(run("bochner", "--basis", "fourier_sine", "--size", "12", "--grid-n", "9",
+                         "--format", "json").output)
+    assert doc["meta"] == {"command": "bochner", "basis": "fourier_sine", "size": 12, "grid_n": 9}
+    basis = hb.OrthonormalBasis(kind="fourier_sine", size=12)
+    ts = (np.arange(9) + 0.5) / 9
+    recon = hb.bochner_expectation(hb.prefix_indicator_law(basis)).reconstruct(ts)
+    assert doc["rows"] == [list(row) for row in zip(ts.tolist(), recon.tolist(),
+                                                     (1.0 - ts).tolist())]
+
+
+def test_recover_cdf_limits_are_those_of_the_library():
+    # mass beyond +-1 sits outside the cutoff of index 1, so --m-max 1 shows
+    limits = ("--j-max", "5", "--m-max", "1", "--tol", "1e-3")
+    args = ("recover-cdf", "--law", "uniform", "--law-args", "-1.5,1.5", "--grid-lo", "-2",
+            "--grid-hi", "2", "--grid-n", "17", "--format", "json")
+    doc = json.loads(run(*args, *limits).output)
+    assert doc["meta"] == {"command": "recover-cdf", "oracle": "uniform(-1.5,1.5)",
+                           "j_max": 5, "m_max": 1, "tol": 1e-3}
+    oracle = oracle_from_cdf(uniform_cdf(-1.5, 1.5), (-2.0, 2.0))
+    xs = np.linspace(-2.0, 2.0, 17).tolist()
+    assert doc["rows"] == [[x, recover_cdf(oracle, x, 5, 1, 1e-3)] for x in xs]
+    assert doc["rows"] != json.loads(run(*args).output)["rows"]
+
+
+@pytest.mark.parametrize("mode, exact", [
+    ("0", lambda x: 1.0 - (1.0 - x) ** 2),
+    ("1", lambda x: x ** 2),
+])
+def test_recover_cdf_on_a_degenerate_triangular_law(mode, exact):
+    doc = json.loads(run("recover-cdf", "--law", "triangular", "--law-args", f"0,{mode},1",
+                         "--format", "json").output)
+    x, F = np.array(doc["rows"]).T
+    # acceptance 03's bound on the same grid
+    assert np.max(np.abs(F - exact(np.clip(x, 0.0, 1.0)))) < 5e-3
 
 
 def test_recover_cdf_from_samples(tmp_path):
@@ -534,6 +574,12 @@ def test_usage_errors(tmp_path):
     result = run("condexp", "--input", str(latin1), "--partition", "a|b\xe9")
     assert result.exit_code == 2
     assert str(latin1) in combined_output(result)
+    # csv's field limit is 131,072 characters
+    long_label = tmp_path / "long_label.csv"
+    long_label.write_text(f"{'a' * 200_000},0.5,1.0\nb,0.5,3.0\n")
+    result = run("condexp", "--input", str(long_label), "--partition", "b")
+    assert result.exit_code == 2
+    assert f"{long_label}: cannot read as CSV (field larger than field limit" in result.stderr
 
 
 def test_csv_cells_match_cell_by_cell_formatting(tmp_path):

@@ -57,6 +57,18 @@ def as_plain(probe):
     return f
 
 
+@pytest.mark.parametrize("mode, exact", [
+    (0.0, lambda x: 1.0 - (1.0 - x) ** 2),
+    (1.0, lambda x: x ** 2),
+])
+def test_a_triangular_law_with_its_mode_at_an_end(mode, exact):
+    F = triangular_cdf(0.0, mode, 1.0)
+    assert F.kinks == (0.0, 1.0)
+    xs = np.linspace(-0.5, 1.5, 201)
+    assert np.max(np.abs(F(xs) - exact(np.clip(xs, 0.0, 1.0)))) <= 1e-15
+    assert F(0.5) == exact(0.5)
+
+
 def test_measure_interval_examples():
     F = uniform_cdf()
     assert ls_measure_interval(F, 0.0, 1.0) == 1.0
@@ -648,18 +660,86 @@ def _ramp_table_oracle(table):
     return ExpectationOracle(apply=apply)
 
 
-# the doubling ladder falls linearly, which is no c/j decay, so the
-# finer tail j = 48, 56 then the raw value at 64 are each checked in turn
-@pytest.mark.parametrize("tail, index", [
-    ({48: 0.45, 56: 0.35}, 48),
-    ({48: 0.35, 56: 0.38}, 56),
-    ({48: 0.35, 56: 0.25}, 64),
-])
-def test_increasing_ramp_tail_is_rejected(tail, index):
-    doubling = {1: 0.9, 2: 0.8, 4: 0.7, 8: 0.6, 16: 0.5, 32: 0.4, 64: 0.3}
-    with pytest.raises(ContractViolationError, match="ramp ladder increased") as err:
-        recover_cdf(_ramp_table_oracle({**doubling, **tail}), 0.0)
-    assert err.value.index == index
+_DOUBLING = {1: 0.9, 2: 0.8, 4: 0.7, 8: 0.6, 16: 0.5, 32: 0.4, 64: 0.3}
+_EXIT_LAWS = {"uniform": uniform_cdf(), "triangular": triangular_cdf(),
+              "two_atom": two_atom_cdf(0.3, 0.6, 0.7)}
+_ALL_RUNGS = ((1, 2), (2, 2), (4, 2), (8, 2), (16, 2), (32, 2), (64, 2))
+
+
+def _exit_oracle(source):
+    if isinstance(source, dict):
+        return _ramp_table_oracle({**_DOUBLING, **source})
+    if source == "decreasing":
+        feed = iter([0.8, 0.5, 0.4])
+        return ExpectationOracle(apply=lambda f: next(feed))
+    if source == "loud":
+        return ExpectationOracle(apply=lambda f: 2.0)
+    return oracle_from_cdf(_EXIT_LAWS[source], (-0.5, 1.5))
+
+
+# Each way out of recover_cdf with the default limits: the value and
+# info as float.hex, or the index and message of what was raised, and
+# the probes in the order they were sent, as (j, last cutoff index) per
+# ramp, whose cutoffs run 1, 2, ... In the tables the doubling ladder
+# falls linearly, which is no c/j decay, so the finer tail j = 48, 56
+# then the raw value at 64 are each checked in turn.
+@pytest.mark.parametrize("source, x, expected, rungs", [
+    ("two_atom", 0.5, ("0x1.3333333333333p-1", 16, (
+        "0x1.d70a3d70a3d71p-1", "0x1.ae147ae147ae2p-1", "0x1.5c28f5c28f5c3p-1",
+        "0x1.3333333333333p-1", "0x1.3333333333333p-1"), "plateau"), _ALL_RUNGS[:5]),
+    ("triangular", 0.25, ("0x1.feaaaaaaaaaaap-4", 64, (
+        "0x1.7aaaaaaaaaaaap-1", "0x1.fffffffffffffp-2", "0x1.2aaaaaaaaaaaap-2",
+        "0x1.9555555555556p-3", "0x1.4555555555555p-3", "0x1.2155555555555p-3",
+        "0x1.1055555555555p-3"), "extrapolated"), _ALL_RUNGS),
+    ("uniform", 0.97, ("0x1.f0a3d70a3d710p-1", 64, (
+        "0x1.ffc504816f006p-1", "0x1.ff8a0902de00dp-1", "0x1.ff141205bc01ap-1",
+        "0x1.fe28240b78034p-1", "0x1.fc504816f0069p-1", "0x1.f8a0902de00d1p-1",
+        "0x1.f4a3d70a3d70ap-1"), "extrapolated"), _ALL_RUNGS + ((48, 2), (56, 2))),
+    ("uniform", 0.99, ("0x1.fe5c91d14e3bdp-1", 64, (
+        "0x1.fff972474538fp-1", "0x1.fff2e48e8a71ep-1", "0x1.ffe5c91d14e3cp-1",
+        "0x1.ffcb923a29c78p-1", "0x1.ff972474538efp-1", "0x1.ff2e48e8a71dep-1",
+        "0x1.fe5c91d14e3bdp-1"), "raw"), _ALL_RUNGS + ((48, 2), (56, 2))),
+    # the ramps at j = 1, 2, 4 all cover the mass above x, so two
+    # differences fall below tol and the ladder stops at j = 4 with
+    # 0.999998, 1.0e-3 above F(x) = 0.999
+    ("uniform", 0.999, ("0x1.ffffbce4217d3p-1", 4, (
+        "0x1.ffffef39085f5p-1", "0x1.ffffde7210be9p-1", "0x1.ffffbce4217d3p-1"), "raw"),
+     _ALL_RUNGS[:3]),
+    ({48: 0.45, 56: 0.35}, 0.0, (48, "ramp ladder increased at j=48 (x=0.0): 0.4 -> 0.45"),
+     _ALL_RUNGS + ((48, 2),)),
+    ({48: 0.35, 56: 0.38}, 0.0, (56, "ramp ladder increased at j=56 (x=0.0): 0.35 -> 0.38"),
+     _ALL_RUNGS + ((48, 2), (56, 2))),
+    ({48: 0.35, 56: 0.25}, 0.0, (64, "ramp ladder increased at j=64 (x=0.0): 0.25 -> 0.3"),
+     _ALL_RUNGS + ((48, 2), (56, 2))),
+    ("decreasing", 0.0, (2, "cutoff ladder decreased at m=2 (x=0.0, j=1): 0.8 -> 0.5"),
+     ((1, 2),)),
+    ("loud", 0.0, (None, "oracle returned 2.0 for a probe bounded by 1; "
+                         "|L(f)| <= sup|f| is violated"), ((1, 1),)),
+], ids=["plateau", "extrapolated", "tail_extrapolated", "raw", "two_small_differences",
+        "tail_increase_48", "tail_increase_56", "tail_increase_64", "cutoff_decrease",
+        "sup_bound"])
+def test_every_recovery_exit_keeps_its_value_info_and_probes(source, x, expected, rungs):
+    oracle = _exit_oracle(source)
+    probes = []
+
+    def apply(f):
+        probes.append(f.breakpoints)
+        return oracle.apply(f)
+
+    recording = dataclasses.replace(oracle, apply=apply)
+    if len(expected) == 2:
+        with pytest.raises(ContractViolationError) as err:
+            recover_cdf(recording, x, full_output=True)
+        assert (err.value.index, str(err.value)) == expected
+    else:
+        value, info = recover_cdf(recording, x, full_output=True)
+        assert (value.hex(), info["j_reached"], tuple(map(float.hex, info["ramp_ladder"])),
+                info["method"]) == expected
+        assert info["m_reached"] == 2
+    assert probes == [
+        tuple(sorted({x, x + 1.0 / j, -(m + 1.0), -float(m), float(m), m + 1.0}))
+        for j, last in rungs for m in (1, 2, 4, 8, 16, 32, 64) if m <= last
+    ]
 
 
 def test_total_mass_probes_are_the_bare_cutoffs():
