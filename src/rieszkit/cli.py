@@ -373,8 +373,8 @@ def _parse_functional(spec: str, times: tuple[float, ...]):
             )
         if any(k < 0 for k in powers):
             raise click.UsageError("mono exponents must be nonnegative")
-        karr = np.array(powers, dtype=float)
-        fn = lambda X: np.prod(np.asarray(X, dtype=float) ** karr, axis=-1)
+        # a scalar power per time column, the columns multiplied in time order
+        fn = lambda X: math.prod(c ** k for c, k in zip(np.moveaxis(X, -1, 0), powers))
         return wn.CylindricalFunctional(times, fn), None
     if spec.startswith("box:"):
         pairs = []

@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from rieszkit import hilbert as hb
-from rieszkit.cli import _cell, _emit, main
+from rieszkit.cli import _cell, _emit, _parse_functional, main
 from rieszkit.conditional import (
     FiniteMeasureSpace, Partition, RandomVariable, cond_expectation, verify_duality,
 )
@@ -332,6 +335,14 @@ def test_wiener_integrate_odd_monomial():
     assert result.exit_code == 0
     _, rows = parse_csv(result.output)
     assert abs(float(rows[0][3])) < 1e-12
+
+
+def test_mono_takes_a_scalar_power_per_column_in_time_order():
+    # a scalar 2 is the one rounded product x*x, which numpy's pow with a
+    # 2-d exponent array does not always give
+    X = np.random.default_rng(3).normal(0.0, 1.5, (1000, 3))
+    F, _ = _parse_functional("mono:2,0,3", (0.2, 0.5, 0.7))
+    assert F.evaluate(X).tolist() == (X[:, 0] * X[:, 0] * X[:, 2] ** 3).tolist()
 
 
 def test_wiener_integrate_half_line_box():
@@ -685,3 +696,38 @@ def test_every_command_prints_its_recorded_bytes(tmp_path):
             assert result.exit_code == 0, (name, fmt)
             got = result.output.replace(str(tmp_path), "<DIR>")
             assert got == GOLDEN[f"{name}/{fmt}"], (name, fmt)
+
+
+def test_condexp_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # two blocks of 2**16 weighted atoms: long enough that a BLAS dot over a
+    # block would split its sum over the threads and round differently
+    rng = np.random.default_rng(17)
+    n = 2**17
+    p = rng.random(n)
+    p /= p.sum()
+    x = rng.normal(0.0, 20.0, n)
+    labels = [f"a{k}" for k in range(n)]
+    (tmp_path / "atoms.csv").write_text("label,probability,value\n" + "".join(
+        f"{lab},{q!r},{v!r}\n" for lab, q, v in zip(labels, p.tolist(), x.tolist())
+    ))
+    # the spec is longer than one command-line argument may be, so the
+    # child reads it from a file and runs the module as `python -m` would
+    (tmp_path / "spec.txt").write_text(",".join(labels[::2]) + "|" + ",".join(labels[1::2]))
+    script = (
+        "import pathlib, runpy, sys\n"
+        "d = pathlib.Path(sys.argv[1])\n"
+        "sys.argv = ['rieszkit', 'condexp', '--input', str(d / 'atoms.csv'),"
+        " '--partition', (d / 'spec.txt').read_text()]\n"
+        "runpy.run_module('rieszkit.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"\n") == n + 1
+    assert outputs[0] == outputs[1]

@@ -64,6 +64,9 @@ def test_truncation_ladder_small_cap_is_flagged():
     assert not out.converged
     assert out.j_reached == 2
     assert len(out.ladder) == 2
+    # a cap equal to the largest |X| already bounds both parts
+    out = cond_expectation_l1(X1234, PAIRS, UNIF4, j_max=4)
+    assert out.converged and out.j_reached == 4 and len(out.ladder) == 3
 
 
 def test_truncation_ladder_matches_direct_average_exactly():
@@ -315,16 +318,22 @@ def test_truncation_ladder_limit_must_be_finite(j_max):
         cond_expectation_l1(X1234, PAIRS, UNIF4, j_max=j_max)
 
 
-# The per-block route that the stored arrays replaced: each block's
-# values and masses gathered by its index array, summed by np.dot and
-# .sum(). Every block sum of the library must equal it bit for bit.
+# The per-block route: each block's values and masses gathered by its
+# index array in the order the block lists them, the products x*p and the
+# masses each summed by a one-segment np.add.reduceat. Every block sum of
+# the library, one segmented reduceat over all blocks, must equal it bit
+# for bit.
+def _segment_sum(v):
+    return float(np.add.reduceat(v, [0])[0])
+
+
 def _reference_average(x, p, blocks):
     xi = np.zeros(len(x))
     zero = []
     for bi, idx in enumerate(map(np.array, blocks)):
-        mass = float(p[idx].sum())
+        mass = _segment_sum(p[idx])
         if mass != 0.0:
-            xi[idx] = float(np.dot(x[idx], p[idx])) / mass
+            xi[idx] = _segment_sum(x[idx] * p[idx]) / mass
         else:
             zero.append(bi)
     return tuple(xi.tolist()), tuple(zero)
@@ -332,7 +341,7 @@ def _reference_average(x, p, blocks):
 
 def _reference_residuals(x, c, p, blocks):
     return tuple(
-        abs(float(np.dot(x[idx], p[idx])) - float(np.dot(c[idx], p[idx])))
+        abs(_segment_sum(x[idx] * p[idx]) - _segment_sum(c[idx] * p[idx]))
         for idx in map(np.array, blocks)
     )
 
