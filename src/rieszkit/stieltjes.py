@@ -221,6 +221,23 @@ class _Probe:
             return None
         return (self.breakpoints[p], *self._slopes[p])
 
+    def level(self, p: int) -> float | None:
+        """The constant value of f on piece p: 0 where a factor is 0 there,
+        else None where a factor slopes there. Piece 0 lies below the first
+        breakpoint, piece p >= 1 from breakpoint p - 1 up to the next (or
+        beyond the last)."""
+        out, sloped = 1.0, False
+        for knots, values, left, right in self._factors:
+            k = bisect.bisect_right(knots, self.breakpoints[p - 1]) - 1 if p else -1
+            if 0 <= k < len(knots) - 1 and values[k] != values[k + 1]:
+                sloped = True
+                continue
+            value = left if k < 0 else right if k == len(knots) - 1 else values[k]
+            if value == 0.0:
+                return 0.0
+            out *= value
+        return None if sloped else out
+
 
 # The by-parts branch spends this share of ls_integrate's tol on the
 # ordinary integrals of its sloped pieces, and never asks them for less
@@ -403,7 +420,19 @@ def oracle_from_cdf(
 def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     """Empirical-mean oracle L(f) = mean of f over the sample points.
 
-    The oracle's promised support is [min, max] of the samples. Raises
+    The samples are sorted once, into one copy: O(n log n) time here and
+    n floats of memory. A probe (ramp, cutoff or their product) costs
+    O(K log n) for its K breakpoints plus the samples where it slopes:
+    ``searchsorted`` counts the samples in each piece between
+    breakpoints, a piece where the probe is constant adds count * value,
+    a sloped piece the sum of the probe over its samples, and the pieces
+    are summed in order and divided by n. Any other callable gets
+    ``float(np.mean(f(xs)))`` over the samples in the order given. The
+    two differ only by rounding.
+
+    The oracle's promised support is [min, max] of the samples, and it
+    changes no bit: only breakpoints strictly inside (min, max) cut the
+    samples, so every cutoff that covers them splits them alike. Raises
     ValueError for samples that are not one-dimensional, for no samples,
     or for a non-finite one (NaN or +-inf).
     """
@@ -414,10 +443,26 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
-    return ExpectationOracle(
-        apply=lambda f: float(np.mean(_evaluate(f, xs))),
-        support=(xs.min(), xs.max()),
-    )
+    ordered = np.sort(xs)
+    lo, hi = float(ordered[0]), float(ordered[-1])
+
+    def apply(f):
+        if not isinstance(f, _Probe):
+            return float(np.mean(_evaluate(f, xs)))
+        # the probe is continuous, so a sample on a breakpoint may sit in
+        # either piece beside it; only breakpoints inside (lo, hi) cut
+        bps = f.breakpoints
+        first, last = bisect.bisect_right(bps, lo), bisect.bisect_left(bps, hi)
+        total, start = 0.0, 0
+        stops = [*ordered.searchsorted(bps[first:last]).tolist(), xs.size]
+        for p, stop in enumerate(stops, first):
+            if stop > start:
+                value = f.level(p)
+                total += (stop - start) * value if value is not None else f(ordered[start:stop]).sum()
+            start = stop
+        return float(total / xs.size)
+
+    return ExpectationOracle(apply=apply, support=(lo, hi))
 
 
 def _cutoff_limit(

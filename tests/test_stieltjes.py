@@ -20,6 +20,7 @@ from rieszkit.stieltjes import (
     RecoveredCdf,
     ls_integrate,
     ls_measure_interval,
+    _Probe,
     _probe_product,
     make_cutoff,
     make_ramp,
@@ -924,6 +925,88 @@ def test_sample_oracle_rejects_samples_that_are_not_one_dimensional():
     for bad in (0.5, np.array(0.5), [[0.1, 0.9], [0.4, 0.6]], np.zeros((3, 1))):
         with pytest.raises(ValueError, match="one-dimensional"):
             oracle_from_samples(bad)
+
+
+def _probes_near(samples, rng, count):
+    """Ramps, cutoffs and their products whose knots fall on, between and
+    around the samples: ramp ends and cutoff bends on sample values too."""
+    samples = np.asarray(samples, dtype=float)
+    lo, hi = float(samples.min()), float(samples.max())
+    for _ in range(count):
+        j = int(rng.choice([1, 2, 3, 7, 16, 64, 1000]))
+        x = float(rng.choice([rng.choice(samples), rng.choice(samples) - 1.0 / j,
+                              rng.uniform(lo - 1.0, hi + 1.0)]))
+        m = max(1, int(rng.choice([abs(x), hi, -lo, rng.uniform(0.0, max(abs(lo), hi) + 2.0)])))
+        ramp, cutoff = make_ramp(RampSpec(x, j)), make_cutoff(m)
+        yield from (ramp, cutoff, _probe_product(ramp, cutoff))
+
+
+_AGREEMENT_RNG = np.random.default_rng(22)
+_AGREEMENT_SETS = {
+    "ties": np.repeat(_AGREEMENT_RNG.uniform(-1.5, 1.5, 40), 5),
+    "knots on samples": np.concatenate([np.arange(-3.0, 3.5, 0.5), np.arange(-64, 65) / 64,
+                                        _AGREEMENT_RNG.normal(0.0, 1.0, 200)]),
+    "single": np.array([0.3]),
+    "shifted": 1e4 + _AGREEMENT_RNG.normal(0.0, 1.0, 500),
+}
+
+
+@pytest.mark.parametrize("name", _AGREEMENT_SETS)
+def test_sample_oracle_agrees_with_the_plain_mean_of_a_probe(name):
+    samples = _AGREEMENT_SETS[name]
+    oracle = oracle_from_samples(samples)
+    bound = 1e-14 * max(1.0, float(np.max(np.abs(samples))))
+    for f in _probes_near(samples, np.random.default_rng(len(samples)), 300):
+        ref = float(np.mean(f(samples)))
+        assert abs(oracle.apply(f) - ref) <= bound, (f.breakpoints, ref)
+
+
+def test_sample_oracle_gives_any_other_callable_the_plain_mean_in_sample_order():
+    # summed in this order the mean is 1/4; sorted, it would be 0
+    samples = [1e16, 1.0, -1e16, 1.0]
+    assert oracle_from_samples(samples).apply(lambda t: t) == 0.25
+    xs = np.random.default_rng(4).normal(0.0, 1.0, 1001)
+    oracle = oracle_from_samples(xs)
+    plain = as_plain(_probe_product(make_ramp(RampSpec(0.2, 8)), make_cutoff(1)))
+    assert oracle.apply(plain) == float(np.mean(plain(xs)))
+    assert oracle.apply(lambda t: math.sin(t)) == float(np.mean([math.sin(t) for t in xs]))
+
+
+def test_sample_oracle_evaluates_a_probe_only_on_its_sloped_pieces(monkeypatch):
+    samples = np.random.default_rng(3).normal(0.0, 1.0, 100_000)
+    oracle = oracle_from_samples(samples)
+    x, j = 0.1, 64
+    probe = _probe_product(make_ramp(RampSpec(x, j)), make_cutoff(math.ceil(np.max(np.abs(samples)))))
+    evaluate, seen = _Probe.__call__, []
+
+    def counting(self, t):
+        seen.append(np.array(t, dtype=float))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(_Probe, "__call__", counting)
+    value = oracle.apply(probe)
+    window = np.sort(samples[(x <= samples) & (samples < x + 1.0 / j)])
+    assert 0 < window.size == sum(map(len, seen))
+    np.testing.assert_array_equal(np.concatenate(seen), window)
+    assert abs(value - float(np.mean(evaluate(probe, samples)))) <= 1e-14 * np.max(np.abs(samples))
+
+
+def test_a_cutoff_bending_at_an_end_sample_changes_no_bit_of_a_sample_oracle():
+    """Samples tied at integer ends, under ramps whose window holds an end:
+    every cutoff that covers them gives the same bits, the one that bends
+    at an end among them."""
+    rng = np.random.default_rng(7)
+    for end in (1.0, 2.0):
+        samples = np.concatenate([rng.uniform(-end, end, 40), [-end, end] * 3,
+                                  rng.uniform(end - 0.3, end, 20), rng.uniform(-end, 0.3 - end, 20)])
+        rng.shuffle(samples)
+        oracle = oracle_from_samples(samples)
+        for _ in range(100):
+            j = int(rng.choice([4, 8, 16, 64]))
+            ramp = make_ramp(RampSpec(float(rng.choice([end, -end])) - rng.uniform(0.0, 1.0 / j), j))
+            values = {oracle.apply(_probe_product(ramp, make_cutoff(m))) for m in (end, end + 1, 64)}
+            assert len(values) == 1, (ramp.breakpoints, values)
+        _assert_support_changes_no_bit(oracle, (end - 1.0 / 32, 1.0 / 64 - end, end - 0.2))
 
 
 def test_cdf_breakpoints_are_sorted():
