@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,16 +166,23 @@ def _check_support(name: str, support) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_point(x) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+
+
 class _Probe:
     """Ramp, cutoff or their product: a product of at most two
     piecewise-linear factors.
 
     Each factor is an ``np.interp`` table ``(knots, values, left, right)``
     and the probe's value is the product of the factors' values, in
-    order. ``breakpoints`` lists every knot. Between adjacent breakpoints
-    each factor is affine, so the probe is a polynomial of degree <= 2
-    there, and its derivative is exact from the knot table. Outside the
-    breakpoints the probe is constant.
+    order. ``breakpoints`` lists every knot and cuts the line into pieces:
+    piece 0 lies below the first breakpoint, piece p >= 1 runs from
+    breakpoint p - 1 up to the next (or beyond the last). On a piece each
+    factor is affine, so the probe is a polynomial of degree <= 2 there,
+    read exactly from the knot tables by ``piece``; on piece 0 and the
+    last piece it is constant.
     """
 
     def __init__(self, *factors):
@@ -191,52 +197,31 @@ class _Probe:
             out = value if out is None else out * value
         return out
 
-    @cached_property
-    def _slopes(self) -> list[tuple[float, float]]:
-        """(d0, d1) per piece between adjacent breakpoints, with
-        f'(t) = d0 + d1 (t - the piece's left end)."""
-        table = []
-        for a in self.breakpoints[:-1]:
-            # f(a + u) = c0 + c1 u + c2 u**2, one affine factor v + s u at a time
-            c0, c1, c2 = 1.0, 0.0, 0.0
-            for knots, values, left, right in self._factors:
-                k = bisect.bisect_right(knots, a) - 1
-                if k < 0:
-                    v, s = left, 0.0
-                elif k == len(knots) - 1:
-                    v, s = right, 0.0
-                else:
-                    s = (values[k + 1] - values[k]) / (knots[k + 1] - knots[k])
-                    v = values[k] + s * (a - knots[k])
-                c0, c1, c2 = c0 * v, c1 * v + c0 * s, c2 * v + c1 * s
-            table.append((c1, 2.0 * c2))
-        return table
+    def inside(self, lo: float, hi: float) -> tuple[int, tuple[float, ...]]:
+        """(the piece that holds lo, the breakpoints strictly inside (lo, hi))."""
+        first = bisect.bisect_right(self.breakpoints, lo)
+        return first, self.breakpoints[first:bisect.bisect_left(self.breakpoints, hi)]
 
-    def slope_on(self, a: float) -> tuple[float, float, float] | None:
-        """(anchor, d0, d1) with f'(t) = d0 + d1 (t - anchor) on the piece
-        between breakpoints that holds [a, a + h) for small h; None where
-        f is constant there."""
-        p = bisect.bisect_right(self.breakpoints, a) - 1
-        if not 0 <= p < len(self._slopes) or self._slopes[p] == (0.0, 0.0):
-            return None
-        return (self.breakpoints[p], *self._slopes[p])
-
-    def level(self, p: int) -> float | None:
-        """The constant value of f on piece p: 0 where a factor is 0 there,
-        else None where a factor slopes there. Piece 0 lies below the first
-        breakpoint, piece p >= 1 from breakpoint p - 1 up to the next (or
-        beyond the last)."""
-        out, sloped = 1.0, False
+    def piece(self, p: int) -> tuple[float, float, float]:
+        """(c0, c1, c2) with f(a + u) = c0 + c1 u + c2 u**2 on piece p, where
+        a is its left breakpoint (-inf on piece 0); (0, 0, 0) as soon as a
+        factor is 0 on the piece."""
+        a = self.breakpoints[p - 1] if p else -math.inf
+        c0, c1, c2 = 1.0, 0.0, 0.0
         for knots, values, left, right in self._factors:
-            k = bisect.bisect_right(knots, self.breakpoints[p - 1]) - 1 if p else -1
-            if 0 <= k < len(knots) - 1 and values[k] != values[k + 1]:
-                sloped = True
-                continue
-            value = left if k < 0 else right if k == len(knots) - 1 else values[k]
-            if value == 0.0:
-                return 0.0
-            out *= value
-        return None if sloped else out
+            # one affine factor v + s u at a time
+            k = bisect.bisect_right(knots, a) - 1
+            if k < 0:
+                v, s = left, 0.0
+            elif k == len(knots) - 1:
+                v, s = right, 0.0
+            else:
+                s = (values[k + 1] - values[k]) / (knots[k + 1] - knots[k])
+                v = values[k] + s * (a - knots[k])
+            if v == s == 0.0:
+                return 0.0, 0.0, 0.0
+            c0, c1, c2 = c0 * v, c1 * v + c0 * s, c2 * v + c1 * s
+        return c0, c1, c2
 
 
 # The by-parts branch spends this share of ls_integrate's tol on the
@@ -263,17 +248,20 @@ def _integrate_by_parts(f: _Probe, alpha: CdfLike, lo: float, hi: float, tol: fl
     of the rounding in the integrand, so however small ``tol`` is, panels
     that differ only by rounding are accepted and the bisection ends.
     """
-    edges = np.array(_split(lo, hi, f.breakpoints))
+    first, inner = f.inside(lo, hi)
+    edges = np.array([lo, *inner, hi])
     heights = _evaluate(alpha.eval, edges)
     values = f(edges[1:])
     splits = alpha.breakpoints + alpha.kinks
     rate = _BY_PARTS_SHARE * tol / (hi - lo)
     total = 0.0
-    for a, b, fb, ha, hb in zip(edges[:-1], edges[1:], values, heights[:-1], heights[1:]):
+    pieces = zip(edges[:-1], edges[1:], values, heights[:-1], heights[1:])
+    for p, (a, b, fb, ha, hb) in enumerate(pieces, first):
         part = fb * (hb - ha)
-        slope = f.slope_on(a)
-        if slope is not None and hb != ha:
-            anchor, d0, d1 = slope
+        _, c1, c2 = f.piece(p)
+        if (c1, c2) != (0.0, 0.0) and hb != ha:
+            # f'(t) = d0 + d1 (t - anchor)
+            anchor, d0, d1 = f.breakpoints[p - 1], c1, 2.0 * c2
             scale = max(abs(ha), abs(hb)) * max(abs(d0 + d1 * (a - anchor)),
                                                 abs(d0 + d1 * (b - anchor)))
             budget = max(rate, _ROUNDING_ULPS * np.finfo(float).eps * scale) * (b - a)
@@ -345,12 +333,14 @@ def ls_integrate(
 
 @dataclass(frozen=True)
 class RampSpec:
-    """Descending ramp: 1 up to x, affine down to 0 across width 1/j."""
+    """Descending ramp: 1 up to x, affine down to 0 across width 1/j. A
+    non-finite x, or a j below 1 or not finite, raises ``ValueError``."""
 
     x: float
     j: int
 
     def __post_init__(self):
+        _check_point(self.x)
         _check_limit("slope parameter j", self.j)
 
 
@@ -451,14 +441,12 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
             return float(np.mean(_evaluate(f, xs)))
         # the probe is continuous, so a sample on a breakpoint may sit in
         # either piece beside it; only breakpoints inside (lo, hi) cut
-        bps = f.breakpoints
-        first, last = bisect.bisect_right(bps, lo), bisect.bisect_left(bps, hi)
+        first, inner = f.inside(lo, hi)
         total, start = 0.0, 0
-        stops = [*ordered.searchsorted(bps[first:last]).tolist(), xs.size]
-        for p, stop in enumerate(stops, first):
+        for p, stop in enumerate([*ordered.searchsorted(inner).tolist(), xs.size], first):
             if stop > start:
-                value = f.level(p)
-                total += (stop - start) * value if value is not None else f(ordered[start:stop]).sum()
+                c0, c1, c2 = f.piece(p)
+                total += (stop - start) * c0 if c1 == c2 == 0.0 else f(ordered[start:stop]).sum()
             start = stop
         return float(total / xs.size)
 
@@ -478,7 +466,7 @@ def _cutoff_limit(
         if ramp is not None:
             probe = _probe_product(ramp, probe)
         value = float(oracle.apply(probe))
-        if abs(value) > 1.0 + 1e-8:  # every probe is bounded by 1 in sup norm
+        if not abs(value) <= 1.0 + 1e-8:  # every probe is bounded by 1 in sup norm; NaN fails
             raise ContractViolationError(
                 f"oracle returned {value!r} for a probe bounded by 1; "
                 "|L(f)| <= sup|f| is violated"
@@ -560,11 +548,6 @@ def _recover(L, x, j_max: int, m_max: int, tol: float):
     method = "plateau" if plateau else "raw" if extrapolated is None else "extrapolated"
     value = raw if extrapolated is None else min(max(extrapolated, 0.0), raw)
     return value, method, js, values, m_reached
-
-
-def _check_point(x) -> None:
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
 
 
 def recover_cdf(

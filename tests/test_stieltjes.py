@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rieszkit.errors import ContractViolationError, ConvergenceError, NumericError, RieszkitError
-from rieszkit.numerics import _evaluate
+from rieszkit.numerics import _evaluate, _split
 from rieszkit.stieltjes import (
     CdfLike,
     ExpectationOracle,
@@ -311,6 +311,51 @@ def test_probes_keep_the_bits_of_the_interp_closures():
             {x, x + 1.0 / j, -(m + 1.0), -float(m), float(m), m + 1.0}))
 
 
+def _random_probes(seed, n):
+    """Ramps, cutoffs and their products: n random draws of (x, j, m), each
+    giving all three, after draws whose knots meet."""
+    rng = np.random.default_rng(seed)
+    draws = [(1.0, 1, 1), (-3.0, 1, 2), (2.0 - 1.0 / 64, 64, 2), (0.0, 3, 3)]
+    draws += [(float(rng.uniform(-3.0, 3.0)), int(rng.choice([1, 2, 3, 16, 64])),
+               int(rng.choice([1, 2, 3]))) for _ in range(n)]
+    for x, j, m in draws:
+        ramp, cutoff = make_ramp(RampSpec(x, j)), make_cutoff(m)
+        yield from (ramp, cutoff, _probe_product(ramp, cutoff))
+
+
+def _piece_span(probe, p):
+    """(a, b) of piece p, with a half-line cut to one unit beside its breakpoint."""
+    bps = probe.breakpoints
+    return (bps[p - 1] if p else bps[0] - 1.0), (bps[p] if p < len(bps) else bps[-1] + 1.0)
+
+
+def test_each_piece_of_a_probe_is_its_polynomial():
+    fractions = np.array([1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-3])
+    for probe in _random_probes(11, 200):
+        n_pieces = len(probe.breakpoints) + 1
+        assert probe.piece(0)[1:] == probe.piece(n_pieces - 1)[1:] == (0.0, 0.0)
+        for p in range(n_pieces):
+            c0, c1, c2 = probe.piece(p)
+            a, b = _piece_span(probe, p)
+            t = a + fractions * (b - a)
+            u = t - a if p else 0.0  # piece 0 is anchored at -inf, and constant
+            np.testing.assert_allclose(c0 + c1 * u + c2 * u * u, probe(t), rtol=0.0, atol=1e-15)
+            flat = probe(a) == probe(0.5 * (a + b)) == probe(b)
+            assert ((c1, c2) == (0.0, 0.0)) == flat, (probe.breakpoints, p)
+
+
+def test_the_pieces_inside_an_interval_are_those_split_cuts_at():
+    rng = np.random.default_rng(12)
+    for probe in _random_probes(13, 100):
+        bps = probe.breakpoints
+        ends = [*rng.uniform(-5.0, 5.0, 6), *bps, bps[0] - 1.0, bps[-1] + 1.0]
+        for lo, hi in itertools.combinations(sorted(ends), 2):
+            first, inner = probe.inside(lo, hi)
+            assert list(inner) == _split(lo, hi, bps)[1:-1], (bps, lo, hi)
+            assert first == sum(b <= lo for b in bps), (bps, lo)
+        assert probe.inside(bps[0], bps[0]) == (1, ())
+
+
 def _closed_form(probe, law):
     """L(probe) exactly: a weighted sum over atoms, or the integral of probe
     times density, a polynomial of degree <= 3 between kinks, which three
@@ -369,7 +414,7 @@ def test_by_parts_matches_closed_forms_and_riemann_stieltjes(law, cdf, support):
     assert worst_parts <= max(worst_rs, 1e-15)
     if law[0] == "uniform" and support == (-3.0, 3.0):
         probe = _probe_product(make_ramp(RampSpec(1.8, 1)), make_cutoff(2))
-        assert any(d1 != 0.0 for _, d1 in probe._slopes)
+        assert any(probe.piece(p)[2] != 0.0 for p in range(len(probe.breakpoints) + 1))
         assert abs(ls_integrate(probe, cdf, support) - _closed_form(probe, law)) <= 1e-12
 
 
@@ -423,8 +468,9 @@ def test_by_parts_takes_one_panel_between_declared_kinks(law, cdf, support, prob
         edges = sorted({*support, *(k for k in probe.breakpoints
                                     if support[0] < k < support[1])})
         stretches = held = 0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if probe.slope_on(a) is not None and cdf.eval(a) != cdf.eval(b):
+        first = sum(k <= support[0] for k in probe.breakpoints)  # the piece that holds the start
+        for p, (a, b) in enumerate(zip(edges[:-1], edges[1:]), first):
+            if probe.piece(p)[1:] != (0.0, 0.0) and cdf.eval(a) != cdf.eval(b):
                 inside = sum(a < k < b for k in splits)
                 stretches += 1 + inside
                 held += inside
@@ -536,6 +582,15 @@ def test_ramp_examples():
         RampSpec(0.0, 0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_a_ramp_at_a_point_that_is_not_finite_is_rejected(x):
+    with pytest.raises(ValueError, match=f"^x must be finite, got {x}$"):
+        RampSpec(x, 2)
+    # recover_cdf names x before its other arguments
+    with pytest.raises(ValueError, match="^x must be finite"):
+        recover_cdf(oracle_from_cdf(uniform_cdf(), (-0.5, 1.5)), x, j_max=0)
+
+
 def test_cutoff_examples():
     psi = make_cutoff(1)
     assert psi(0.0) == 1.0
@@ -618,6 +673,16 @@ def test_oracle_breaking_sup_bound_is_rejected():
             total_mass(loud)
         with pytest.raises(ContractViolationError):
             recover_cdf(loud, 0.0)
+
+
+def test_a_nan_from_the_oracle_breaks_the_sup_bound_at_the_first_probe():
+    calls = []
+    silent = ExpectationOracle(apply=lambda f: calls.append(f) or math.nan)
+    for entry in (lambda L: recover_cdf(L, 0.3), total_mass, lambda L: RecoveredCdf(L).eval(0.3)):
+        calls.clear()
+        with pytest.raises(ContractViolationError, match="^oracle returned nan for a probe"):
+            entry(silent)
+        assert len(calls) == 1
 
 
 def test_decreasing_mass_ladder_is_rejected():
