@@ -409,13 +409,14 @@ def holder_bound_check(
     exps: ConjugateExponents,
     space: FiniteMeasureSpace,
 ) -> HolderReport:
-    """Evaluate both sides of the pairing bound and compare."""
+    """Evaluate both sides of the pairing bound and compare: ``passed`` is
+    lhs <= rhs * (1 + 1e-12) on X and Y scaled to max |.| = 1, where no power
+    under- or overflows; the slack is relative, so it means the same at any scale."""
     _check_alignment(space, X=X, Y=Y)
-    p, x, y = space._probs, X._x, Y._x
+    sx, sy = (float(np.abs(v._x).max()) or 1.0 for v in (X, Y))
+    p, x, y = space._probs, X._x / sx, Y._x / sy
     lhs = abs(float(np.dot(x * y, p)))
     norm_x = float(np.dot(np.abs(x) ** exps.p, p)) ** (1.0 / exps.p)
     norm_y = float(np.dot(np.abs(y) ** exps.q, p)) ** (1.0 / exps.q)
     rhs = norm_x * norm_y
-    return HolderReport(
-        lhs=lhs, rhs=rhs, p=exps.p, q=exps.q, passed=lhs <= rhs + 1e-12
-    )
+    return HolderReport(sx * sy * lhs, sx * sy * rhs, exps.p, exps.q, lhs <= rhs * (1 + 1e-12))

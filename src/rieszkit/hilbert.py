@@ -9,6 +9,7 @@ representer of u -> E<u, X>.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +36,25 @@ __all__ = [
 BASIS_KINDS = ("shifted_legendre", "fourier_sine")
 
 
+def _omega_rule() -> QuadratureRule:
+    """The default omega rule: 64 nodes resolve the segment indicator's coefficients."""
+    return gauss_legendre(64, 0.0, 1.0)
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` for a bool, a float or another non-integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_index(index, size: int) -> int:
+    index = _as_int(index, "index")
+    if not 0 <= index < size:
+        raise ValueError(f"index {index} outside 0..{size - 1}")
+    return index
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Orthonormal basis e_0..e_{N-1} of L2(0,1).
@@ -53,14 +73,15 @@ class OrthonormalBasis:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError(f"basis size must be >= 1, got {self.size}")
+        size = _as_int(self.size, "basis size")
+        if size < 1:
+            raise ValueError(f"basis size must be >= 1, got {size}")
+        object.__setattr__(self, "size", size)
 
     def evaluate(self, index: int, t) -> np.ndarray:
         """e_index at points t in (0,1), shaped as t: row ``index`` of
         ``evaluate_all(t)``, built on the basis truncated after e_index."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} outside 0..{self.size - 1}")
+        index = _check_index(index, self.size)
         row = OrthonormalBasis(self.kind, index + 1).evaluate_all(t)[index]
         return row.reshape(np.shape(t))[()]
 
@@ -97,9 +118,8 @@ class OrthonormalBasis:
             P = np.polynomial.legendre.legvander(2.0 * w[:, 0] - 1.0, n)
             c = np.empty((len(w), n))
             c[:, 0] = w[:, 0]
-            if n > 1:
-                i = np.arange(1, n)
-                c[:, 1:] = (P[:, 2:] - P[:, : n - 1]) / (2.0 * np.sqrt(2 * i + 1))
+            i = np.arange(1, n)
+            c[:, 1:] = (P[:, 2:] - P[:, : n - 1]) / (2.0 * np.sqrt(2 * i + 1))
         return c[0] if om.ndim == 0 else c
 
     def projection_rule(self) -> QuadratureRule:
@@ -154,7 +174,7 @@ class HilbertVector:
     @classmethod
     def unit(cls, basis: OrthonormalBasis, index: int) -> "HilbertVector":
         c = np.zeros(basis.size)
-        c[index] = 1.0
+        c[_check_index(index, basis.size)] = 1.0
         return cls(c, basis)
 
 
@@ -205,115 +225,93 @@ def riesz_representer(l_on_basis: Sequence[float], basis: OrthonormalBasis) -> H
     return HilbertVector(l_on_basis, basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteHValuedLaw:
-    """Law of a Hilbert-space-valued random variable.
+    """Law of a Hilbert-space-valued X as weighted coefficient rows.
 
-    Either a finite list of ``(probability, vector)`` atoms, or a sampler
-    omega -> vector on (0,1) integrated against ``omega_rule`` (uniform
-    base measure).
+    X has coefficients ``rows[k]`` with weight ``weights[k]``: atom
+    probabilities and coefficients, or an omega rule's weights and one row
+    per node (uniform omega on (0,1)). The arrays are read-only, ``==`` and
+    ``hash`` go by identity, and E ||X|| is computed once, here.
     """
 
     basis: OrthonormalBasis
-    atoms: tuple | None = None
-    sampler: Callable[[float], HilbertVector] | None = None
-    omega_rule: QuadratureRule | None = None
+    weights: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        if (self.atoms is None) == (self.sampler is None):
-            raise ValueError("provide exactly one of atoms or sampler")
-        if self.atoms is not None:
-            _check_probabilities(np.array([p for p, _ in self.atoms], dtype=float))
-            for _, v in self.atoms:
-                _check_same_basis(v.basis, self.basis)
+        # read-only views: the caller's arrays keep their flags, and their later writes show
+        weights = np.asarray(self.weights, dtype=float).view()
+        rows = np.asarray(self.rows, dtype=float).view()
+        weights.flags.writeable = rows.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", rows)
+        if (weights.ndim, rows.shape) != (1, (weights.size, self.basis.size)):
+            raise ValueError(f"weights {weights.shape} and rows {rows.shape} do not make "
+                             f"(K,) and (K, {self.basis.size}) for one K")
+        if not np.all(weights >= 0.0):
+            raise ValueError("weights must be nonnegative, not NaN")
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            object.__setattr__(self, "_expected_norm", float(np.dot(weights, norms)))
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple[float, HilbertVector]]) -> "DiscreteHValuedLaw":
-        atoms = tuple((float(p), v) for p, v in atoms)
+        """Law of ``(probability, vector)`` atoms, on the first vector's basis."""
+        atoms = tuple(atoms)
         if not atoms:
             raise ValueError("need at least one atom")
-        return cls(basis=atoms[0][1].basis, atoms=atoms)
+        basis = atoms[0][1].basis
+        probs = np.array([float(p) for p, _ in atoms])
+        _check_probabilities(probs)
+        for _, v in atoms:
+            _check_same_basis(v.basis, basis)
+        return cls(basis, probs, np.array([v.coeffs for _, v in atoms]))
 
     @classmethod
-    def from_sampler(
-        cls,
-        sampler: Callable[[float], HilbertVector],
-        basis: OrthonormalBasis,
-        omega_rule: QuadratureRule | None = None,
-    ) -> "DiscreteHValuedLaw":
-        return cls(basis=basis, sampler=sampler, omega_rule=omega_rule)
-
-    def coefficient_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, rows): every law as weighted coefficient rows.
-
-        Atom laws give their probabilities and their vectors' coefficients;
-        sampler laws give the omega rule's weights and one row per node,
-        filled in one call by ``prefix_indicator_law``'s sampler and by one
-        call per node for any other sampler.
-        """
-        if self.atoms is not None:
-            probs = np.array([p for p, _ in self.atoms], dtype=float)
-            return probs, np.array([v.coeffs for _, v in self.atoms])
-        # 64 nodes resolve the piecewise-smooth coefficient integrands of
-        # the segment-indicator example; callers can override.
-        rule = self.omega_rule if self.omega_rule is not None else gauss_legendre(64, 0.0, 1.0)
-        sampler = self.sampler
-        if isinstance(sampler, _PrefixIndicator) and sampler.basis == self.basis:
-            return rule.weights, self.basis.indicator_coefficients(rule.nodes)
-        rows = np.empty((rule.nodes.size, self.basis.size))
+    def from_sampler(cls, sampler: Callable[[float], HilbertVector], basis: OrthonormalBasis,
+                     omega_rule: QuadratureRule | None = None) -> "DiscreteHValuedLaw":
+        """Law of omega -> sampler(omega); the sampler runs here, once per omega node."""
+        rule = _omega_rule() if omega_rule is None else omega_rule
+        rows = np.empty((rule.nodes.size, basis.size))
         for k, om in enumerate(rule.nodes):
             v = sampler(om)
-            _check_same_basis(v.basis, self.basis)
+            _check_same_basis(v.basis, basis)
             rows[k] = v.coeffs
-        return rule.weights, rows
+        return cls(basis, rule.weights, rows)
+
+
+def _check_integrable(law: DiscreteHValuedLaw) -> None:
+    if not np.isfinite(law._expected_norm):
+        raise IntegrabilityError("expected norm of the law is not finite")
 
 
 def bochner_expectation(law: DiscreteHValuedLaw) -> HilbertVector:
     """Expectation vector E(X): the representer of u -> E<u, X>.
 
-    Coefficient i is E<X, e_i>: with (weights, rows) from
-    ``law.coefficient_matrix()``, it is ``weights @ rows``.
+    Coefficient i is E<X, e_i>, so the vector is ``law.weights @ law.rows``.
+    Raises ``IntegrabilityError`` unless E ||X|| is finite; as |c_i| <= E ||X||,
+    a finite E ||X|| gives a finite expectation.
     """
-    # |c_i| <= E ||X||, which _checked_rows has found finite
-    weights, rows, _ = _checked_rows(law)
-    return HilbertVector(weights @ rows, law.basis)
+    _check_integrable(law)
+    return HilbertVector(law.weights @ law.rows, law.basis)
 
 
 def expected_norm(law: DiscreteHValuedLaw) -> float:
-    """E ||X||: the weights of ``law.coefficient_matrix()`` dotted with
-    the norms of its rows, the integrability functional of the law.
-    Raises ``IntegrabilityError`` when it is not finite."""
-    return _checked_rows(law)[2]
-
-
-def _checked_rows(law: DiscreteHValuedLaw) -> tuple[np.ndarray, np.ndarray, float]:
-    """(weights, rows, E ||X||) of the law; ``IntegrabilityError`` unless
-    E ||X|| is finite."""
-    weights, rows = law.coefficient_matrix()
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        en = float(np.dot(weights, norms))
-    if not np.isfinite(en):
-        raise IntegrabilityError("expected norm of the law is not finite")
-    return weights, rows, en
-
-
-@dataclass(frozen=True)
-class _PrefixIndicator:
-    """The sampler omega -> 1_(0,omega) of ``prefix_indicator_law``."""
-
-    basis: OrthonormalBasis
-
-    def __call__(self, omega: float) -> HilbertVector:
-        return HilbertVector(self.basis.indicator_coefficients(omega), self.basis)
+    """E ||X||: the law's weights dotted with the norms of its rows, the
+    integrability functional of the law. Raises ``IntegrabilityError``
+    when it is not finite."""
+    _check_integrable(law)
+    return law._expected_norm
 
 
 def prefix_indicator_law(basis: OrthonormalBasis) -> DiscreteHValuedLaw:
     """Law of the segment indicator omega -> 1_(0,omega) under uniform omega.
 
     The worked example of the expectation construction: its expectation is
-    the function t -> 1 - t, and its expected norm is 2/3. Coefficients are
-    computed from closed-form antiderivatives, so the only approximations
-    are basis truncation and the law's 64-point omega rule.
+    the function t -> 1 - t, and its expected norm is 2/3. Its rows, one per
+    node of the 64-point omega rule, come from closed-form antiderivatives in
+    one call, so the only approximations are basis truncation and that rule.
     """
-    return DiscreteHValuedLaw.from_sampler(_PrefixIndicator(basis), basis)
+    rule = _omega_rule()
+    return DiscreteHValuedLaw(basis, rule.weights, basis.indicator_coefficients(rule.nodes))

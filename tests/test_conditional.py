@@ -161,6 +161,21 @@ def test_holder_equality_case():
     assert abs(report.lhs - report.rhs) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e6, 1e-120, 1e100])
+def test_holder_equality_case_passes_at_any_scale(scale):
+    # Y = X^2 with p = 3 makes |Y|^q proportional to |X|^p: Hölder's equality
+    # case, where lhs and rhs differ by rounding only, relative to their size;
+    # at 1e-120 the cubes underflow unless the check scales X and Y first
+    rng = np.random.default_rng(3)
+    space = FiniteMeasureSpace.uniform(5)
+    exps = ConjugateExponents(3.0)
+    for _ in range(200):
+        x = rng.uniform(0.0, scale, 5)
+        report = holder_bound_check(RandomVariable(x), RandomVariable(x**2), exps, space)
+        assert abs(report.lhs - report.rhs) <= 1e-14 * report.rhs
+        assert report.passed
+
+
 def test_holder_orthogonal_case():
     X = RandomVariable((1.0, 1.0, -1.0, -1.0))
     Y = RandomVariable((1.0, -1.0, 1.0, -1.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -203,7 +204,7 @@ def test_bochner_consistency_with_direct_omega_quadrature():
     via_expectation = inner_product(u, bochner_expectation(law))
     rule = gauss_legendre(64, 0.0, 1.0)
     direct = sum(
-        w * inner_product(u, law.sampler(om))
+        w * inner_product(u, HilbertVector(LEG32.indicator_coefficients(om), LEG32))
         for w, om in zip(rule.weights, rule.nodes)
     )
     assert abs(via_expectation - direct) < 1e-6
@@ -213,7 +214,8 @@ def test_bochner_consistency_with_direct_omega_quadrature():
 @pytest.mark.parametrize("size", [1, 2, 32, 256])
 def test_indicator_rows_match_per_omega_coefficients(kind, size):
     basis = OrthonormalBasis(kind=kind, size=size)
-    weights, rows = prefix_indicator_law(basis).coefficient_matrix()
+    law = prefix_indicator_law(basis)
+    weights, rows = law.weights, law.rows
     rule = gauss_legendre(64, 0.0, 1.0)
     assert weights.tobytes() == rule.weights.tobytes()
     assert rows.shape == (64, size) and rows.flags.c_contiguous
@@ -225,7 +227,9 @@ def test_indicator_law_equals_a_per_omega_sampler():
     # a user-written sampler takes the per-omega path; both give the same floats
     basis = OrthonormalBasis(kind="shifted_legendre", size=64)
     law = prefix_indicator_law(basis)
-    by_hand = DiscreteHValuedLaw.from_sampler(lambda om: law.sampler(om), basis)
+    by_hand = DiscreteHValuedLaw.from_sampler(
+        lambda om: HilbertVector(basis.indicator_coefficients(om), basis), basis
+    )
     mean, mean_by_hand = bochner_expectation(law), bochner_expectation(by_hand)
     assert mean.coeffs.tobytes() == mean_by_hand.coeffs.tobytes()
     assert expected_norm(law) == expected_norm(by_hand)
@@ -378,9 +382,9 @@ def test_basis_and_law_validation():
     with pytest.raises(ValueError):
         DiscreteHValuedLaw.from_atoms([(float("nan"), v)])
     with pytest.raises(ValueError):
-        DiscreteHValuedLaw(basis=LEG32)
+        DiscreteHValuedLaw(LEG32, np.ones(1), np.zeros((1, 31)))
     with pytest.raises(ValueError):
-        DiscreteHValuedLaw(basis=LEG32, atoms=((1.0, v),), sampler=lambda om: v)
+        DiscreteHValuedLaw(LEG32, np.ones((1, 1)), np.zeros((1, 32)))
     other = OrthonormalBasis(kind="shifted_legendre", size=8)
     with pytest.raises(ValueError):
         inner_product(v, HilbertVector.unit(other, 0))
@@ -394,9 +398,9 @@ def test_every_basis_check_names_both_bases():
     w = HilbertVector.unit(sine, 0)
     checks = (
         (lambda: inner_product(v, w), "shifted_legendre/32 vs fourier_sine/8"),
-        (lambda: DiscreteHValuedLaw(basis=LEG32, atoms=((1.0, w),)),
+        (lambda: DiscreteHValuedLaw.from_atoms([(0.5, v), (0.5, w)]),
          "fourier_sine/8 vs shifted_legendre/32"),
-        (lambda: DiscreteHValuedLaw.from_sampler(lambda om: w, LEG32).coefficient_matrix(),
+        (lambda: DiscreteHValuedLaw.from_sampler(lambda om: w, LEG32),
          "fourier_sine/8 vs shifted_legendre/32"),
     )
     for call, bases in checks:
@@ -414,3 +418,107 @@ def test_vector_coefficients_are_read_only():
             v.coeffs[0] = 5.0
     # the caller's array keeps its flags
     assert arr.flags.writeable
+
+
+def test_law_is_its_basis_weights_and_rows():
+    assert [f.name for f in dataclasses.fields(DiscreteHValuedLaw)] == ["basis", "weights", "rows"]
+    probs = [0.25, 0.75]
+    vectors = [HilbertVector.unit(LEG32, 0), HilbertVector.unit(LEG32, 5)]
+    law = DiscreteHValuedLaw.from_atoms(list(zip(probs, vectors)))
+    assert law.basis == LEG32
+    assert law.weights.tolist() == probs
+    assert np.array_equal(law.rows, [v.coeffs for v in vectors])
+
+
+def test_sampler_runs_once_per_omega_node():
+    # the rows are built once, with the law; the mean and the norm read them
+    calls = []
+
+    def sampler(om):
+        calls.append(om)
+        return HilbertVector(LEG32.indicator_coefficients(om), LEG32)
+
+    law = DiscreteHValuedLaw.from_sampler(sampler, LEG32)
+    bochner_expectation(law)
+    expected_norm(law)
+    assert calls == gauss_legendre(64, 0.0, 1.0).nodes.tolist()
+
+
+def test_prefix_indicator_law_builds_its_rows_in_one_call(monkeypatch):
+    calls = []
+    original = OrthonormalBasis.indicator_coefficients
+
+    def counting(self, omega):
+        calls.append(np.size(omega))
+        return original(self, omega)
+
+    monkeypatch.setattr(OrthonormalBasis, "indicator_coefficients", counting)
+    for kind in BASIS_KINDS:
+        law = prefix_indicator_law(OrthonormalBasis(kind=kind, size=16))
+        bochner_expectation(law)
+        expected_norm(law)
+    assert calls == [64, 64]
+
+
+@pytest.mark.parametrize("weights, rows", [
+    (np.ones(2), np.zeros((3, 32))),
+    (np.ones(2), np.zeros((2, 31))),
+    (np.ones(2), np.zeros(32)),
+    (np.ones((2, 1)), np.zeros((2, 32))),
+    (np.float64(1.0), np.zeros((1, 32))),
+    (np.array([0.5, -0.5]), np.zeros((2, 32))),
+    (np.array([1.0, np.nan]), np.zeros((2, 32))),
+    (np.array([-np.inf]), np.zeros((1, 32))),
+])
+def test_law_constructor_checks_shapes_and_weights(weights, rows):
+    with pytest.raises(ValueError):
+        DiscreteHValuedLaw(LEG32, weights, rows)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_rows_raise_integrability_error(bad):
+    rows = np.zeros((2, 32))
+    rows[1, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = DiscreteHValuedLaw(LEG32, [0.5, 0.5], rows)
+        for fn in (expected_norm, bochner_expectation):
+            with pytest.raises(IntegrabilityError, match="not finite"):
+                fn(law)
+
+
+def test_law_arrays_are_read_only():
+    weights, rows = np.array([0.5, 0.5]), np.zeros((2, 32))
+    law = DiscreteHValuedLaw(LEG32, weights, rows)
+    for arr in (law.weights, law.rows):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    # the caller's arrays keep their flags
+    assert weights.flags.writeable and rows.flags.writeable
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "3", None])
+def test_basis_size_must_be_an_integer(size):
+    with pytest.raises(ValueError, match="basis size must be an integer"):
+        OrthonormalBasis(kind="fourier_sine", size=size)
+
+
+def test_basis_size_takes_any_integer_type():
+    basis = OrthonormalBasis(kind="fourier_sine", size=np.int64(3))
+    assert type(basis.size) is int and basis == OrthonormalBasis(kind="fourier_sine", size=3)
+    assert HilbertVector.zero(basis).coeffs.shape == (3,)
+
+
+@pytest.mark.parametrize("index", [-1, 32, True, False, 1.0, np.float64(2.0), np.True_])
+def test_unit_and_evaluate_reject_a_bad_index(index):
+    with pytest.raises(ValueError):
+        HilbertVector.unit(LEG32, index)
+    with pytest.raises(ValueError):
+        LEG32.evaluate(index, 0.5)
+
+
+def test_unit_and_evaluate_take_any_integer_type():
+    for index in (0, 31, np.int64(7), np.uint8(7)):
+        v = HilbertVector.unit(LEG32, index)
+        assert v.coeffs.sum() == 1.0 and v.coeffs[int(index)] == 1.0
+        assert abs(LEG32.evaluate(index, 0.5) - LEG32.evaluate_all(0.5)[int(index), 0]) <= 1e-14

@@ -81,7 +81,6 @@ SETTABLE_VALUES = [
     "NumericError(point)", "ConvergenceError(estimates)", "ContractViolationError(index)",
     "adaptive_integrate(breakpoints)",
     "OrthonormalBasis(kind)", "OrthonormalBasis(size)",
-    "DiscreteHValuedLaw(atoms)", "DiscreteHValuedLaw(sampler)", "DiscreteHValuedLaw(omega_rule)",
     "DiscreteHValuedLaw.from_sampler(omega_rule)", "project(breakpoints)",
     "CdfLike(breakpoints)", "CdfLike(kinks)", "ExpectationOracle(support)",
     "ls_integrate(tol)", "ls_integrate(max_depth)",
@@ -102,7 +101,7 @@ SETTABLE_VALUES = [
 
 
 def test_public_settings_are_the_listed_ones():
-    assert len(SETTABLE_VALUES) == 51
+    assert len(SETTABLE_VALUES) == 48
     assert settable_values() == SETTABLE_VALUES
 
 
