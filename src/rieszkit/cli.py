@@ -474,10 +474,10 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     params = wn.WienerParams(x, y, t, d_coef)
     # drawn path by path, as a loop of sample_bridge on this generator would
     rng = np.random.Generator(np.random.Philox(key=seed))
-    _, cols = wn._bridge_positions(params, ts, lambda n: rng.standard_normal((paths, n)).T)
+    _, pos = wn._bridge_positions(params, ts, lambda n: rng.standard_normal((paths, n)).T)
     columns = [
         np.repeat(np.arange(paths), len(ts)).tolist(), list(ts) * paths,
-        np.column_stack(cols).ravel().tolist(),
+        pos.ravel().tolist(),
     ]
     meta = {
         "command": "bridge-sample", "times": list(ts), "x": x, "y": y,

@@ -18,14 +18,13 @@ average has been spread over its atoms.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import _check_limit, _check_probabilities, _check_tol, _ladder_indices
+from .numerics import _as_int, _check_limit, _check_probabilities, _check_tol, _ladder_indices
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -110,11 +109,12 @@ class FiniteMeasureSpace(_Views):
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteMeasureSpace":
+        n = _as_int(n, "atom count n")
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         space = object.__new__(cls)
         # labels "1".."n" are unique; they and the atoms wait to be asked for
-        space._set_probs(np.full(operator.index(n), 1.0 / n))
+        space._set_probs(np.full(n, 1.0 / n))
         return space
 
     @property

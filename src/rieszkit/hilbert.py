@@ -9,7 +9,6 @@ representer of u -> E<u, X>.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from .errors import IntegrabilityError
 from .numerics import (
-    QuadratureRule, _check_finite, _check_probabilities, _evaluate, _split, gauss_legendre,
+    QuadratureRule, _as_int, _check_finite, _check_probabilities, _evaluate, _split,
+    gauss_legendre,
 )
 
 __all__ = [
@@ -39,13 +39,6 @@ BASIS_KINDS = ("shifted_legendre", "fourier_sine")
 def _omega_rule() -> QuadratureRule:
     """The default omega rule: 64 nodes resolve the segment indicator's coefficients."""
     return gauss_legendre(64, 0.0, 1.0)
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as an int; ``ValueError`` for a bool, a float or another non-integer."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _check_index(index, size: int) -> int:

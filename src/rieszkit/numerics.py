@@ -13,6 +13,7 @@ later writes. The argument checks several modules share live here too.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -43,6 +44,16 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
 
 _MASS_TOL = 1e-12  # probabilities must sum to 1 within this
 _HERMITE_MAX = 370  # numpy's Hermite weights underflow beyond this n
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` for a bool, a float or another non-integer."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_tol(tol) -> None:
@@ -135,12 +146,15 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2n-1. The weights sum to b - a.
     The rule is the affine image of the cached canonical rule on [-1, 1].
+    An n that is not an integer >= 1 (a bool or a float included) raises
+    ``ValueError``.
     """
+    n = _as_int(n, "node count n")
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    unit = _canonical_rule("legendre", int(n))
+    unit = _canonical_rule("legendre", n)
     nodes = 0.5 * (b - a) * unit.nodes + 0.5 * (b + a)
     weights = 0.5 * (b - a) * unit.weights
     return QuadratureRule(nodes, weights)
@@ -152,11 +166,13 @@ def gauss_hermite(n: int) -> QuadratureRule:
     Integrates u -> p(u) exp(-u^2) exactly for polynomials p of degree
     <= 2n-1; the weights sum to sqrt(pi). The rule is built once per n and
     cached, so every call with the same n returns the same rule. Beyond
-    n = 370 numpy's weights underflow, so n must lie in 1..370.
+    n = 370 numpy's weights underflow, so n must be an integer in 1..370
+    (``ValueError`` otherwise, for a bool or a float too).
     """
+    n = _as_int(n, "node count n")
     if not 1 <= n <= _HERMITE_MAX:
         raise ValueError(f"need 1 <= n <= {_HERMITE_MAX} Hermite nodes, got n={n}")
-    return _canonical_rule("hermite", int(n))
+    return _canonical_rule("hermite", n)
 
 
 def _guarded_lobatto7(gap: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError
-from .numerics import _check_finite, _evaluate, gauss_hermite, gauss_legendre
+from .numerics import _as_int, _check_finite, _evaluate, gauss_hermite, gauss_legendre
 
 __all__ = [
     "WienerParams",
@@ -111,7 +111,14 @@ class CylindricalFunctional:
             object.__setattr__(self, "bound", b)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Apply fn to an (M, N) batch, tolerating per-row implementations."""
+        """Apply fn to an (M, N) batch, tolerating per-row implementations.
+
+        The batch keeps its memory layout. The integrators pass one whose N
+        time columns are each contiguous (Fortran order), so a per-column
+        fn runs on contiguous memory, and an fn that reduces across the
+        times through BLAS (``points @ c``, say) may round differently
+        from the same fn on a row-major copy.
+        """
         return _evaluate(self.fn, np.asarray(points, dtype=float))
 
 
@@ -215,9 +222,11 @@ def _check_horizon(times: Sequence[float], params: WienerParams) -> None:
 
 
 def _check_grid(n_nodes: int, n_axes: int = 0, sweep: bool = False) -> None:
-    """ValueError below 8 nodes per axis; BudgetError above the work budget of
+    """ValueError for a node count that is not an integer (a bool or a float
+    included) or is below 8 per axis; BudgetError above the work budget of
     n_axes * n_nodes**2 kernel evaluations for the cylinder sweep over n_axes
     boxed times, n_axes * n_nodes**n_axes for the tensor grid over n_axes times."""
+    n_nodes = _as_int(n_nodes, "n_nodes")
     if n_nodes < 8:
         raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
     work = n_axes * float(n_nodes) ** (2 if sweep else n_axes)
@@ -325,16 +334,20 @@ def wiener_integral_quadrature(
     final hop to the pinned endpoint enters as an explicit kernel factor,
     so a constant functional integrates to exactly the total mass.
     Memory: F receives the N path values of all n_nodes^N node
-    combinations as one (n_nodes^N, N) array; the chain adds a few
-    floats per combination, and F its own temporaries. A value of F that
-    is not finite raises NumericError naming its node combination.
+    combinations as one (n_nodes^N, N) array whose N time columns are
+    each contiguous; the chain adds a few floats per combination, and F
+    its own temporaries. An F that reduces across the times through BLAS
+    may round differently from the same F on a row-major batch. A value
+    of F that is not finite raises NumericError naming its node
+    combination. n_nodes must be an integer >= 8 (ValueError otherwise).
     """
     cols, wts = _chain(params, F.times, n_nodes)
-    coords = np.empty((len(wts), len(cols)))
+    coords = np.empty((len(cols), len(wts)))
     for k in range(len(cols)):
-        # row r of cols[k] fills a contiguous run of grid rows
-        coords.reshape(len(cols[k]), -1, len(cols))[:, :, k] = cols[k][:, None]
+        # value r of cols[k] fills a contiguous run of row k
+        coords[k].reshape(len(cols[k]), -1)[:] = cols[k][:, None]
     del cols  # leave F the room the columns took
+    coords = coords.T  # (n^N, N), one contiguous column per time
     vals = F.evaluate(coords)
     total = float(np.dot(wts, vals))
     # the weights are >= 0, so any value that is not finite makes the sum so too
@@ -370,25 +383,26 @@ def sample_bridge(
     contract raise ``ValueError`` before ``rng`` is drawn from.
     """
     ts, pos = _bridge_positions(params, times, lambda n: rng.standard_normal(n).tolist())
-    return BridgePath(times=ts, positions=tuple(pos))
+    return BridgePath(times=ts, positions=pos.tolist())
 
 
 def _bridge_positions(params: WienerParams, times: Sequence[float], draw: Callable):
-    """Checked times, and per time the bridge value or the column of batch values.
-    ``draw(N)`` runs after the checks and gives N standard-normal innovations in
-    time order, floats for one path or arrays for a batch: the same bits either way."""
+    """Checked times, and the positions: (N,) for one path, or an (M, N) batch
+    with one contiguous column per time. ``draw(N)`` runs after the checks and
+    gives N standard-normal innovations in time order, floats for one path or
+    arrays for a batch: the same bits either way."""
     ts = _checked_times(times)
     _check_horizon(ts, params)
-    pos = []
+    innovations = draw(len(ts))
+    pos = np.empty(np.shape(innovations))
     prev_t, prev = 0.0, params.x
-    for s, z in zip(ts, draw(len(ts))):
+    for k, (s, z) in enumerate(zip(ts, innovations)):
         gap = params.t - prev_t
         mean = prev + (s - prev_t) / gap * (params.y - prev)
         var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
-        prev = mean + math.sqrt(var) * z
-        pos.append(prev)
+        pos[k] = prev = mean + math.sqrt(var) * z
         prev_t = s
-    return ts, pos
+    return ts, pos.T
 
 
 def wiener_integral_mc(
@@ -399,16 +413,17 @@ def wiener_integral_mc(
     Draws paths from the normalized bridge law and rescales by the total
     mass heat_kernel(x - y, t, D): estimate = mass * sample mean of fn,
     stderr = mass * sample standard error. Deterministic given (seed,
-    n_paths). Needs ``n_paths >= 100`` and every time of F below the
-    horizon t (``ValueError`` otherwise).
+    n_paths). F receives the (n_paths, N) batch with contiguous time
+    columns. Needs an integer ``n_paths >= 100`` and every time of F below
+    the horizon t (``ValueError`` otherwise).
     """
+    n_paths = _as_int(n_paths, "n_paths")
     if n_paths < 100:
         raise ValueError(f"need n_paths >= 100, got {n_paths}")
     # counter-based generator filled time by time: each (time, path) draw is
     # a fixed function of (seed, indices), independent of any schedule
     gen = np.random.Generator(np.random.Philox(key=seed))
-    _, cols = _bridge_positions(params, F.times, lambda n: gen.standard_normal((n, n_paths)))
-    pos = np.column_stack(cols)
+    _, pos = _bridge_positions(params, F.times, lambda n: gen.standard_normal((n, n_paths)))
     vals = F.evaluate(pos)
     _check_finite(vals, pos)
     mass = heat_kernel(params.x - params.y, params.t, params.D)

@@ -232,6 +232,13 @@ def test_space_validation():
         FiniteMeasureSpace.uniform(0)
 
 
+def test_uniform_space_needs_an_integer_atom_count():
+    for bad in (2.5, 4.0, np.float64(4.0), True, "4"):
+        with pytest.raises(ValueError, match="atom count n must be an integer"):
+            FiniteMeasureSpace.uniform(bad)
+    assert FiniteMeasureSpace.uniform(np.int64(4)) == UNIF4
+
+
 def test_space_hands_out_fresh_probabilities_and_one_labels_tuple():
     atoms = (("a", 0.25), ("b", 0.5), ("c", 0.25))
     space = FiniteMeasureSpace(atoms)

@@ -235,6 +235,18 @@ def test_invalid_rule_arguments():
         adaptive_integrate(lambda u: u, 1.0, 0.0, 1e-8)
 
 
+def test_rule_node_counts_must_be_integers():
+    for bad in (2.5, 3.0, np.float64(3.0), True, False, "3", None):
+        with pytest.raises(ValueError, match="node count n must be an integer"):
+            gauss_legendre(bad, 0.0, 1.0)
+        with pytest.raises(ValueError, match="node count n must be an integer"):
+            gauss_hermite(bad)
+    # integer types give the rule of the plain int
+    assert gauss_hermite(np.int64(5)) is gauss_hermite(5)
+    assert np.array_equal(gauss_legendre(np.int32(5), 0.0, 1.0).nodes,
+                          gauss_legendre(5, 0.0, 1.0).nodes)
+
+
 def test_adaptive_rejects_a_nan_tolerance_before_any_panel():
     # err <= nan is never true: a NaN tol that got through would bisect
     # every panel down to max_depth, so the integrand must never be called

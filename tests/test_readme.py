@@ -40,6 +40,18 @@ def test_readme_examples_run_and_print_the_stated_values():
     assert printed[2][:2] == ["(1.5, 1.5, 3.5, 3.5)", "True"]
 
 
+def test_readme_wiener_example_keeps_its_bits():
+    # cylinder probability, then quadrature, Monte Carlo estimate and stderr;
+    # repr round-trips, so the printed values pin every bit
+    proc = _run(["-c", BLOCKS[3]])
+    assert proc.returncode == 0, proc.stderr
+    printed = [float(v).hex() for line in proc.stdout.splitlines() for v in line.split()]
+    assert printed == [
+        "0x1.9884533e82c18p-3", "0x1.9884533d43806p-4",
+        "0x1.966d8c00f2375p-4", "0x1.d313dedb6cafdp-12",
+    ]
+
+
 def test_readme_commands_run_from_source(tmp_path):
     # the files the commands name, written where the commands run
     (tmp_path / "atoms.csv").write_text(

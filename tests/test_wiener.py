@@ -293,7 +293,9 @@ def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
                 c = rng.normal(size=N)
                 F = CylindricalFunctional(times, lambda p: np.cos(p @ c) + p[..., -1] ** 2)
                 coords, wts = _reference_chain(params, times, [None] * N, n)
-                want = float(np.dot(wts, F.evaluate(coords)))
+                # F gets contiguous time columns, and BLAS rounds p @ c on
+                # that layout otherwise than on a row-major copy
+                want = float(np.dot(wts, F.evaluate(np.asfortranarray(coords))))
                 assert wiener_integral_quadrature(F, params, n) == want
 
 
@@ -554,6 +556,78 @@ def test_tensor_quadrature_reports_the_offending_node_combination():
         with pytest.raises(NumericError, match="path") as err:
             call()
         assert err.value.point[0] < 0.0
+
+
+def _reference_mc_batch(params, times, n_paths, seed):
+    """The (n_paths, N) row-major batch built from the time-by-time Philox draws."""
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((len(times), n_paths))
+    cols = []
+    prev_t, prev = 0.0, params.x
+    for s, zk in zip(times, z):
+        gap = params.t - prev_t
+        mean = prev + (s - prev_t) / gap * (params.y - prev)
+        var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
+        prev = mean + math.sqrt(var) * zk
+        cols.append(prev)
+        prev_t = s
+    return np.column_stack(cols)
+
+
+def test_f_receives_contiguous_time_columns_with_the_row_major_values():
+    params = WienerParams(x=0.3, y=-0.2, t=1.5, D=0.4)
+    for N in (1, 2, 3, 4):
+        times = tuple(params.t * (k + 1) / (N + 1) for k in range(N))
+        seen = []
+
+        def record(X):
+            seen.append(X)
+            return np.ones(len(X))
+
+        F = CylindricalFunctional(times, record)
+        wiener_integral_quadrature(F, params, 8)
+        wiener_integral_mc(F, params, 300, seed=5)
+        quad, mc = seen
+        for X, want in (
+            (quad, _reference_chain(params, times, [None] * N, 8)[0]),
+            (mc, _reference_mc_batch(params, times, 300, 5)),
+        ):
+            assert X.shape == want.shape
+            assert X.flags.f_contiguous
+            assert np.array_equal(X, want)
+
+        # a value that is not finite still names its row of the batch
+        for call, want in (
+            (lambda G: wiener_integral_quadrature(G, params, 8),
+             _reference_chain(params, times, [None] * N, 8)[0]),
+            (lambda G: wiener_integral_mc(G, params, 300, seed=5),
+             _reference_mc_batch(params, times, 300, 5)),
+        ):
+            bad = CylindricalFunctional(times, lambda X: np.where(X[:, -1] > 0.1, np.nan, 1.0))
+            with pytest.raises(NumericError) as err:
+                call(bad)
+            k = int(np.argmax(want[:, -1] > 0.1))
+            assert err.value.point == tuple(want[k].tolist())
+
+
+def test_every_node_and_path_count_must_be_an_integer():
+    F = CylindricalFunctional((0.5,), ones_fn, bound=1.0)
+    C = CylinderSet((0.5,), ((0.0, 1.0),))
+    calls = {
+        "quadrature": lambda n: wiener_integral_quadrature(F, PINNED, n),
+        "cylinder": lambda n: cylinder_probability(C, PINNED, n),
+        "compatibility": lambda n: check_compatibility(0.0, 0.1, 0.2, 0.5, 1.0, 0.5, n),
+        "refinement": lambda n: node_refinement_table(F, PINNED, (8, n)),
+        "limit": lambda n: integrate_pointwise_limit([F], PINNED, n),
+    }
+    for name, call in calls.items():
+        for bad in (8.5, 12.7, 16.0, np.float64(16.0), True, "16"):
+            with pytest.raises(ValueError, match="n_nodes must be an integer"):
+                call(bad)
+        call(np.int64(16))  # integer types pass
+    for bad in (1000.5, 1000.0, np.float64(1000.0), True):
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            wiener_integral_mc(F, PINNED, bad)
+    assert wiener_integral_mc(F, PINNED, np.int64(100)) == wiener_integral_mc(F, PINNED, 100)
 
 
 def test_mc_validation():
