@@ -26,7 +26,7 @@ from . import hilbert as hb
 from . import stieltjes as st
 from . import wiener as wn
 from .errors import RieszkitError
-from .numerics import _check_tol
+from .numerics import _count, _positive, _seed
 
 
 def _cell(v):
@@ -163,8 +163,7 @@ def bochner(basis, size, grid_n, fmt, out):
     the expectation reconstructed at grid points against the closed form
     1 - t.
     """
-    if size < 1 or grid_n < 1:
-        raise click.UsageError("--size and --grid-n must be positive")
+    _count(grid_n, "--grid-n")
     b = hb.OrthonormalBasis(kind=basis, size=size)
     law = hb.prefix_indicator_law(b)
     mu = hb.bochner_expectation(law)
@@ -202,8 +201,9 @@ def recover_cdf_cmd(law, law_args, samples, grid_lo, grid_hi, grid_n,
         raise click.UsageError("provide exactly one of --law or --samples")
     if law is None and law_args is not None:
         raise click.UsageError("--law-args needs --law")
-    if grid_n < 1 or not -math.inf < grid_lo < grid_hi < math.inf:
-        raise click.UsageError("need finite grid-lo < grid-hi and grid-n >= 1")
+    _count(grid_n, "--grid-n")
+    if not -math.inf < grid_lo < grid_hi < math.inf:
+        raise click.UsageError("need finite grid-lo < grid-hi")
     if law is not None:
         factory, defaults = _LAWS[law]
         given = _parse_list(law_args, "--law-args") if law_args is not None else ()
@@ -348,7 +348,7 @@ def compat_check(x, z, u, s, t, d_coef, nodes, tol, fmt, out):
     Emits columns (n_nodes, residual) for the configuration given by
     --x, --z, --u, --s, --t, --D.
     """
-    _check_tol(tol)
+    _positive(tol, "--tol")
     counts = _parse_list(nodes, "--nodes", int)
     resid = [float(wn.check_compatibility(x, z, u, s, t, d_coef, n)) for n in counts]
     meta = {
@@ -468,12 +468,11 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
 
     Emits columns (path, t, position), one row per (path, time).
     """
-    if paths < 1:
-        raise click.UsageError("--paths must be >= 1")
+    _count(paths, "--paths")
     ts = _parse_list(times, "--times")
     params = wn.WienerParams(x, y, t, d_coef)
     # drawn path by path, as a loop of sample_bridge on this generator would
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_seed(seed, "--seed")))
     _, pos = wn._bridge_positions(params, ts, lambda n: rng.standard_normal((paths, n)).T)
     columns = [
         np.repeat(np.arange(paths), len(ts)).tolist(), list(ts) * paths,

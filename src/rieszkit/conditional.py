@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _as_int, _check_limit, _check_probabilities, _check_tol, _ladder_indices
+from .numerics import _check_probabilities, _count, _ladder_indices, _positive, _real
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -109,9 +109,8 @@ class FiniteMeasureSpace(_Views):
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteMeasureSpace":
-        n = _as_int(n, "atom count n")
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+        """n equally likely atoms labelled "1".."n"; n is a count >= 1."""
+        n = _count(n, "atom count n")
         space = object.__new__(cls)
         # labels "1".."n" are unique; they and the atoms wait to be asked for
         space._set_probs(np.full(n, 1.0 / n))
@@ -216,11 +215,11 @@ class Partition(_Views):
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
-        return cls((tuple(range(n)),))
+        return cls((tuple(range(_count(n, "atom count n"))),))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls(tuple((k,) for k in range(n)))
+        return cls(tuple((k,) for k in range(_count(n, "atom count n"))))
 
     @classmethod
     def from_spec(cls, spec: str, labels: Sequence[str]) -> "Partition":
@@ -245,7 +244,8 @@ class Partition(_Views):
         return part
 
     def covers(self, n: int) -> bool:
-        """Whether the blocks cover exactly the atom indices 0..n-1."""
+        """Whether the blocks cover exactly the atom indices 0..n-1; n is a count >= 0."""
+        n = _count(n, "atom count n", 0)
         # disjoint nonnegative indices cover 0..n-1 iff there are n of them, all below n
         return len(self._order) == n and self._hi < n
 
@@ -258,8 +258,8 @@ class ConjugateExponents:
     q: float = field(init=False)
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (1.0 < p < np.inf):
+        p = _real(self.p, "p")
+        if not 1.0 < p:
             raise ValueError(f"p must lie in (1, inf), got {p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", p / (p - 1.0))
@@ -331,9 +331,10 @@ def cond_expectation_l1(
     space the ladder stabilizes exactly once j bounds both parts, at
     which point min(X+-, j) = X+- bitwise and the result coincides with
     cond_expectation(X) exactly; if j_max is too small the last ladder
-    state is returned with ``converged=False``. ``j_max`` must be finite.
+    state is returned with ``converged=False``. ``j_max`` is a count >= 1
+    (``ValueError`` otherwise).
     """
-    _check_limit("j_max", j_max)
+    j_max = _count(j_max, "j_max")
     _check_alignment(space, G, X=X)
     blocks = _BlockSums(G, space)
     xv = X._x
@@ -380,10 +381,9 @@ def verify_duality(
 ) -> DualityReport:
     """Check that X and xi integrate identically over every block.
 
-    ``tol`` must be positive and finite (``ValueError`` otherwise; NaN
-    included).
+    ``tol`` is a positive real (``ValueError`` otherwise).
     """
-    _check_tol(tol)
+    tol = _positive(tol, "tol")
     _check_alignment(space, G, X=X, xi=xi)
     blocks = _BlockSums(G, space)
     residuals = np.abs(blocks.sums(X._x) - blocks.sums(xi._x))

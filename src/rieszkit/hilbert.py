@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IntegrabilityError
 from .numerics import (
-    QuadratureRule, _as_int, _check_finite, _check_probabilities, _evaluate, _split,
+    QuadratureRule, _check_finite, _check_probabilities, _count, _evaluate, _split,
     gauss_legendre,
 )
 
@@ -41,16 +41,9 @@ def _omega_rule() -> QuadratureRule:
     return gauss_legendre(64, 0.0, 1.0)
 
 
-def _check_index(index, size: int) -> int:
-    index = _as_int(index, "index")
-    if not 0 <= index < size:
-        raise ValueError(f"index {index} outside 0..{size - 1}")
-    return index
-
-
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Orthonormal basis e_0..e_{N-1} of L2(0,1).
+    """Orthonormal basis e_0..e_{N-1} of L2(0,1); N, the ``size``, is a count >= 1.
 
     Kinds:
 
@@ -66,15 +59,13 @@ class OrthonormalBasis:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        size = _as_int(self.size, "basis size")
-        if size < 1:
-            raise ValueError(f"basis size must be >= 1, got {size}")
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", _count(self.size, "basis size"))
 
     def evaluate(self, index: int, t) -> np.ndarray:
         """e_index at points t in (0,1), shaped as t: row ``index`` of
-        ``evaluate_all(t)``, built on the basis truncated after e_index."""
-        index = _check_index(index, self.size)
+        ``evaluate_all(t)``, built on the basis truncated after e_index;
+        ``index`` is a count in 0..size-1."""
+        index = _count(index, "index", 0, self.size - 1)
         row = OrthonormalBasis(self.kind, index + 1).evaluate_all(t)[index]
         return row.reshape(np.shape(t))[()]
 
@@ -167,7 +158,7 @@ class HilbertVector:
     @classmethod
     def unit(cls, basis: OrthonormalBasis, index: int) -> "HilbertVector":
         c = np.zeros(basis.size)
-        c[_check_index(index, basis.size)] = 1.0
+        c[_count(index, "index", 0, basis.size - 1)] = 1.0
         return cls(c, basis)
 
 

@@ -7,12 +7,16 @@ Legendre and Hermite rules are computed once per n and cached (the last
 canonical one. Nodes and weights are read-only, so the rules of
 ``gauss_legendre`` and ``gauss_hermite`` are immutable and thread-safe;
 a rule built from your own arrays is a read-only view that shows your
-later writes. The argument checks several modules share live here too.
+later writes. The owners of the argument contract (README) live here too:
+every public count, real, positive real and seed goes through one of them.
+They raise ValueError naming the parameter, and they are plain scalar
+Python, since the recovery ladders call them thousands of times a batch.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,27 +48,48 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
 
 _MASS_TOL = 1e-12  # probabilities must sum to 1 within this
 _HERMITE_MAX = 370  # numpy's Hermite weights underflow beyond this n
+_SEED_MAX = 2**128 - 1  # the largest Philox key
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as an int; ``ValueError`` for a bool, a float or another non-integer."""
-    if type(value) is not bool:
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int in low..high, no ceiling if ``high`` is None. A bool,
+    a float or another non-integer says ``<name> must be an integer``; NaN, ±inf
+    and integers out of range say ``<name> must be >= low and ...``."""
+    if type(value) is int:
+        n = value
+    elif isinstance(value, float) and not math.isfinite(value):
+        n = None  # NaN and ±inf are out of range
+    elif type(value) is not bool and isinstance(value, numbers.Integral):
+        n = operator.index(value)
+    else:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n is not None and low <= n and (high is None or n <= high):
+        return n
+    ceiling = "finite" if high is None else f"<= {high}"
+    raise ValueError(f"{name} must be >= {low} and {ceiling}, got {value!r}")
 
 
-def _check_tol(tol) -> None:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+def _real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, and > 0 if ``positive``. A bool, a str or
+    another non-number says ``<name> must be a real number``; a real out of
+    range says ``<name> must be finite`` (``positive and finite``)."""
+    if type(value) is bool or not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if (0.0 if positive else -math.inf) < x < math.inf:
+        return x
+    rule = "positive and finite" if positive else "finite"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _check_limit(name: str, value) -> None:
-    # an infinite ladder limit would double the ladder forever
-    if not 1 <= value < math.inf:
-        raise ValueError(f"{name} must be >= 1 and finite, got {value}")
+def _positive(value, name: str) -> float:
+    """A positive finite real, such as a tolerance."""
+    return _real(value, name, True)
+
+
+def _seed(value, name: str = "seed") -> int:
+    """A Philox key: a count in 0..2**128 - 1."""
+    return _count(value, name, 0, _SEED_MAX)
 
 
 def _check_probabilities(probs: np.ndarray) -> None:
@@ -146,12 +171,10 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2n-1. The weights sum to b - a.
     The rule is the affine image of the cached canonical rule on [-1, 1].
-    An n that is not an integer >= 1 (a bool or a float included) raises
-    ``ValueError``.
+    n is a count >= 1 and a, b are finite reals (``ValueError`` otherwise).
     """
-    n = _as_int(n, "node count n")
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
+    n = _count(n, "node count n")
+    a, b = _real(a, "a"), _real(b, "b")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     unit = _canonical_rule("legendre", n)
@@ -166,13 +189,10 @@ def gauss_hermite(n: int) -> QuadratureRule:
     Integrates u -> p(u) exp(-u^2) exactly for polynomials p of degree
     <= 2n-1; the weights sum to sqrt(pi). The rule is built once per n and
     cached, so every call with the same n returns the same rule. Beyond
-    n = 370 numpy's weights underflow, so n must be an integer in 1..370
-    (``ValueError`` otherwise, for a bool or a float too).
+    n = 370 numpy's weights underflow, so n is a count in 1..370
+    (``ValueError`` otherwise).
     """
-    n = _as_int(n, "node count n")
-    if not 1 <= n <= _HERMITE_MAX:
-        raise ValueError(f"need 1 <= n <= {_HERMITE_MAX} Hermite nodes, got n={n}")
-    return _canonical_rule("hermite", n)
+    return _canonical_rule("hermite", _count(n, "node count n", 1, _HERMITE_MAX))
 
 
 def _guarded_lobatto7(gap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +248,11 @@ def adaptive_integrate(
     ``breakpoints`` forces subdivision at known kinks, which is the
     intended way to handle piecewise-smooth integrands; a point listed
     twice splits once. For integrands with undeclared kinks the result
-    is best effort: after 48 bisections a panel is accepted as is. A
-    ``tol`` that is not positive and finite (NaN included) raises
-    ``ValueError``.
+    is best effort: after 48 bisections a panel is accepted as is. ``tol``
+    is a positive real and a, b are finite reals (``ValueError`` otherwise).
     """
-    _check_tol(tol)
+    tol = _positive(tol, "tol")
+    a, b = _real(a, "a"), _real(b, "b")
     if not a < b:
         if a == b:
             return 0.0

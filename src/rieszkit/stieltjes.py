@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_check_finite, _check_limit, _check_tol, _evaluate, _ladder_indices,
+from .numerics import (_check_finite, _count, _evaluate, _ladder_indices, _positive, _real,
                        _split, adaptive_integrate)
 
 __all__ = [
@@ -51,7 +51,8 @@ class CdfLike:
     them atomically. ``kinks`` lists the abscissae where the generator is
     continuous but not smooth (its density jumps). Both lists default to
     ``()`` and are stored sorted, each point once; a point that is not
-    finite raises ``ValueError`` naming its list.
+    finite raises ``ValueError`` naming its list. ``c_minus`` and
+    ``c_plus`` are finite reals with c_minus <= c_plus.
     """
 
     eval: Callable
@@ -61,14 +62,13 @@ class CdfLike:
     kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name in ("c_minus", "c_plus"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not self.c_minus <= self.c_plus:
             raise ValueError(f"c_minus={self.c_minus} exceeds c_plus={self.c_plus}")
         for name in ("breakpoints", "kinks"):
-            given = getattr(self, name)
-            points = tuple(sorted(set(map(float, given))))
-            if not all(map(math.isfinite, points)):
-                raise ValueError(f"{name} must be finite, got {given}")
-            object.__setattr__(self, name, points)
+            points = {_real(x, name) for x in getattr(self, name)}
+            object.__setattr__(self, name, tuple(sorted(points)))
 
     def __call__(self, x):
         return self.eval(x)
@@ -76,6 +76,7 @@ class CdfLike:
 
 def uniform_cdf(lo: float = 0.0, hi: float = 1.0) -> CdfLike:
     """CDF of the uniform law on (lo, hi); its kinks are lo and hi."""
+    lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
     return CdfLike(
@@ -89,6 +90,7 @@ def uniform_cdf(lo: float = 0.0, hi: float = 1.0) -> CdfLike:
 def triangular_cdf(lo: float = 0.0, mode: float = 0.5, hi: float = 1.0) -> CdfLike:
     """CDF of the triangular law with the given support and mode; its
     kinks are lo, mode and hi."""
+    lo, mode, hi = _real(lo, "lo"), _real(mode, "mode"), _real(hi, "hi")
     if not lo < hi or not lo <= mode <= hi:
         raise ValueError(f"need lo <= mode <= hi with lo < hi, got {lo}, {mode}, {hi}")
 
@@ -113,6 +115,7 @@ def triangular_cdf(lo: float = 0.0, mode: float = 0.5, hi: float = 1.0) -> CdfLi
 
 def two_atom_cdf(x1: float, p1: float, x2: float) -> CdfLike:
     """CDF of the law putting mass p1 at x1 and 1 - p1 at x2."""
+    x1, p1, x2 = _real(x1, "x1"), _real(p1, "p1"), _real(x2, "x2")
     if not x1 < x2:
         raise ValueError(f"need x1 < x2, got {x1}, {x2}")
     if not 0.0 <= p1 <= 1.0:
@@ -127,6 +130,7 @@ def two_atom_cdf(x1: float, p1: float, x2: float) -> CdfLike:
 
 def point_mass_cdf(at: float = 0.0) -> CdfLike:
     """CDF of the unit point mass at ``at``."""
+    at = _real(at, "at")
 
     def F(x):
         return np.where(np.asarray(x, dtype=float) >= at, 1.0, 0.0)
@@ -135,9 +139,11 @@ def point_mass_cdf(at: float = 0.0) -> CdfLike:
 
 
 def ls_measure_interval(alpha: CdfLike, a: float, b: float) -> float:
-    """Mass of the half-open interval (a, b] under the measure of ``alpha``."""
+    """Mass of the half-open interval (a, b] under the measure of ``alpha``;
+    a and b are finite reals with a <= b (``ValueError`` otherwise)."""
     if not a <= b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
+    a, b = _real(a, "a"), _real(b, "b")
     return float(alpha.eval(b)) - float(alpha.eval(a))
 
 
@@ -164,11 +170,6 @@ def _check_support(name: str, support) -> tuple[float, float]:
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"{name} must be finite and ordered, got {support}")
     return lo, hi
-
-
-def _check_point(x) -> None:
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
 
 
 class _Probe:
@@ -294,8 +295,9 @@ def ls_integrate(
     segment, one segment after the other, so peak memory is that of one
     segment. A value of f that is not finite raises ``NumericError``
     carrying its abscissa as ``point``. The support endpoints must be
-    finite and ordered, and ``tol`` positive and finite (``ValueError``
-    otherwise; a NaN ``tol`` counts as not positive).
+    finite and ordered, ``tol`` is a positive real and ``max_depth`` a
+    count >= 5, since the stop needs three estimates and they start at
+    depth 3 (``ValueError`` otherwise).
 
     A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
     the two as ``recover_cdf`` and ``total_mass`` use them, is integrated
@@ -306,7 +308,8 @@ def ls_integrate(
     Riemann-Stieltjes path.
     """
     lo, hi = _check_support("support", support)
-    _check_tol(tol)
+    tol = _positive(tol, "tol")
+    max_depth = _count(max_depth, "max_depth", 5)
     if lo == hi:
         return 0.0
     if isinstance(f, _Probe):
@@ -333,15 +336,15 @@ def ls_integrate(
 
 @dataclass(frozen=True)
 class RampSpec:
-    """Descending ramp: 1 up to x, affine down to 0 across width 1/j. A
-    non-finite x, or a j below 1 or not finite, raises ``ValueError``."""
+    """Descending ramp: 1 up to x, affine down to 0 across width 1/j. x is
+    a finite real and j a count >= 1 (``ValueError`` otherwise)."""
 
     x: float
     j: int
 
     def __post_init__(self):
-        _check_point(self.x)
-        _check_limit("slope parameter j", self.j)
+        object.__setattr__(self, "x", _real(self.x, "x"))
+        object.__setattr__(self, "j", _count(self.j, "slope parameter j"))
 
 
 def make_ramp(spec: RampSpec) -> Callable:
@@ -351,8 +354,9 @@ def make_ramp(spec: RampSpec) -> Callable:
 
 
 def make_cutoff(j: int) -> Callable:
-    """Compact-support plateau: 1 on [-j, j], affine to 0 at +-(j+1)."""
-    _check_limit("cutoff index", j)
+    """Compact-support plateau: 1 on [-j, j], affine to 0 at +-(j+1); j is
+    a count >= 1 (``ValueError`` otherwise)."""
+    j = _count(j, "cutoff index j")
     return _Probe(
         ((-(j + 1.0), -float(j), float(j), j + 1.0), (0.0, 1.0, 1.0, 0.0), 0.0, 0.0)
     )
@@ -399,8 +403,10 @@ def oracle_from_cdf(
     ``support`` must cover the measure's mass; probe functions outside it
     contribute nothing. The integral only reads f on (support[0],
     support[1]], so the oracle carries ``support`` as its promised
-    support. Its endpoints must be finite and ordered (``ValueError``).
+    support. Its endpoints must be finite and ordered, and ``tol`` is a
+    positive real (``ValueError`` otherwise).
     """
+    tol = _positive(tol, "tol")
     return ExpectationOracle(
         apply=lambda f: ls_integrate(f, alpha, support, tol),
         support=support,
@@ -583,14 +589,13 @@ def recover_cdf(
     plateau / extrapolated / raw produced the value. ``m_reached`` is the
     cutoff index at which the last ramp's ladder stopped: the first
     covering index for an oracle with a support, else the index of the
-    second of the two agreeing values (or ``m_max``). A non-finite ``x``,
-    a ``j_max`` or ``m_max`` that is below 1 or not finite, or a ``tol``
-    that is not positive and finite (NaN included), raises ``ValueError``.
+    second of the two agreeing values (or ``m_max``). ``x`` is a finite
+    real, ``j_max`` and ``m_max`` are counts >= 1 and ``tol`` is a positive
+    real (``ValueError`` otherwise, for ``x`` first).
     """
-    _check_point(x)
-    _check_limit("j_max", j_max)
-    _check_limit("m_max", m_max)
-    _check_tol(tol)
+    x = _real(x, "x")
+    j_max, m_max = _count(j_max, "j_max"), _count(m_max, "m_max")
+    tol = _positive(tol, "tol")
     result, method, js, values, m_reached = _recover(L, x, j_max, m_max, tol)
     if full_output:
         info = {
@@ -609,11 +614,10 @@ def total_mass(L: ExpectationOracle, m_max: int = 64) -> float:
     It is the cutoff limit that ``recover_cdf`` takes inside every ramp,
     run on the bare cutoffs: the ladder stops when two successive values
     agree within 1e-12, or at the first cutoff that covers the oracle's
-    ``support``, and may not decrease by more than 1e-12. ``m_max`` must
-    be at least 1 and finite.
+    ``support``, and may not decrease by more than 1e-12. ``m_max`` is a
+    count >= 1 (``ValueError`` otherwise).
     """
-    _check_limit("m_max", m_max)
-    return _cutoff_limit(L, None, m_max, 1e-12, 1e-12)[0]
+    return _cutoff_limit(L, None, _count(m_max, "m_max"), 1e-12, 1e-12)[0]
 
 
 class RecoveredCdf:
@@ -633,19 +637,14 @@ class RecoveredCdf:
         m_max: int = 64,
         tol: float = 1e-6,
     ):
-        _check_limit("j_max", j_max)
-        _check_limit("m_max", m_max)
-        _check_tol(tol)
         self.oracle = oracle
-        self.j_max = j_max
-        self.m_max = m_max
-        self.tol = tol
+        self.j_max, self.m_max = _count(j_max, "j_max"), _count(m_max, "m_max")
+        self.tol = _positive(tol, "tol")
         self._cache: dict[float, float] = {}
 
     def _point(self, x: float) -> float:
-        key = float(x)
+        key = _real(x, "x")
         if key not in self._cache:
-            _check_point(key)
             self._cache[key] = _recover(self.oracle, key, self.j_max, self.m_max, self.tol)[0]
         return self._cache[key]
 

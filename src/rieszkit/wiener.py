@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError
-from .numerics import _as_int, _check_finite, _evaluate, gauss_hermite, gauss_legendre
+from .numerics import (_HERMITE_MAX, _check_finite, _count, _evaluate, _positive, _real, _seed,
+                       gauss_hermite, gauss_legendre)
 
 __all__ = [
     "WienerParams",
@@ -51,7 +52,8 @@ _BLOCK_CELLS = 2**14
 
 @dataclass(frozen=True)
 class WienerParams:
-    """Endpoints x, y, horizon t and diffusion coefficient D.
+    """Endpoints x, y (finite reals), horizon t and diffusion coefficient D
+    (positive reals); y - x and 4*D*t must not overflow (``ValueError``).
 
     D defaults to 1/2 so that the free variance over a time span s is s.
     """
@@ -62,14 +64,8 @@ class WienerParams:
     D: float = 0.5
 
     def __post_init__(self):
-        for name in ("x", "y", "t", "D"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError("endpoints must be finite")
-        if not (self.t > 0 and np.isfinite(self.t)):
-            raise ValueError(f"horizon t must be positive, got {self.t}")
-        if not (self.D > 0 and np.isfinite(self.D)):
-            raise ValueError(f"diffusion D must be positive, got {self.D}")
+        for name, kind in (("x", _real), ("y", _real), ("t", _positive), ("D", _positive)):
+            object.__setattr__(self, name, kind(getattr(self, name), name))
         # every bridge mean and heat-kernel exponent is built from these
         if not math.isfinite(self.y - self.x):
             raise ValueError(f"y - x overflows for x={self.x!r}, y={self.y!r}")
@@ -94,8 +90,8 @@ class CylindricalFunctional:
     ``fn`` receives an array whose last axis runs over the times (a batch
     of path snapshots) and should return one value per row; a plain
     per-point function of an N-vector also works. ``bound`` is an
-    optional sup-norm bound on fn, required by the dominated-limit
-    machinery and used nowhere else.
+    optional sup-norm bound on fn, a finite real >= 0, required by the
+    dominated-limit machinery and used nowhere else.
     """
 
     times: tuple[float, ...]
@@ -105,9 +101,9 @@ class CylindricalFunctional:
     def __post_init__(self):
         object.__setattr__(self, "times", _checked_times(self.times))
         if self.bound is not None:
-            b = float(self.bound)
-            if not (b >= 0 and np.isfinite(b)):
-                raise ValueError(f"bound must be finite and nonnegative, got {b}")
+            b = _real(self.bound, "bound")
+            if b < 0:
+                raise ValueError(f"bound must be nonnegative, got {b}")
             object.__setattr__(self, "bound", b)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -167,15 +163,12 @@ class BridgePath:
 def heat_kernel(dx, dt: float, D: float):
     """Transition density (4*pi*D*dt)^(-1/2) * exp(-dx^2 / (4*D*dt)).
 
-    Vectorized over dx; dt and D must be finite positive scalars, and
-    4*D*dt must not underflow to 0 (``ValueError`` otherwise). Where
-    dx^2 / (4*D*dt) overflows the exponent is -inf, and the value is the
-    exact underflowed 0, without a warning.
+    Vectorized over dx; dt and D are positive reals, and 4*D*dt must not
+    underflow to 0 (``ValueError`` otherwise; NaN and ±inf are reported
+    as not finite). Where dx^2 / (4*D*dt) overflows the exponent is -inf,
+    and the value is the exact underflowed 0, without a warning.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not (D > 0 and math.isfinite(D)):
-        raise ValueError(f"D must be finite and positive, got {D}")
+    dt, D = _positive(_real(dt, "dt"), "dt"), _positive(_real(D, "D"), "D")
     spread = 4.0 * D * dt
     if spread == 0.0:
         raise ValueError(f"4*D*dt underflows to 0 (D={D}, dt={dt})")
@@ -192,11 +185,11 @@ def check_compatibility(
     Computes |integral of heat_kernel(x-y, t-s) * heat_kernel(y-z, s-u)
     over y, by Gauss-Hermite standardized on the narrower of the two
     kernels (so the remaining factor is wide and smooth), minus
-    heat_kernel(x-z, t-u)|. Decays to zero as n_nodes grows. All of x,
-    z, u, s, t and D must be finite (``ValueError`` otherwise).
+    heat_kernel(x-z, t-u)|. Decays to zero as n_nodes grows. x, z, u, s, t
+    are finite reals with u < s < t, D a positive real (``ValueError``).
     """
-    if not all(math.isfinite(v) for v in (x, z, u, s, t, D)):
-        raise ValueError(f"need finite x, z, u, s, t and D, got {(x, z, u, s, t, D)}")
+    x, z, u, s, t = (_real(v, name) for v, name in zip((x, z, u, s, t), "xzust"))
+    D = _positive(D, "D")
     if not u < s < t:
         raise ValueError(f"need u < s < t, got u={u}, s={s}, t={t}")
     _check_grid(n_nodes)
@@ -222,13 +215,11 @@ def _check_horizon(times: Sequence[float], params: WienerParams) -> None:
 
 
 def _check_grid(n_nodes: int, n_axes: int = 0, sweep: bool = False) -> None:
-    """ValueError for a node count that is not an integer (a bool or a float
-    included) or is below 8 per axis; BudgetError above the work budget of
-    n_axes * n_nodes**2 kernel evaluations for the cylinder sweep over n_axes
-    boxed times, n_axes * n_nodes**n_axes for the tensor grid over n_axes times."""
-    n_nodes = _as_int(n_nodes, "n_nodes")
-    if n_nodes < 8:
-        raise ValueError(f"need n_nodes >= 8 per axis, got {n_nodes}")
+    """ValueError unless n_nodes is a count >= 8, and <= 370 for the Gauss-Hermite
+    routes; BudgetError above the work budget of n_axes * n_nodes**2 kernel
+    evaluations for the cylinder sweep over n_axes boxed times, n_axes *
+    n_nodes**n_axes for the tensor grid over n_axes times."""
+    n_nodes = _count(n_nodes, "n_nodes", 8, None if sweep else _HERMITE_MAX)
     work = n_axes * float(n_nodes) ** (2 if sweep else n_axes)
     if work > _WORK_BUDGET:
         what, axes = ("cylinder sweep", "boxed times") if sweep else ("tensor quadrature", "axes")
@@ -251,8 +242,7 @@ def _chain(params: WienerParams, times, n_nodes: int):
     weights absorb, and weights also carries the final hop to the
     endpoint. A step reads only the last column and the weights, so
     memory is a few floats per node combination. Raises ValueError for
-    a time at or past the horizon or n_nodes < 8, BudgetError above the
-    work budget.
+    a time at or past the horizon or a bad n_nodes, BudgetError above the work budget.
     """
     _check_horizon(times, params)
     _check_grid(n_nodes, len(times))
@@ -301,7 +291,7 @@ def cylinder_probability(
     for B boxed times and memory O(n_nodes); with every box the whole
     line the result is exactly heat_kernel(x - y, t, D), the total mass.
     An empty (clipped) box gives 0.0. Raises ValueError for a time at or
-    past the horizon or n_nodes < 8, BudgetError above the work budget.
+    past the horizon or a bad n_nodes, BudgetError above the work budget.
     """
     _check_horizon(C.times, params)
     boxed = [
@@ -339,7 +329,7 @@ def wiener_integral_quadrature(
     its own temporaries. An F that reduces across the times through BLAS
     may round differently from the same F on a row-major batch. A value
     of F that is not finite raises NumericError naming its node
-    combination. n_nodes must be an integer >= 8 (ValueError otherwise).
+    combination. n_nodes is a count in 8..370 (ValueError otherwise).
     """
     cols, wts = _chain(params, F.times, n_nodes)
     coords = np.empty((len(cols), len(wts)))
@@ -414,15 +404,14 @@ def wiener_integral_mc(
     mass heat_kernel(x - y, t, D): estimate = mass * sample mean of fn,
     stderr = mass * sample standard error. Deterministic given (seed,
     n_paths). F receives the (n_paths, N) batch with contiguous time
-    columns. Needs an integer ``n_paths >= 100`` and every time of F below
-    the horizon t (``ValueError`` otherwise).
+    columns. ``n_paths`` is a count >= 100, ``seed`` a count in
+    0..2**128-1, and every time of F must lie below the horizon t
+    (``ValueError`` otherwise).
     """
-    n_paths = _as_int(n_paths, "n_paths")
-    if n_paths < 100:
-        raise ValueError(f"need n_paths >= 100, got {n_paths}")
+    n_paths = _count(n_paths, "n_paths", 100)
     # counter-based generator filled time by time: each (time, path) draw is
     # a fixed function of (seed, indices), independent of any schedule
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen = np.random.Generator(np.random.Philox(key=_seed(seed)))
     _, pos = _bridge_positions(params, F.times, lambda n: gen.standard_normal((n, n_paths)))
     vals = F.evaluate(pos)
     _check_finite(vals, pos)
@@ -453,8 +442,9 @@ def integrate_pointwise_limit(
     Every functional must declare a sup-norm bound (the domination
     hypothesis) and the time grids must be nested left to right. The
     sequence of quadrature values is followed until two consecutive
-    values agree within tol.
+    values agree within tol, a positive real checked before any quadrature.
     """
+    tol = _positive(tol, "tol")
     fs = list(F_sequence)
     if not fs:
         raise ValueError("need a nonempty functional sequence")

@@ -575,7 +575,20 @@ def test_usage_errors(tmp_path):
         for bad in ("nan", "inf"):
             result = run("compat-check", flag, bad, "--format", "json")
             assert result.exit_code == 2, (flag, bad)
-    assert run("bridge-sample", "--seed", "-1").exit_code == 2
+    # a seed is a count in 0..2**128-1, checked before numpy sees it
+    for cmd in (("bridge-sample",), ("wiener-integrate", "--paths", "100")):
+        result = run(*cmd, "--seed", "-1")
+        assert result.exit_code == 2, cmd
+        assert f"seed must be >= 0 and <= {2**128 - 1}, got -1" in result.stderr, cmd
+        assert "key must be positive" not in combined_output(result)
+    # the commands' own counts go through the same owner
+    for cmd, name in ((("bochner", "--grid-n", "0"), "--grid-n"),
+                      (("bochner", "--size", "0"), "basis size"),
+                      (("bridge-sample", "--paths", "0"), "--paths"),
+                      (("recover-cdf", "--law", "uniform", "--grid-n", "0"), "--grid-n")):
+        result = run(*cmd)
+        assert result.exit_code == 2, cmd
+        assert f"{name} must be >= 1" in result.stderr, cmd
     for cmd in (("bridge-sample",), ("wiener-integrate", "--nodes", "8")):
         result = run(*cmd, "--times", "nan,0.5")
         assert result.exit_code == 2, cmd

@@ -1,12 +1,24 @@
 import importlib
 import inspect
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+import numpy as np
+
 import rieszkit
+from rieszkit import (
+    CdfLike, ConjugateExponents, CylinderSet, CylindricalFunctional, FiniteMeasureSpace,
+    HilbertVector, OrthonormalBasis, Partition, RampSpec, RandomVariable, RecoveredCdf,
+    WienerParams, adaptive_integrate, check_compatibility, cond_expectation_l1,
+    cylinder_probability, gauss_hermite, gauss_legendre, heat_kernel, integrate_pointwise_limit,
+    ls_integrate, ls_measure_interval, make_cutoff, oracle_from_cdf, point_mass_cdf,
+    recover_cdf, total_mass, triangular_cdf, two_atom_cdf, uniform_cdf, verify_duality,
+    wiener_integral_mc, wiener_integral_quadrature,
+)
 
 MODULES = ("errors", "numerics", "hilbert", "stieltjes", "conditional", "wiener")
 
@@ -51,10 +63,9 @@ def test_package_exports_each_modules_public_names_once():
             assert getattr(rieszkit, public) is getattr(module, public)
 
 
-def settable_values() -> list[str]:
-    """Every parameter with a default, as "callable(parameter)", across the
-    public functions, class constructors and public methods of the names in
-    ``rieszkit.__all__``."""
+def public_parameters() -> list[tuple[str, inspect.Parameter]]:
+    """Every parameter, as ("callable", parameter), of the public functions,
+    class constructors and public methods of the names in ``rieszkit.__all__``."""
     found = []
     for name in rieszkit.__all__:
         obj = getattr(rieszkit, name)
@@ -72,8 +83,13 @@ def settable_values() -> list[str]:
                 parameters = inspect.signature(member).parameters.values()
             except ValueError:  # a class that keeps Exception's constructor
                 continue
-            found += [f"{label}({p.name})" for p in parameters if p.default is not p.empty]
+            found += [(label, p) for p in parameters]
     return found
+
+
+def settable_values() -> list[str]:
+    """Every parameter with a default, as "callable(parameter)"."""
+    return [f"{label}({p.name})" for label, p in public_parameters() if p.default is not p.empty]
 
 
 # Each entry is a setting some caller can change; a new one is added here on purpose.
@@ -118,3 +134,138 @@ def test_version_runs_from_source():
     assert rieszkit.__version__ in result.stdout
     declared = re.search(r'^version = "([^"]+)"', (root / "pyproject.toml").read_text(), re.M)
     assert declared.group(1) == rieszkit.__version__
+
+
+# The argument contract (README): the kind of every public numeric parameter,
+# that is every parameter annotated int or float, required or not. A count is
+# (low, high), high None for no ceiling; RESULT marks a field of a returned
+# record, which the library fills and nothing checks.
+REAL, POSITIVE, RESULT = "finite real", "positive real", "result field"
+COUNT, SEED = (1, None), (0, 2**128 - 1)
+CONTRACT = {
+    "gauss_legendre(n)": COUNT, "gauss_legendre(a)": REAL, "gauss_legendre(b)": REAL,
+    "gauss_hermite(n)": (1, 370),
+    "adaptive_integrate(a)": REAL, "adaptive_integrate(b)": REAL,
+    "adaptive_integrate(tol)": POSITIVE,
+    "OrthonormalBasis(size)": COUNT,
+    # an index lies in 0..size-1, here on the size-4 basis of VALID_CALLS
+    "OrthonormalBasis.evaluate(index)": (0, 3), "HilbertVector.unit(index)": (0, 3),
+    "CdfLike(c_minus)": REAL, "CdfLike(c_plus)": REAL, "RampSpec(x)": REAL, "RampSpec(j)": COUNT,
+    "ls_measure_interval(a)": REAL, "ls_measure_interval(b)": REAL,
+    "ls_integrate(tol)": POSITIVE, "ls_integrate(max_depth)": (5, None), "make_cutoff(j)": COUNT,
+    "recover_cdf(x)": REAL, "recover_cdf(j_max)": COUNT, "recover_cdf(m_max)": COUNT,
+    "recover_cdf(tol)": POSITIVE, "total_mass(m_max)": COUNT,
+    "RecoveredCdf(j_max)": COUNT, "RecoveredCdf(m_max)": COUNT, "RecoveredCdf(tol)": POSITIVE,
+    "uniform_cdf(lo)": REAL, "uniform_cdf(hi)": REAL, "triangular_cdf(lo)": REAL,
+    "triangular_cdf(mode)": REAL, "triangular_cdf(hi)": REAL, "two_atom_cdf(x1)": REAL,
+    "two_atom_cdf(p1)": REAL, "two_atom_cdf(x2)": REAL, "point_mass_cdf(at)": REAL,
+    "oracle_from_cdf(tol)": POSITIVE,
+    "FiniteMeasureSpace.uniform(n)": COUNT, "L1LadderResult(j_reached)": RESULT,
+    "Partition.trivial(n)": COUNT, "Partition.singletons(n)": COUNT,
+    "Partition.covers(n)": (0, None), "ConjugateExponents(p)": REAL,
+    "cond_expectation_l1(j_max)": COUNT, "verify_duality(tol)": POSITIVE,
+    "DualityReport(tol)": RESULT, "HolderReport(lhs)": RESULT, "HolderReport(rhs)": RESULT,
+    "HolderReport(p)": RESULT, "HolderReport(q)": RESULT,
+    "WienerParams(x)": REAL, "WienerParams(y)": REAL, "WienerParams(t)": POSITIVE,
+    "WienerParams(D)": POSITIVE, "CylindricalFunctional(bound)": REAL,
+    "heat_kernel(dt)": POSITIVE, "heat_kernel(D)": POSITIVE,
+    "check_compatibility(x)": REAL, "check_compatibility(z)": REAL, "check_compatibility(u)": REAL,
+    "check_compatibility(s)": REAL, "check_compatibility(t)": REAL,
+    "check_compatibility(D)": POSITIVE, "check_compatibility(n_nodes)": (8, 370),
+    "cylinder_probability(n_nodes)": (8, None), "wiener_integral_quadrature(n_nodes)": (8, 370),
+    "wiener_integral_mc(n_paths)": (100, None), "wiener_integral_mc(seed)": SEED,
+    "integrate_pointwise_limit(n_nodes)": (8, 370), "integrate_pointwise_limit(tol)": POSITIVE,
+    "PointwiseLimitResult(value)": RESULT, "PointwiseLimitResult(stabilized_at)": RESULT,
+}
+
+_UNIFORM = uniform_cdf()
+_ORACLE = oracle_from_cdf(_UNIFORM, (-0.5, 1.5))
+_BASIS = OrthonormalBasis(size=4)
+_X, _PAIRS = RandomVariable((1.0, 2.0, 3.0, 4.0)), Partition(((0, 1), (2, 3)))
+_F = CylindricalFunctional((0.5,), lambda X: np.ones(len(X)), bound=1.0)
+# one valid call per callable; the contract test swaps one argument for a bad value
+VALID_CALLS = {
+    "gauss_legendre": (gauss_legendre, dict(n=4, a=0.0, b=1.0)),
+    "gauss_hermite": (gauss_hermite, dict(n=4)),
+    "adaptive_integrate": (adaptive_integrate, dict(f=np.sin, a=0.0, b=1.0, tol=1e-8)),
+    "OrthonormalBasis": (OrthonormalBasis, dict(size=4)),
+    "OrthonormalBasis.evaluate": (_BASIS.evaluate, dict(index=0, t=0.5)),
+    "HilbertVector.unit": (HilbertVector.unit, dict(basis=_BASIS, index=0)),
+    "CdfLike": (CdfLike, dict(eval=_UNIFORM.eval, c_minus=0.0, c_plus=1.0)),
+    "RampSpec": (RampSpec, dict(x=0.3, j=4)),
+    "ls_measure_interval": (ls_measure_interval, dict(alpha=_UNIFORM, a=0.0, b=0.5)),
+    "ls_integrate": (ls_integrate, dict(f=lambda t: t, alpha=_UNIFORM, support=(0.0, 1.0))),
+    "make_cutoff": (make_cutoff, dict(j=2)),
+    "recover_cdf": (recover_cdf, dict(L=_ORACLE, x=0.3, j_max=4)),
+    "total_mass": (total_mass, dict(L=_ORACLE)),
+    "RecoveredCdf": (RecoveredCdf, dict(oracle=_ORACLE)),
+    "uniform_cdf": (uniform_cdf, {}),
+    "triangular_cdf": (triangular_cdf, {}),
+    "two_atom_cdf": (two_atom_cdf, dict(x1=0.3, p1=0.5, x2=0.7)),
+    "point_mass_cdf": (point_mass_cdf, {}),
+    "oracle_from_cdf": (oracle_from_cdf, dict(alpha=_UNIFORM, support=(0.0, 1.0))),
+    "FiniteMeasureSpace.uniform": (FiniteMeasureSpace.uniform, dict(n=4)),
+    "Partition.trivial": (Partition.trivial, dict(n=4)),
+    "Partition.singletons": (Partition.singletons, dict(n=4)),
+    "Partition.covers": (_PAIRS.covers, dict(n=4)),
+    "ConjugateExponents": (ConjugateExponents, dict(p=2.0)),
+    "cond_expectation_l1": (cond_expectation_l1,
+                            dict(X=_X, G=_PAIRS, space=FiniteMeasureSpace.uniform(4))),
+    "verify_duality": (verify_duality,
+                       dict(X=_X, xi=_X, G=_PAIRS, space=FiniteMeasureSpace.uniform(4))),
+    "WienerParams": (WienerParams, {}),
+    "CylindricalFunctional": (CylindricalFunctional, dict(times=(0.5,), fn=np.sum)),
+    "heat_kernel": (heat_kernel, dict(dx=0.0, dt=1.0, D=0.5)),
+    "check_compatibility": (check_compatibility,
+                            dict(x=0.0, z=0.0, u=0.0, s=0.5, t=1.0, D=0.5, n_nodes=8)),
+    "cylinder_probability": (cylinder_probability,
+                             dict(C=CylinderSet((0.5,), ((0.0, 1.0),)), params=WienerParams(),
+                                  n_nodes=8)),
+    "wiener_integral_quadrature": (wiener_integral_quadrature,
+                                   dict(F=_F, params=WienerParams(), n_nodes=8)),
+    "wiener_integral_mc": (wiener_integral_mc, dict(F=_F, params=WienerParams(), n_paths=100)),
+    "integrate_pointwise_limit": (integrate_pointwise_limit,
+                                  dict(F_sequence=[_F, _F], params=WienerParams(), n_nodes=8)),
+}
+
+
+def forbidden(kind) -> list:
+    """The values of bool, 2.5, NaN, ±inf, 0 and -1 that ``kind`` rejects, and
+    for a count the integers just below its floor and just above its ceiling."""
+    if kind == RESULT:
+        return []
+    bad = [True, math.nan, math.inf, -math.inf]
+    if kind == REAL:
+        return bad
+    if kind == POSITIVE:
+        return bad + [0.0, -1.0]
+    low, high = kind
+    return bad + [2.5] + sorted({v for v in (0, -1, low - 1) if v < low}) + (
+        [] if high is None else [high + 1])
+
+
+def test_one_argument_contract_checks_every_numeric_parameter():
+    numeric = [f"{label}({p.name})" for label, p in public_parameters()
+               if p.annotation in ("int", "float", "float | None")]
+    assert sorted(CONTRACT) == sorted(numeric)  # a new one is classified here on purpose
+    settings = [f"{label}({p.name})" for label, p in public_parameters()
+                if type(p.default) in (int, float)]
+    assert set(settings) <= set(CONTRACT)
+    failures = []
+    for entry, kind in CONTRACT.items():
+        label, name = re.fullmatch(r"(.+)\((\w+)\)", entry).groups()
+        if kind == RESULT:
+            continue
+        call, valid = VALID_CALLS[label]
+        call(**valid)
+        for bad in forbidden(kind):
+            try:
+                call(**{**valid, name: bad})
+            except ValueError as exc:
+                if not re.search(rf"\b{name}\b", str(exc)):
+                    failures.append(f"{entry} = {bad!r}: {exc} (does not name {name})")
+            except Exception as exc:
+                failures.append(f"{entry} = {bad!r}: {type(exc).__name__}: {exc}")
+            else:
+                failures.append(f"{entry} = {bad!r}: accepted")
+    assert failures == []

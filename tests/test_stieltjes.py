@@ -1069,7 +1069,8 @@ def test_a_cutoff_bending_at_an_end_sample_changes_no_bit_of_a_sample_oracle():
         for _ in range(100):
             j = int(rng.choice([4, 8, 16, 64]))
             ramp = make_ramp(RampSpec(float(rng.choice([end, -end])) - rng.uniform(0.0, 1.0 / j), j))
-            values = {oracle.apply(_probe_product(ramp, make_cutoff(m))) for m in (end, end + 1, 64)}
+            values = {oracle.apply(_probe_product(ramp, make_cutoff(m)))
+                      for m in (int(end), int(end) + 1, 64)}
             assert len(values) == 1, (ramp.breakpoints, values)
         _assert_support_changes_no_bit(oracle, (end - 1.0 / 32, 1.0 / 64 - end, end - 0.2))
 
