@@ -421,6 +421,7 @@ def wiener_integrate(f_spec, times, x, y, t, d_coef, nodes, paths, seed, fmt, ou
     stderr, delta) and, when --paths is given, a Monte Carlo row with
     its standard error.
     """
+    seed = _seed(seed, "--seed")  # recorded in meta with or without --paths
     ts = _parse_list(times, "--times")
     counts = _parse_list(nodes, "--nodes", int)
     params = wn.WienerParams(x, y, t, d_coef)

@@ -7,18 +7,19 @@ The averaging identity (same integral over every block) is then
 machine-checkable, and the L1 construction through truncation at
 increasing levels stabilizes after finitely many steps.
 
-Spaces, variables and partitions are stored as arrays. Their public
-tuple fields (``atoms``, ``values``, ``blocks``) are built from the
-arrays on first access and then kept, so equality, hashing and repr
-are those of the tuples. Results are built by the same constructor as
+Spaces, variables and partitions store only arrays. Their public tuples
+(``atoms``, ``labels``, ``values``, ``blocks``) are ``cached_property``
+views, built from the arrays on first read and then kept; equality and
+hashing go by identity. Results are built by the same constructor as
 user-built variables, so they get the same conversion, finiteness check
-and read-only array. A partition keeps the block of every atom once an
-average has been spread over its atoms.
+and read-only array. The L1 ladder keeps one value per block at each
+level and spreads only its result over the atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -42,29 +43,6 @@ __all__ = [
 ]
 
 
-class _Views:
-    """Views of the stored arrays, built on first access and kept.
-
-    ``_VIEWS`` maps an attribute to its builder. A field that is a view is
-    removed from the instance once its array is stored, so reading it,
-    directly or through the dataclass equality, hash and repr, lands here.
-    A view that is not a field, such as a partition's block ids, is
-    derived the same way: once, when first read.
-    """
-
-    _VIEWS = {}
-
-    def __getattr__(self, name):
-        build = type(self)._VIEWS.get(name)
-        if build is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        value = build(self)
-        object.__setattr__(self, name, value)
-        return value
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -78,28 +56,22 @@ def _as_floats(items) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FiniteMeasureSpace(_Views):
+@dataclass(frozen=True, eq=False)
+class FiniteMeasureSpace:
     """Finite probability space: labelled atoms with nonnegative masses summing to 1."""
 
-    atoms: tuple[tuple[str, float], ...]
+    pairs: InitVar[Sequence[tuple[str, float]]]
+    _probs: np.ndarray = field(init=False)
 
-    _VIEWS = {
-        "atoms": lambda s: tuple(zip(s.labels, s._probs.tolist())),
-        # only a uniform space leaves its labels to be built here
-        "labels": lambda s: tuple(map(str, range(1, s.n + 1))),
-    }
-
-    def __post_init__(self):
-        labels = [str(lab) for lab, _ in self.atoms]
-        probs = _as_floats([p for _, p in self.atoms])
+    def __post_init__(self, pairs):
+        labels = [str(lab) for lab, _ in pairs]
+        probs = _as_floats([p for _, p in pairs])
         if not labels:
             raise ValueError("need at least one atom")
         if len(set(labels)) != len(labels):
             seen = set()
             repeated = next(lab for lab in labels if lab in seen or seen.add(lab))
             raise ValueError(f"atom labels must be unique; {repeated!r} repeats")
-        object.__delattr__(self, "atoms")
         object.__setattr__(self, "labels", tuple(labels))
         self._set_probs(probs)
 
@@ -116,6 +88,15 @@ class FiniteMeasureSpace(_Views):
         space._set_probs(np.full(n, 1.0 / n))
         return space
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The atom labels; a labelled space stores them when it is built."""
+        return tuple(map(str, range(1, self.n + 1)))
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.labels, self._probs.tolist()))
+
     @property
     def n(self) -> int:
         return len(self._probs)
@@ -126,20 +107,22 @@ class FiniteMeasureSpace(_Views):
         return self._probs.copy()
 
 
-@dataclass(frozen=True)
-class RandomVariable(_Views):
+@dataclass(frozen=True, eq=False)
+class RandomVariable:
     """Real values aligned with the atoms of a FiniteMeasureSpace."""
 
-    values: tuple[float, ...]
+    x: InitVar[Sequence[float]]
+    _x: np.ndarray = field(init=False)
 
-    _VIEWS = {"values": lambda s: tuple(s._x.tolist())}
-
-    def __post_init__(self):
-        x = _as_floats(self.values)
+    def __post_init__(self, x):
+        x = _as_floats(x)
         if not np.isfinite(x).all():
             raise ValueError("values must all be finite")
-        object.__delattr__(self, "values")
         object.__setattr__(self, "_x", _frozen(x))
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._x.tolist())
 
     @property
     def array(self) -> np.ndarray:
@@ -150,20 +133,22 @@ class RandomVariable(_Views):
         return len(self._x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionedRV(RandomVariable):
     """Block-constant conditional expectation; zero-mass blocks hold 0 and are flagged."""
 
     zero_mass_blocks: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L1LadderResult(ConditionedRV):
     """Outcome of the truncation ladder, with per-level history.
 
-    ``ladder`` holds (j, positive-part values, negative-part values) per
-    level; ``converged`` records whether truncation became inactive
-    (min(X+-, j) = X+-) before j_max, after which the result is exact.
+    ``ladder`` holds one (j, positive, negative) row per level: the block
+    averages of min(X+, j) and of min(X-, j), read-only float64 arrays with
+    one value per block in the partition's block order. ``converged``
+    records whether truncation became inactive (min(X+-, j) = X+-) before
+    j_max, after which the result is exact.
     """
 
     converged: bool = True
@@ -171,31 +156,24 @@ class L1LadderResult(ConditionedRV):
     ladder: tuple = ()
 
 
-@dataclass(frozen=True)
-class Partition(_Views):
+@dataclass(frozen=True, eq=False)
+class Partition:
     """Disjoint blocks of atom indices; stands in for a sub-sigma-algebra.
 
-    Stored as ``_order``, the blocks concatenated in the order given, and
-    ``_starts``, the offset of each block in it, then its length. ``_ids``,
-    the read-only block of every atom, is built on first read and then
-    kept; only a partition that covers its atoms can build it.
+    Stored as ``_order``, the blocks concatenated in the order given,
+    ``_starts``, the offset of each block in it, then its length, and
+    ``_hi``, the largest index. ``_ids``, the read-only block of every
+    atom, is built on first read and then kept; only a partition that
+    covers its atoms can build it.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    cells: InitVar[Sequence[Sequence[int]]]
+    _order: np.ndarray = field(init=False)
+    _starts: np.ndarray = field(init=False)
+    _hi: int = field(init=False)
 
-    def _blocks(self) -> tuple[tuple[int, ...], ...]:
-        flat, st = self._order.tolist(), self._starts.tolist()
-        return tuple(tuple(flat[s:e]) for s, e in zip(st, st[1:]))
-
-    def _atom_blocks(self) -> np.ndarray:
-        ids = np.empty(len(self._order), dtype=np.intp)
-        ids[self._order] = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
-        return _frozen(ids)
-
-    _VIEWS = {"blocks": _blocks, "_ids": _atom_blocks}
-
-    def __post_init__(self):
-        blocks = [b if isinstance(b, (tuple, list)) else tuple(b) for b in self.blocks]
+    def __post_init__(self, cells):
+        blocks = [b if isinstance(b, (tuple, list)) else tuple(b) for b in cells]
         sizes = [len(b) for b in blocks]
         order = np.fromiter(chain.from_iterable(blocks), dtype=np.intp, count=sum(sizes))
         if not blocks or 0 in sizes:
@@ -208,10 +186,20 @@ class Partition(_Views):
             raise ValueError("negative atom index")
         starts = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=starts[1:])
-        object.__delattr__(self, "blocks")
         object.__setattr__(self, "_order", _frozen(order))
         object.__setattr__(self, "_starts", _frozen(starts))
         object.__setattr__(self, "_hi", hi)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        flat, st = self._order.tolist(), self._starts.tolist()
+        return tuple(tuple(flat[s:e]) for s, e in zip(st, st[1:]))
+
+    @cached_property
+    def _ids(self) -> np.ndarray:
+        ids = np.empty(len(self._order), dtype=np.intp)
+        ids[self._order] = np.repeat(np.arange(len(self._starts) - 1), np.diff(self._starts))
+        return _frozen(ids)
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
@@ -331,8 +319,9 @@ def cond_expectation_l1(
     space the ladder stabilizes exactly once j bounds both parts, at
     which point min(X+-, j) = X+- bitwise and the result coincides with
     cond_expectation(X) exactly; if j_max is too small the last ladder
-    state is returned with ``converged=False``. ``j_max`` is a count >= 1
-    (``ValueError`` otherwise).
+    state is returned with ``converged=False``. Each ``ladder`` row keeps
+    one average per block of each part; only the result is spread over the
+    atoms. ``j_max`` is a count >= 1 (``ValueError`` otherwise).
     """
     j_max = _count(j_max, "j_max")
     _check_alignment(space, G, X=X)
@@ -342,15 +331,11 @@ def cond_expectation_l1(
     x_minus = np.maximum(-xv, 0.0)
     top = max(x_plus.max(initial=0.0), x_minus.max(initial=0.0))
 
-    ids = G._ids.tolist()
-    levels = _ladder_indices(j_max)
     history = []
-    for j in levels:
+    for j in _ladder_indices(j_max):
         tp = np.minimum(x_plus, float(j))
         tm = np.minimum(x_minus, float(j))
-        # one float object per block, shared by the block's atoms
-        xi_p, xi_m = blocks.block_average(tp).tolist(), blocks.block_average(tm).tolist()
-        history.append((j, tuple(map(xi_p.__getitem__, ids)), tuple(map(xi_m.__getitem__, ids))))
+        history.append((j, _frozen(blocks.block_average(tp)), _frozen(blocks.block_average(tm))))
         if top <= j:
             break
     # the ladder stopped at the first j bounding both parts, else at the last

@@ -69,13 +69,19 @@ def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
     raise ValueError(f"{name} must be >= {low} and {ceiling}, got {value!r}")
 
 
-def _real(value, name: str, positive: bool = False) -> float:
-    """``value`` as a finite float, and > 0 if ``positive``. A bool, a str or
-    another non-number says ``<name> must be a real number``; a real out of
-    range says ``<name> must be finite`` (``positive and finite``)."""
+def _number(value, name: str) -> float:
+    """``value`` as a float, NaN and +-inf included. A bool, a str or another
+    non-number says ``<name> must be a real number``."""
     if type(value) is bool or not isinstance(value, (float, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    return float(value)
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, and > 0 if ``positive``. A non-number is
+    refused by ``_number``; a real out of range says ``<name> must be
+    finite`` (``positive and finite``)."""
+    x = _number(value, name)
     if (0.0 if positive else -math.inf) < x < math.inf:
         return x
     rule = "positive and finite" if positive else "finite"

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_check_finite, _count, _evaluate, _ladder_indices, _positive, _real,
-                       _split, adaptive_integrate)
+from .numerics import (_check_finite, _count, _evaluate, _ladder_indices, _number, _positive,
+                       _real, _split, adaptive_integrate)
 
 __all__ = [
     "CdfLike",
@@ -165,8 +165,8 @@ def _rs_segment(f, alpha, a, b, n_cells):
 
 
 def _check_support(name: str, support) -> tuple[float, float]:
-    """``support`` as floats (lo, hi); ``ValueError`` unless -inf < lo <= hi < inf."""
-    lo, hi = map(float, support)
+    """``support`` as reals (lo, hi); ``ValueError`` unless -inf < lo <= hi < inf."""
+    lo, hi = (_number(end, name) for end in support)
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"{name} must be finite and ordered, got {support}")
     return lo, hi
@@ -429,10 +429,13 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     The oracle's promised support is [min, max] of the samples, and it
     changes no bit: only breakpoints strictly inside (min, max) cut the
     samples, so every cutoff that covers them splits them alike. Raises
-    ValueError for samples that are not one-dimensional, for no samples,
-    or for a non-finite one (NaN or +-inf).
+    ValueError for samples that are not one-dimensional or of dtype bool,
+    for no samples, or for a non-finite one (NaN or +-inf).
     """
-    xs = np.asarray(samples, dtype=float)
+    xs = np.asarray(samples)
+    if xs.dtype == bool:
+        raise ValueError("samples must be real numbers, got booleans")
+    xs = xs.astype(float, copy=False)
     if xs.ndim != 1:
         raise ValueError(f"samples must be one-dimensional, got shape {xs.shape}")
     if xs.size == 0:

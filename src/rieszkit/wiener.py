@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError
-from .numerics import (_HERMITE_MAX, _check_finite, _count, _evaluate, _positive, _real, _seed,
-                       gauss_hermite, gauss_legendre)
+from .numerics import (_HERMITE_MAX, _check_finite, _count, _evaluate, _number, _positive,
+                       _real, _seed, gauss_hermite, gauss_legendre)
 
 __all__ = [
     "WienerParams",
@@ -74,7 +74,7 @@ class WienerParams:
 
 
 def _checked_times(times) -> tuple[float, ...]:
-    ts = tuple(float(s) for s in times)
+    ts = tuple(_number(s, "times") for s in times)
     if not ts:
         raise ValueError("need at least one time")
     # the chain 0 < t_1 < ... < t_N < inf, false where any t_i is NaN
@@ -131,7 +131,7 @@ class CylinderSet:
 
     def __post_init__(self):
         object.__setattr__(self, "times", _checked_times(self.times))
-        boxes = tuple((float(a), float(b)) for a, b in self.boxes)
+        boxes = tuple((_number(a, "box edges"), _number(b, "box edges")) for a, b in self.boxes)
         object.__setattr__(self, "boxes", boxes)
         if len(boxes) != len(self.times):
             raise ValueError(

@@ -576,10 +576,12 @@ def test_usage_errors(tmp_path):
             result = run("compat-check", flag, bad, "--format", "json")
             assert result.exit_code == 2, (flag, bad)
     # a seed is a count in 0..2**128-1, checked before numpy sees it
-    for cmd in (("bridge-sample",), ("wiener-integrate", "--paths", "100")):
+    # (and recorded in wiener-integrate's meta whether or not --paths is given)
+    for cmd in (("bridge-sample",), ("wiener-integrate", "--paths", "100"),
+                ("wiener-integrate", "--nodes", "8", "--format", "json")):
         result = run(*cmd, "--seed", "-1")
         assert result.exit_code == 2, cmd
-        assert f"seed must be >= 0 and <= {2**128 - 1}, got -1" in result.stderr, cmd
+        assert f"--seed must be >= 0 and <= {2**128 - 1}, got -1" in result.stderr, cmd
         assert "key must be positive" not in combined_output(result)
     # the commands' own counts go through the same owner
     for cmd, name in ((("bochner", "--grid-n", "0"), "--grid-n"),

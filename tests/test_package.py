@@ -8,14 +8,17 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import rieszkit
 from rieszkit import (
-    CdfLike, ConjugateExponents, CylinderSet, CylindricalFunctional, FiniteMeasureSpace,
+    CdfLike, ConjugateExponents, CylinderSet, CylindricalFunctional, ExpectationOracle,
+    FiniteMeasureSpace,
     HilbertVector, OrthonormalBasis, Partition, RampSpec, RandomVariable, RecoveredCdf,
     WienerParams, adaptive_integrate, check_compatibility, cond_expectation_l1,
     cylinder_probability, gauss_hermite, gauss_legendre, heat_kernel, integrate_pointwise_limit,
-    ls_integrate, ls_measure_interval, make_cutoff, oracle_from_cdf, point_mass_cdf,
+    ls_integrate, ls_measure_interval, make_cutoff, oracle_from_cdf, oracle_from_samples,
+    point_mass_cdf,
     recover_cdf, total_mass, triangular_cdf, two_atom_cdf, uniform_cdf, verify_duality,
     wiener_integral_mc, wiener_integral_quadrature,
 )
@@ -269,3 +272,21 @@ def test_one_argument_contract_checks_every_numeric_parameter():
             else:
                 failures.append(f"{entry} = {bad!r}: accepted")
     assert failures == []
+
+
+def test_sequence_arguments_reject_bools():
+    # the elements of times, boxes and supports are real numbers, as scalars
+    # are; a sample array of dtype bool is refused without a per-element scan
+    cases = {
+        "oracle support": lambda: ExpectationOracle(lambda f: 0.0, support=(False, True)),
+        "support": lambda: ls_integrate(lambda t: t, _UNIFORM, (False, True)),
+        "times": lambda: CylindricalFunctional((True,), np.sum),
+        "box edges": lambda: CylinderSet((0.5,), ((False, True),)),
+        "samples": lambda: oracle_from_samples([True, False]),
+    }
+    for name, call in cases.items():
+        with pytest.raises(ValueError, match=rf"^{name} must be (a )?real numbers?, got"):
+            call()
+    assert CylinderSet((0.5,), ((-math.inf, math.inf),)).boxes == ((-math.inf, math.inf),)
+    with pytest.raises(ValueError, match="box edges must not be NaN"):
+        CylinderSet((0.5,), ((math.nan, 0.0),))
