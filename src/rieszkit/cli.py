@@ -295,7 +295,7 @@ def _read_atoms(path: str) -> tuple[list, list, list]:
     The file is UTF-8, with or without a byte-order mark. Blank records are
     skipped, labels are stripped and fields after the third are ignored.
     The first other record is a header if its numbers do not parse. A label
-    holding ',' or '|' is a usage error.
+    that is empty once stripped, or holds ',' or '|', is a usage error.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -319,12 +319,14 @@ def _read_atoms(path: str) -> tuple[list, list, list]:
         raise
     labels = [r[0].strip() for r in rows]
     joined = "".join(labels)
-    if "," in joined or "|" in joined:
-        # --partition splits on both, so such an atom could never be covered
-        k, label = next((k, r[0].strip()) for k, r in enumerate(records, 1)
-                        if r is not header and r and ("," in r[0] or "|" in r[0]))
+    if "," in joined or "|" in joined or not all(labels):
+        # --partition splits on both and drops empty names: it could never cover such an atom
+        bad = next(r for r in rows if "," in r[0] or "|" in r[0] or not r[0].strip())
+        k = next(k for k, r in enumerate(records, 1) if r is bad)
+        label = bad[0].strip()
+        fault = "holds ',' or '|'" if label else "is empty"
         raise click.UsageError(
-            f"{path}: row {k} label {label!r} holds ',' or '|', which --partition cannot name"
+            f"{path}: row {k} label {label!r} {fault}, which --partition cannot name"
         )
     return labels, probs, values
 

@@ -18,6 +18,7 @@ level and spreads only its result over the atoms.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _check_probabilities, _count, _ladder_indices, _positive, _real
+from .numerics import _check_probabilities, _count, _ladder_indices, _numbers, _positive, _real
 
 __all__ = [
     "FiniteMeasureSpace",
@@ -48,14 +49,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_floats(items) -> np.ndarray:
-    """``items`` as a 1-d float64 array; ``ValueError`` for any other shape."""
-    arr = np.array(items, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"need a flat sequence of reals, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:
     """Finite probability space: labelled atoms with nonnegative masses summing to 1."""
@@ -65,7 +58,7 @@ class FiniteMeasureSpace:
 
     def __post_init__(self, pairs):
         labels = [str(lab) for lab, _ in pairs]
-        probs = _as_floats([p for _, p in pairs])
+        probs = _numbers([p for _, p in pairs], "probabilities")
         if not labels:
             raise ValueError("need at least one atom")
         if len(set(labels)) != len(labels):
@@ -115,7 +108,8 @@ class RandomVariable:
     _x: np.ndarray = field(init=False)
 
     def __post_init__(self, x):
-        x = _as_floats(x)
+        # np.array copies, so _frozen never freezes the caller's array
+        x = _numbers(np.array(x), "values")
         if not np.isfinite(x).all():
             raise ValueError("values must all be finite")
         object.__setattr__(self, "_x", _frozen(x))
@@ -175,7 +169,13 @@ class Partition:
     def __post_init__(self, cells):
         blocks = [b if isinstance(b, (tuple, list)) else tuple(b) for b in cells]
         sizes = [len(b) for b in blocks]
-        order = np.fromiter(chain.from_iterable(blocks), dtype=np.intp, count=sum(sizes))
+        flat = list(chain.from_iterable(blocks))
+        # the types are checked once each, as fromiter would truncate 0.9 and read "0"
+        odd = [k for k in set(map(type, flat)) if k is bool or not issubclass(k, numbers.Integral)]
+        if odd:
+            bad = next(i for i in flat if type(i) in odd)
+            raise ValueError(f"atom indices must be integers, got {bad!r}")
+        order = np.fromiter(flat, dtype=np.intp, count=len(flat))
         if not blocks or 0 in sizes:
             raise ValueError("blocks must be nonempty")
         ranked = np.sort(order)

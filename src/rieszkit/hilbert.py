@@ -106,15 +106,15 @@ class OrthonormalBasis:
             c[:, 1:] = (P[:, 2:] - P[:, : n - 1]) / (2.0 * np.sqrt(2 * i + 1))
         return c[0] if om.ndim == 0 else c
 
-    def projection_rule(self) -> QuadratureRule:
-        """Quadrature for inner products against this basis.
+    def _rule_size(self) -> int:
+        """Gauss-Legendre nodes per projection panel. The sine kind needs
+        roughly three per basis index to push the Gram matrix to 1e-8
+        identity; the polynomial kind is exact at far fewer."""
+        return max(64, 3 * self.size if self.kind == "fourier_sine" else self.size + 16)
 
-        The sine kind needs roughly three nodes per basis index to push the
-        Gram matrix to 1e-8 identity; the polynomial kind is exact at
-        far fewer.
-        """
-        per_index = 3 * self.size if self.kind == "fourier_sine" else self.size + 16
-        return gauss_legendre(max(64, per_index), 0.0, 1.0)
+    def projection_rule(self) -> QuadratureRule:
+        """Quadrature for inner products against this basis, on (0, 1)."""
+        return gauss_legendre(self._rule_size(), 0.0, 1.0)
 
     def gram_matrix(self) -> np.ndarray:
         rule = self.projection_rule()
@@ -178,22 +178,17 @@ def project(
 ) -> HilbertVector:
     """Coefficients <f, e_i> of a square-integrable f by quadrature.
 
-    ``breakpoints`` splits (0,1) at known discontinuities of f so each
-    smooth piece gets its own max(64, size + 16)-point Gauss-Legendre
-    panel; it may be any sequence or 1-d array, and a point listed twice
-    splits once. With no breakpoints (None or empty) the basis's own
-    projection rule is used.
+    ``breakpoints`` splits (0,1) at known discontinuities of f; it may be
+    any sequence or 1-d array, and a point listed twice splits once. Each
+    smooth piece, or (0,1) itself with no breakpoints (None or empty), gets
+    a Gauss-Legendre panel with as many nodes as the basis's projection
+    rule, so on any split the coefficients of a basis function e_i are the
+    unit vector to rounding.
     """
-    if breakpoints is not None and len(breakpoints) > 0:
-        edges = _split(0.0, 1.0, breakpoints)
-        per_piece = max(64, basis.size + 16)
-        rules = [gauss_legendre(per_piece, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        nodes = np.concatenate([r.nodes for r in rules])
-        weights = np.concatenate([r.weights for r in rules])
-    else:
-        rule = basis.projection_rule()
-        nodes, weights = rule.nodes, rule.weights
-
+    edges = _split(0.0, 1.0, () if breakpoints is None else breakpoints)
+    rules = [gauss_legendre(basis._rule_size(), lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    nodes = np.concatenate([r.nodes for r in rules])
+    weights = np.concatenate([r.weights for r in rules])
     fv = _evaluate(f, nodes)
     _check_finite(fv, nodes)
     E = basis.evaluate_all(nodes)

@@ -77,6 +77,20 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(items, name: str) -> np.ndarray:
+    """``items`` as a 1-d float64 array, NaN and +-inf included (``items``
+    itself when it is one already). The dtype is checked, not each element:
+    an array of bools, strs or other objects (None included) says ``<name>
+    must be real numbers``, and any other shape (a bare scalar, a nested
+    sequence) ``<name> must be one-dimensional``."""
+    arr = np.asarray(items)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return arr.astype(float, copy=False)
+
+
 def _real(value, name: str, positive: bool = False) -> float:
     """``value`` as a finite float, and > 0 if ``positive``. A non-number is
     refused by ``_number``; a real out of range says ``<name> must be

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_check_finite, _count, _evaluate, _ladder_indices, _number, _positive,
-                       _real, _split, adaptive_integrate)
+from .numerics import (_check_finite, _count, _evaluate, _ladder_indices, _number, _numbers,
+                       _positive, _real, _split, adaptive_integrate)
 
 __all__ = [
     "CdfLike",
@@ -429,15 +429,11 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     The oracle's promised support is [min, max] of the samples, and it
     changes no bit: only breakpoints strictly inside (min, max) cut the
     samples, so every cutoff that covers them splits them alike. Raises
-    ValueError for samples that are not one-dimensional or of dtype bool,
-    for no samples, or for a non-finite one (NaN or +-inf).
+    ValueError for samples that are not one-dimensional or not of a real
+    dtype (bool, str or object), for no samples, or for a non-finite one
+    (NaN or +-inf).
     """
-    xs = np.asarray(samples)
-    if xs.dtype == bool:
-        raise ValueError("samples must be real numbers, got booleans")
-    xs = xs.astype(float, copy=False)
-    if xs.ndim != 1:
-        raise ValueError(f"samples must be one-dimensional, got shape {xs.shape}")
+    xs = _numbers(samples, "samples")
     if xs.size == 0:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(xs)):

@@ -45,8 +45,8 @@ _WORK_BUDGET = 1e8
 # half-width of the integration window per constrained axis, in units of
 # sqrt(2*D*t); generous next to the widest bridge marginal (sqrt(D*t/2))
 _WINDOW_SIGMAS = 12.0
-# cells per kernel block in the cylinder sweep: each temporary stays at
-# 128 KiB whatever the node count
+# cells per kernel block in the cylinder sweep and in the tensor grid's
+# final hop: each temporary stays at 128 KiB whatever the node count
 _BLOCK_CELLS = 2**14
 
 
@@ -150,7 +150,7 @@ class BridgePath:
 
     def __post_init__(self):
         object.__setattr__(self, "times", _checked_times(self.times))
-        pos = tuple(float(v) for v in self.positions)
+        pos = tuple(_number(v, "positions") for v in self.positions)
         object.__setattr__(self, "positions", pos)
         if len(pos) != len(self.times):
             raise ValueError("positions must align with times")
@@ -233,36 +233,6 @@ def _check_budget(n_axes: int, n_nodes: int) -> None:  # called by perfbench's s
     _check_grid(n_nodes, n_axes)
 
 
-def _chain(params: WienerParams, times, n_nodes: int):
-    """Tensor Gauss-Hermite chain along the time axes, one node column per axis.
-
-    Returns (cols, weights). cols[k] holds the n^(k+1) path values at
-    times[k] (n = n_nodes); its row r extends row r // n of cols[k-1].
-    Each axis is standardized on its incoming transition kernel, which the
-    weights absorb, and weights also carries the final hop to the
-    endpoint. A step reads only the last column and the weights, so
-    memory is a few floats per node combination. Raises ValueError for
-    a time at or past the horizon or a bad n_nodes, BudgetError above the work budget.
-    """
-    _check_horizon(times, params)
-    _check_grid(n_nodes, len(times))
-    rule = gauss_hermite(n_nodes)
-    unit_weights = rule.weights / math.sqrt(math.pi)
-    prev_t = 0.0
-    prev = np.full(1, params.x)
-    wts = np.ones(1)
-    cols = []
-    for s_i in times:
-        new = prev[:, None] + math.sqrt(4.0 * params.D * (s_i - prev_t)) * rule.nodes[None, :]
-        w = wts[:, None] * unit_weights[None, :]
-        prev = new.reshape(-1)
-        cols.append(prev)
-        wts = w.reshape(-1)
-        prev_t = s_i
-    wts = wts * heat_kernel(params.y - prev, params.t - prev_t, params.D)
-    return cols, wts
-
-
 def _kernel_step(v, prev, nodes, dt: float, D: float) -> np.ndarray:
     """v @ K with K[i, j] = heat_kernel(nodes[j] - prev[i], dt, D).
 
@@ -325,18 +295,35 @@ def wiener_integral_quadrature(
     so a constant functional integrates to exactly the total mass.
     Memory: F receives the N path values of all n_nodes^N node
     combinations as one (n_nodes^N, N) array whose N time columns are
-    each contiguous; the chain adds a few floats per combination, and F
-    its own temporaries. An F that reduces across the times through BLAS
-    may round differently from the same F on a row-major batch. A value
-    of F that is not finite raises NumericError naming its node
-    combination. n_nodes is a count in 8..370 (ValueError otherwise).
+    each contiguous, filled in place; the build adds the weights and one
+    node column at a time, and F its own temporaries. An F that reduces
+    across the times through BLAS may round differently from the same F
+    on a row-major batch. A value of F that is not finite raises
+    NumericError naming its node combination. n_nodes is a count in
+    8..370, and the times lie below the horizon (ValueError otherwise);
+    BudgetError above the work budget.
     """
-    cols, wts = _chain(params, F.times, n_nodes)
-    coords = np.empty((len(cols), len(wts)))
-    for k in range(len(cols)):
-        # value r of cols[k] fills a contiguous run of row k
-        coords[k].reshape(len(cols[k]), -1)[:] = cols[k][:, None]
-    del cols  # leave F the room the columns took
+    _check_horizon(F.times, params)
+    _check_grid(n_nodes, len(F.times))
+    rule = gauss_hermite(n_nodes)
+    unit_weights = rule.weights / math.sqrt(math.pi)
+    coords = np.empty((len(F.times), rule.nodes.size ** len(F.times)))
+    prev_t = 0.0
+    prev = np.full(1, params.x)
+    wts = np.ones(1)
+    for k, s_i in enumerate(F.times):
+        # row k holds the path values at times[k]: its run r, n^(N-k-1)
+        # long, is value r of the node column that extends column k-1
+        runs = coords[k].reshape(prev.size * rule.nodes.size, -1)
+        runs[:] = (prev[:, None] + math.sqrt(4.0 * params.D * (s_i - prev_t))
+                   * rule.nodes[None, :]).reshape(-1, 1)
+        prev = runs[:, 0]
+        wts = (wts[:, None] * unit_weights[None, :]).reshape(-1)
+        prev_t = s_i
+    # the hop to the endpoint, in blocks: the kernel's temporaries stay small
+    for r in range(0, wts.size, _BLOCK_CELLS):
+        block = wts[r:r + _BLOCK_CELLS]
+        block *= heat_kernel(params.y - prev[r:r + _BLOCK_CELLS], params.t - prev_t, params.D)
     coords = coords.T  # (n^N, N), one contiguous column per time
     vals = F.evaluate(coords)
     total = float(np.dot(wts, vals))

@@ -475,15 +475,18 @@ def test_control_characters_in_labels_reach_stdout_and_read_back(tmp_path):
 
 def test_condexp_rejects_a_label_the_partition_cannot_name(tmp_path):
     path = tmp_path / "atoms.csv"
-    for text, row, label in (
-        ('a,0.5,1\n"x,y",0.5,2\n', 2, "x,y"),
-        ('label,p,v\n\na,0.25,1\nb,0.25,2\n p|q ,0.5,3\n"r,s",0,4\n', 5, "p|q"),
+    for text, row, label, fault in (
+        ('a,0.5,1\n"x,y",0.5,2\n', 2, "x,y", "holds"),
+        ('label,p,v\n\na,0.25,1\nb,0.25,2\n p|q ,0.5,3\n"r,s",0,4\n', 5, "p|q", "holds"),
+        # --partition drops empty names, so it could never name these atoms
+        (',0.5,2.0\na,0.5,1\n', 1, "", "is empty"),
+        ('label,p,v\n\na,0.5,1\n   ,0.5,3\n', 4, "", "is empty"),
     ):
         path.write_text(text)
         for fmt in ("csv", "json"):
             result = run("condexp", "--input", str(path), "--partition", "a", "--format", fmt)
             assert result.exit_code == 2, (text, fmt)
-            assert f"row {row} label {label!r} holds" in result.stderr, (text, fmt)
+            assert f"row {row} label {label!r} {fault}" in result.stderr, (text, fmt)
 
 
 def test_overflowing_endpoints_are_a_usage_error_without_warnings():

@@ -275,18 +275,29 @@ def test_one_argument_contract_checks_every_numeric_parameter():
 
 
 def test_sequence_arguments_reject_bools():
-    # the elements of times, boxes and supports are real numbers, as scalars
-    # are; a sample array of dtype bool is refused without a per-element scan
-    cases = {
-        "oracle support": lambda: ExpectationOracle(lambda f: 0.0, support=(False, True)),
-        "support": lambda: ls_integrate(lambda t: t, _UNIFORM, (False, True)),
-        "times": lambda: CylindricalFunctional((True,), np.sum),
-        "box edges": lambda: CylinderSet((0.5,), ((False, True),)),
-        "samples": lambda: oracle_from_samples([True, False]),
-    }
-    for name, call in cases.items():
-        with pytest.raises(ValueError, match=rf"^{name} must be (a )?real numbers?, got"):
+    # the elements of times, boxes, supports and positions are real numbers,
+    # as scalars are; an array argument of dtype bool, str or object is
+    # refused without a per-element scan; atom indices are integers
+    cases = (
+        ("oracle support must be a real number", lambda: ExpectationOracle(
+            lambda f: 0.0, support=(False, True))),
+        ("support must be a real number", lambda: ls_integrate(lambda t: t, _UNIFORM, (False, True))),
+        ("times must be a real number", lambda: CylindricalFunctional((True,), np.sum)),
+        ("box edges must be a real number", lambda: CylinderSet((0.5,), ((False, True),))),
+        ("positions must be a real number", lambda: rieszkit.BridgePath((0.5,), (True,))),
+        ("samples must be real numbers", lambda: oracle_from_samples([True, False])),
+        ("samples must be real numbers", lambda: oracle_from_samples(["0.1", "0.9"])),
+        ("probabilities must be real numbers", lambda: FiniteMeasureSpace([("a", "0.5"), ("b", "0.5")])),
+        ("values must be real numbers", lambda: RandomVariable(["1", "2"])),
+        ("values must be real numbers", lambda: RandomVariable([True, False])),
+        ("atom indices must be integers", lambda: Partition([[0.9, 1.2]])),
+        ("atom indices must be integers", lambda: Partition([["0"], ["1"]])),
+        ("atom indices must be integers", lambda: Partition([[True], [False]])),
+    )
+    for message, call in cases:
+        with pytest.raises(ValueError, match=rf"^{message}, got"):
             call()
+    assert Partition([[np.int64(1)], [0]]).blocks == ((1,), (0,))  # as a count takes it
     assert CylinderSet((0.5,), ((-math.inf, math.inf),)).boxes == ((-math.inf, math.inf),)
     with pytest.raises(ValueError, match="box edges must not be NaN"):
         CylinderSet((0.5,), ((math.nan, 0.0),))

@@ -13,7 +13,6 @@ from rieszkit.errors import BudgetError, ConvergenceError, NumericError
 from rieszkit.numerics import adaptive_integrate, gauss_hermite, gauss_legendre
 from rieszkit.wiener import (
     _WINDOW_SIGMAS,
-    _chain,
     BridgePath,
     CylinderSet,
     CylindricalFunctional,
@@ -270,12 +269,16 @@ def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
                                 rng.choice(kinds, p=weights))
                     for s in times
                 ]
-                ref = _reference_chain(params, times, [None] * N, n)
-                cols, wts = _chain(params, times, n)
-                assert np.array_equal(wts, ref[1])
-                assert [len(c) for c in cols] == [n ** (k + 1) for k in range(N)]
-                for k, col in enumerate(cols):
-                    assert np.array_equal(np.repeat(col, n ** (N - 1 - k)), ref[0][:, k])
+                # F gets the reference's coordinates as contiguous time
+                # columns, and a one-hot F picks out one weight exactly
+                coords, wts = _reference_chain(params, times, [None] * N, n)
+                seen = []
+                batch = CylindricalFunctional(times, lambda p: seen.append(p) or np.ones(len(p)))
+                wiener_integral_quadrature(batch, params, n)
+                assert seen[0].flags.f_contiguous and np.array_equal(seen[0], coords)
+                for j in np.linspace(0, n ** N - 1, 5).astype(int):
+                    pick = CylindricalFunctional(times, lambda p, j=j: np.arange(len(p)) == j)
+                    assert wiener_integral_quadrature(pick, params, n) == wts[j]
 
                 # the cylinder sweep drops the free times and sums the boxed
                 # ones by matrix-vector products, in another order
@@ -292,9 +295,8 @@ def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
 
                 c = rng.normal(size=N)
                 F = CylindricalFunctional(times, lambda p: np.cos(p @ c) + p[..., -1] ** 2)
-                coords, wts = _reference_chain(params, times, [None] * N, n)
-                # F gets contiguous time columns, and BLAS rounds p @ c on
-                # that layout otherwise than on a row-major copy
+                # BLAS rounds p @ c on F's layout otherwise than on a
+                # row-major copy
                 want = float(np.dot(wts, F.evaluate(np.asfortranarray(coords))))
                 assert wiener_integral_quadrature(F, params, n) == want
 
