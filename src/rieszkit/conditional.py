@@ -57,6 +57,7 @@ class FiniteMeasureSpace:
     _probs: np.ndarray = field(init=False)
 
     def __post_init__(self, pairs):
+        pairs = list(pairs)  # read once: an iterator or a generator builds the same space
         labels = [str(lab) for lab, _ in pairs]
         probs = _numbers([p for _, p in pairs], "probabilities")
         if not labels:

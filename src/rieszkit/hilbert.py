@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import IntegrabilityError
 from .numerics import (
-    QuadratureRule, _check_finite, _check_probabilities, _count, _evaluate, _split,
-    gauss_legendre,
+    QuadratureRule, _check_finite, _check_probabilities, _count, _evaluate, _real_array,
+    _split, gauss_legendre,
 )
 
 __all__ = [
@@ -132,7 +132,7 @@ class HilbertVector:
 
     def __post_init__(self):
         # a read-only view: a caller's float array keeps its flags, and its later writes show
-        coeffs = np.asarray(self.coeffs, dtype=float).view()
+        coeffs = _real_array(self.coeffs, "coeffs").view()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.shape != (self.basis.size,):
@@ -220,8 +220,8 @@ class DiscreteHValuedLaw:
 
     def __post_init__(self):
         # read-only views: the caller's arrays keep their flags, and their later writes show
-        weights = np.asarray(self.weights, dtype=float).view()
-        rows = np.asarray(self.rows, dtype=float).view()
+        weights = _real_array(self.weights, "weights").view()
+        rows = _real_array(self.rows, "rows").view()
         weights.flags.writeable = rows.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rows", rows)

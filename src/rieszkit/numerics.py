@@ -77,18 +77,25 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _numbers(items, name: str) -> np.ndarray:
-    """``items`` as a 1-d float64 array, NaN and +-inf included (``items``
-    itself when it is one already). The dtype is checked, not each element:
-    an array of bools, strs or other objects (None included) says ``<name>
-    must be real numbers``, and any other shape (a bare scalar, a nested
-    sequence) ``<name> must be one-dimensional``."""
+def _real_array(items, name: str) -> np.ndarray:
+    """``items`` as a float64 array of any shape, NaN and +-inf included
+    (``items`` itself when it is one already). The dtype is checked, not
+    each element: an array of bools, strs or other objects (None
+    included) says ``<name> must be real numbers``."""
     arr = np.asarray(items)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+def _numbers(items, name: str) -> np.ndarray:
+    """``items`` as a 1-d float64 array, checked by ``_real_array``; any
+    other shape (a bare scalar, a nested sequence) says ``<name> must be
+    one-dimensional``."""
+    arr = _real_array(items, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr.astype(float, copy=False)
+    return arr
 
 
 def _real(value, name: str, positive: bool = False) -> float:
@@ -135,14 +142,16 @@ def _split(a: float, b: float, points) -> list[float]:
     return [a, *sorted({x for x in points if a < x < b}), b]
 
 
-def _ladder_indices(limit: int) -> list[int]:
-    """Doubling ladder 1, 2, 4, ... capped by ``limit``, which always ends it."""
+@lru_cache(maxsize=128)
+def _ladder_indices(limit: int) -> tuple[int, ...]:
+    """Doubling ladder 1, 2, 4, ... capped by ``limit``, which always ends it;
+    each ladder is built once, since every rung of a recovery walks one."""
     out = [1]
     while out[-1] * 2 <= limit:
         out.append(out[-1] * 2)
     if out[-1] != limit:
         out.append(limit)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +164,8 @@ class QuadratureRule:
 
     def __post_init__(self):
         # read-only views: the caller's arrays keep their flags, and their later writes show
-        nodes = np.asarray(self.nodes, dtype=float).view()
-        weights = np.asarray(self.weights, dtype=float).view()
+        nodes = _real_array(self.nodes, "nodes").view()
+        weights = _real_array(self.weights, "weights").view()
         nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -238,16 +247,50 @@ _N_HIGH = len(_HIGH[0])
 _MAX_DEPTH = 48  # bisections before a panel is accepted as is
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """High-order estimate on [a, b] and the low/high discrepancy; ``f``
-    is called once on the nodes of both rules."""
-    half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    x = half * _PAIR_NODES + mid
-    vals = _evaluate(f, x)
-    _check_finite(vals[:_N_HIGH], x[:_N_HIGH])
-    hi = half * float(np.dot(_HIGH[1], vals[:_N_HIGH]))
-    lo = half * float(np.dot(_LOW[1], vals[_N_HIGH:]))
-    return hi, abs(hi - lo)
+def _sum_in_order(values: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """For each group g < n, the sum of the values whose ``groups`` entry is
+    g, added one after the other in order from 0.0: a sum that depends only
+    on its own terms, and a term 0.0 anywhere changes no bit of it."""
+    out = np.zeros(n)
+    np.add.at(out, groups, values)
+    return out
+
+
+def _bisect(integrand: Callable, lo: np.ndarray, hi: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """The integral over each panel [lo[i], hi[i]] to its ``budget[i]``.
+
+    ``integrand(t, rows)`` returns the values on the nodes t, shape (P, 22),
+    of P panels, where ``rows`` gives each panel's index i. A panel takes
+    its 15-point Gauss-Legendre estimate when the distance to the 7-point
+    rule is within its budget, or once it has been bisected 48 times; any
+    other panel is bisected, each half with half the budget, and all the
+    halves of one level are evaluated together. A bisected panel is the
+    sum of its halves, left + right, so each integral depends only on its
+    own panel. Each panel's rules are summed along one row, not by BLAS,
+    so no bit depends on the thread count. A value of the estimate rule
+    that is not finite raises ``NumericError`` at its abscissa.
+    """
+    levels = []
+    rows = np.arange(len(lo))
+    for depth in range(_MAX_DEPTH + 1):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        t = half[:, None] * _PAIR_NODES + mid[:, None]
+        vals = integrand(t, rows)
+        _check_finite(vals[:, :_N_HIGH].ravel(), t[:, :_N_HIGH].ravel())
+        est = half * (vals[:, :_N_HIGH] * _HIGH[1]).sum(axis=1)
+        err = np.abs(est - half * (vals[:, _N_HIGH:] * _LOW[1]).sum(axis=1))
+        split = ~(err <= budget) & (depth < _MAX_DEPTH)
+        levels.append((est, split))
+        if not split.any():
+            break
+        ends = np.column_stack([lo[split], mid[split], hi[split]])
+        lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
+        budget, rows = np.repeat(0.5 * budget[split], 2), np.repeat(rows[split], 2)
+    value = levels[-1][0]
+    for est, split in reversed(levels[:-1]):
+        est[split] = value[0::2] + value[1::2]
+        value = est
+    return value
 
 
 def adaptive_integrate(
@@ -278,19 +321,8 @@ def adaptive_integrate(
             return 0.0
         raise ValueError(f"need a <= b, got a={a}, b={b}")
 
-    edges = _split(a, b, () if breakpoints is None else breakpoints)
-    total = 0.0
-    length = b - a
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # budget proportional to segment length
-        stack = [(lo, hi, tol * (hi - lo) / length, 0)]
-        while stack:
-            x0, x1, budget, depth = stack.pop()
-            est, err = _panel(f, x0, x1)
-            if err <= budget or depth >= _MAX_DEPTH:
-                total += est
-            else:
-                mid = 0.5 * (x0 + x1)
-                stack.append((x0, mid, 0.5 * budget, depth + 1))
-                stack.append((mid, x1, 0.5 * budget, depth + 1))
-    return total
+    edges = np.array(_split(a, b, () if breakpoints is None else breakpoints))
+    lo, hi = edges[:-1], edges[1:]
+    values = _bisect(lambda t, rows: _evaluate(f, t.ravel()).reshape(t.shape),
+                     lo, hi, tol * (hi - lo) / (b - a))
+    return float(_sum_in_order(values, np.zeros(len(values), dtype=int), 1)[0])

@@ -11,7 +11,6 @@ slope) recovers the distribution function pointwise.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_check_finite, _count, _evaluate, _ladder_indices, _number, _numbers,
-                       _positive, _real, _split, adaptive_integrate)
+from .numerics import (_bisect, _check_finite, _count, _evaluate, _ladder_indices, _number,
+                       _numbers, _positive, _real, _split, _sum_in_order)
 
 __all__ = [
     "CdfLike",
@@ -178,12 +177,9 @@ class _Probe:
 
     Each factor is an ``np.interp`` table ``(knots, values, left, right)``
     and the probe's value is the product of the factors' values, in
-    order. ``breakpoints`` lists every knot and cuts the line into pieces:
-    piece 0 lies below the first breakpoint, piece p >= 1 runs from
-    breakpoint p - 1 up to the next (or beyond the last). On a piece each
-    factor is affine, so the probe is a polynomial of degree <= 2 there,
-    read exactly from the knot tables by ``piece``; on piece 0 and the
-    last piece it is constant.
+    order. ``breakpoints`` lists every knot. ``_rows()`` is the probe as a
+    batch of one for ``_by_parts`` and ``_sample_sums``, which take a batch
+    of probes of one shape as factors whose knots are rows.
     """
 
     def __init__(self, *factors):
@@ -198,80 +194,128 @@ class _Probe:
             out = value if out is None else out * value
         return out
 
-    def inside(self, lo: float, hi: float) -> tuple[int, tuple[float, ...]]:
-        """(the piece that holds lo, the breakpoints strictly inside (lo, hi))."""
-        first = bisect.bisect_right(self.breakpoints, lo)
-        return first, self.breakpoints[first:bisect.bisect_left(self.breakpoints, hi)]
+    def _rows(self) -> list:
+        return [(np.array([knots]), *table) for knots, *table in self._factors]
 
-    def piece(self, p: int) -> tuple[float, float, float]:
-        """(c0, c1, c2) with f(a + u) = c0 + c1 u + c2 u**2 on piece p, where
-        a is its left breakpoint (-inf on piece 0); (0, 0, 0) as soon as a
-        factor is 0 on the piece."""
-        a = self.breakpoints[p - 1] if p else -math.inf
-        c0, c1, c2 = 1.0, 0.0, 0.0
-        for knots, values, left, right in self._factors:
-            # one affine factor v + s u at a time
-            k = bisect.bisect_right(knots, a) - 1
-            if k < 0:
-                v, s = left, 0.0
-            elif k == len(knots) - 1:
-                v, s = right, 0.0
-            else:
-                s = (values[k + 1] - values[k]) / (knots[k + 1] - knots[k])
-                v = values[k] + s * (a - knots[k])
-            if v == s == 0.0:
-                return 0.0, 0.0, 0.0
-            c0, c1, c2 = c0 * v, c1 * v + c0 * s, c2 * v + c1 * s
-        return c0, c1, c2
+
+def _forms(t: np.ndarray, rows: np.ndarray, values, left: float, right: float):
+    """(x0, f0, s) at each point of t, shape (n, P), for the factor whose
+    knots are the rows of ``rows``, shape (n, q): on the knot interval that
+    holds the point, ``np.interp`` gives s * (u - x0) + f0 at u, bit for
+    bit. Below the first knot s = 0 and f0 = left, from the last on s = 0
+    and f0 = right."""
+    n, q = rows.shape
+    k = np.count_nonzero(rows[:, None, :] <= t[:, :, None], axis=2)  # the knots at or below
+    starts = np.empty((n, q + 1))
+    starts[:, 0], starts[:, 1:] = rows[:, 0], rows
+    gaps = rows[:, 1:] - rows[:, :-1]
+    slopes = np.zeros((n, q + 1))
+    np.divide([v1 - v0 for v0, v1 in zip(values[:-1], values[1:])], gaps,
+              out=slopes[:, 1:q], where=gaps > 0)
+    flat = k + (q + 1) * np.arange(n)[:, None]
+    return starts.ravel()[flat], np.array([left, *values[:-1], right])[k], slopes.ravel()[flat]
+
+
+def _product(t: np.ndarray, forms) -> np.ndarray:
+    """The probe at t, the product of its factors' (x0, f0, s) forms."""
+    out = None
+    for x0, f0, s in forms:
+        value = s * (t - x0) + f0
+        out = value if out is None else out * value
+    return out
+
+
+def _pieces(factors, end: float):
+    """The piece model of a batch of probes of one shape.
+
+    Returns the knots of each probe, sorted (n, K); the anchors, the knots
+    and then ``end`` (n, K + 1); the probe's value and its factors' forms
+    at each anchor; and (c1, c2), each (n, K). Piece p >= 1 runs from knot
+    p - 1 (its anchor a) up to knot p (or beyond the last), and there
+    f(a + u) = f(a) + c1 u + c2 u**2 with the coefficients of column p - 1.
+    Piece 0 lies below every knot, where the probe is constant.
+    """
+    knots = np.sort(np.concatenate([rows for rows, *_ in factors], axis=1), axis=1)
+    anchors = np.empty((len(knots), knots.shape[1] + 1))
+    anchors[:, :-1], anchors[:, -1] = knots, end
+    c0, c1, c2, forms = 1.0, 0.0, 0.0, []
+    for factor in factors:
+        x0, f0, s = form = _forms(anchors, *factor)
+        v = s * (anchors - x0) + f0
+        c0, c1, c2 = c0 * v, c1 * v + c0 * s, c2 * v + c1 * s
+        forms.append(form)
+    return knots, anchors, c0, forms, (c1[:, :-1], c2[:, :-1])
 
 
 # The by-parts branch spends this share of ls_integrate's tol on the
 # ordinary integrals of its sloped pieces, and never asks them for less
 # than this many ulps of the integrand's scale per unit length.
 _BY_PARTS_SHARE = 1e-2
-_ROUNDING_ULPS = 100
+_ROUNDING_ULPS = 100 * np.finfo(float).eps
 
 
-def _integrate_by_parts(f: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) -> float:
-    """Integral of the probe f over (lo, hi] against alpha, piece by piece.
+def _by_parts(factors, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.ndarray:
+    """Integral of each probe of the batch over (lo, hi] against alpha.
 
-    On a piece (a, b] between adjacent breakpoints, Stieltjes integration
-    by parts in centred form gives
+    The knots, clipped to [lo, hi], cut (lo, hi] into pieces (a, b]; on each
+    Stieltjes integration by parts in centred form gives
     f(b) (alpha(b) - alpha(a)) - int_a^b (alpha(t) - alpha(a)) f'(t) dt.
     alpha is evaluated at all piece ends in one call; where f' = 0 or
     alpha does not move, the ordinary integral is 0 and is not computed.
-    Otherwise ``adaptive_integrate`` computes it, split at alpha's
-    declared jumps and kinks, to a budget of ``_BY_PARTS_SHARE * tol``
+    The others are split at alpha's declared jumps and kinks and go to
+    ``_bisect`` together, each to a budget of ``_BY_PARTS_SHARE * tol``
     spread over (lo, hi] by length. Between those split points a law with
     a piecewise-polynomial CDF of degree <= 2 makes the integrand a cubic
     at most, which one panel integrates. Per unit length the budget never
     drops below 100 ulps of max|alpha| * max|f'| on the piece, the scale
     of the rounding in the integrand, so however small ``tol`` is, panels
-    that differ only by rounding are accepted and the bisection ends.
+    that differ only by rounding are accepted and the bisection ends. The
+    pieces of a probe are added in order, so its bits depend on it alone:
+    a knot outside (lo, hi) gives a piece of length 0, which adds 0.0.
     """
-    first, inner = f.inside(lo, hi)
-    edges = np.array([lo, *inner, hi])
-    heights = _evaluate(alpha.eval, edges)
-    values = f(edges[1:])
-    splits = alpha.breakpoints + alpha.kinks
-    rate = _BY_PARTS_SHARE * tol / (hi - lo)
-    total = 0.0
-    pieces = zip(edges[:-1], edges[1:], values, heights[:-1], heights[1:])
-    for p, (a, b, fb, ha, hb) in enumerate(pieces, first):
-        part = fb * (hb - ha)
-        _, c1, c2 = f.piece(p)
-        if (c1, c2) != (0.0, 0.0) and hb != ha:
-            # f'(t) = d0 + d1 (t - anchor)
-            anchor, d0, d1 = f.breakpoints[p - 1], c1, 2.0 * c2
-            scale = max(abs(ha), abs(hb)) * max(abs(d0 + d1 * (a - anchor)),
-                                                abs(d0 + d1 * (b - anchor)))
-            budget = max(rate, _ROUNDING_ULPS * np.finfo(float).eps * scale) * (b - a)
-            part -= adaptive_integrate(
-                lambda t: (alpha.eval(t) - ha) * (d0 + d1 * (t - anchor)),
-                a, b, max(budget, math.ulp(0.0)), splits,  # a tiny piece's budget can underflow
-            )
-        total += part
-    return float(total)
+    n = len(factors[0][0])
+    if lo == hi:
+        return np.zeros(n)
+    knots, anchors, values, _, (c1, c2) = _pieces(factors, hi)
+    edges = np.empty((n, knots.shape[1] + 2))
+    edges[:, 0], edges[:, -1] = lo, hi
+    np.minimum(np.maximum(knots, lo), hi, out=edges[:, 1:-1])
+    heights = _evaluate(alpha.eval, edges.ravel()).reshape(edges.shape)
+    # f(b) is the value at the knot b, or at hi where b is clipped to it
+    parts = np.where(anchors < hi, values, values[:, -1:]) * (heights[:, 1:] - heights[:, :-1])
+    # piece p >= 1 is (a, b] = (edges[p], edges[p + 1]], with column p - 1 of c1, c2
+    a, b, ha, hb = edges[:, 1:-1], edges[:, 2:], heights[:, 1:-1], heights[:, 2:]
+    sloped = (b > a) & ((c1 != 0.0) | (c2 != 0.0)) & (hb != ha)
+    if sloped.any():
+        # f'(t) = d0 + d1 (t - anchor) on each sloped piece
+        a, b, ha, hb, anchor = a[sloped], b[sloped], ha[sloped], hb[sloped], knots[sloped]
+        d0, d1 = c1[sloped], 2.0 * c2[sloped]
+        scale = np.fmax(np.abs(ha), np.abs(hb)) * np.fmax(np.abs(d0 + d1 * (a - anchor)),
+                                                          np.abs(d0 + d1 * (b - anchor)))
+        rate = _BY_PARTS_SHARE * tol / (hi - lo)
+        budget = np.fmax(rate, _ROUNDING_ULPS * scale) * (b - a)
+        budget = np.maximum(budget, math.ulp(0.0))  # a tiny piece's budget can underflow
+        piece, starts, stops = _cut(a, b, sorted({*alpha.breakpoints, *alpha.kinks}))
+
+        def integrand(t, rows):
+            p = piece[rows, None]
+            return ((_evaluate(alpha.eval, t.ravel()).reshape(t.shape) - ha[p])
+                    * (d0[p] + d1[p] * (t - anchor[p])))
+
+        integrals = _bisect(integrand, starts, stops,
+                            budget[piece] * (stops - starts) / (b - a)[piece])
+        parts[:, 1:][sloped] -= _sum_in_order(integrals, piece, len(a))
+    return _sum_in_order(parts.ravel(), np.repeat(np.arange(n), parts.shape[1]), n)
+
+
+def _cut(a: np.ndarray, b: np.ndarray, points: Sequence[float]):
+    """Each interval [a[i], b[i]] cut at the sorted distinct ``points``
+    strictly inside it: (the interval of each segment, segment starts,
+    segment ends), the segments of one interval in order."""
+    cuts = np.concatenate([a[:, None], np.minimum(np.maximum(points, a[:, None]), b[:, None]),
+                           b[:, None]], axis=1)
+    keep = cuts[:, 1:] > cuts[:, :-1]  # a point at or beyond an end cuts nothing
+    return np.nonzero(keep)[0], cuts[:, :-1][keep], cuts[:, 1:][keep]
 
 
 def ls_integrate(
@@ -301,9 +345,10 @@ def ls_integrate(
 
     A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
     the two as ``recover_cdf`` and ``total_mass`` use them, is integrated
-    by parts instead (see ``_integrate_by_parts``): a piece where the
-    probe is constant costs two values of alpha, a sloped piece one
-    ``adaptive_integrate`` call on alpha. That branch never raises
+    by parts instead, as a batch of one (see ``_by_parts``, which
+    ``oracle_from_cdf`` also runs on a whole column of ramps): alpha is
+    called once on the probe's piece ends and once per bisection level on
+    the panels of its sloped pieces. That branch never raises
     ``ConvergenceError`` and ignores ``max_depth``. Any other f takes the
     Riemann-Stieltjes path.
     """
@@ -313,7 +358,7 @@ def ls_integrate(
     if lo == hi:
         return 0.0
     if isinstance(f, _Probe):
-        return _integrate_by_parts(f, alpha, lo, hi, tol)
+        return float(_by_parts(f._rows(), alpha, lo, hi, tol)[0])
 
     edges = _split(lo, hi, [*alpha.breakpoints, *getattr(f, "breakpoints", ())])
     estimates: list[float] = []
@@ -347,23 +392,55 @@ class RampSpec:
         object.__setattr__(self, "j", _count(self.j, "slope parameter j"))
 
 
+# (values, left, right) of the ramp's and the cutoff's interp tables
+_RAMP = ((1.0, 0.0), 1.0, 0.0)
+_CUTOFF = ((0.0, 1.0, 1.0, 0.0), 0.0, 0.0)
+
+
+def _cutoff_knots(j):
+    return -(j + 1.0), -float(j), float(j), j + 1.0
+
+
 def make_ramp(spec: RampSpec) -> Callable:
     """Continuous f with f=1 on (-inf, x], affine on [x, x+1/j], 0 beyond."""
     x, width = spec.x, 1.0 / spec.j
-    return _Probe(((x, x + width), (1.0, 0.0), 1.0, 0.0))
+    return _Probe(((x, x + width), *_RAMP))
 
 
 def make_cutoff(j: int) -> Callable:
     """Compact-support plateau: 1 on [-j, j], affine to 0 at +-(j+1); j is
     a count >= 1 (``ValueError`` otherwise)."""
-    j = _count(j, "cutoff index j")
-    return _Probe(
-        ((-(j + 1.0), -float(j), float(j), j + 1.0), (0.0, 1.0, 1.0, 0.0), 0.0, 0.0)
-    )
+    return _Probe((_cutoff_knots(_count(j, "cutoff index j")), *_CUTOFF))
 
 
 def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
     return _Probe(*ramp._factors, *cutoff._factors)
+
+
+def _rung_rows(x: float, js: Sequence[int], m: int) -> list:
+    """``_probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m))`` for
+    each j in ``js``, as the rows of one batch."""
+    ramps = np.empty((len(js), 2))
+    ramps[:, 0] = x
+    ramps[:, 1] = x + 1.0 / np.asarray(js, dtype=float)
+    return [(ramps, *_RAMP), (np.array([_cutoff_knots(m)]).repeat(len(js), axis=0), *_CUTOFF)]
+
+
+class _Apply:
+    """The apply of a built-in oracle: called on one function like any
+    apply, and ``rungs(x, js, m)`` answers the probes ramp(x, j) *
+    cutoff(m), j in ``js``, in one vectorised pass, bit for bit as the
+    calls one by one would. A wrapper of it has no ``rungs``, so the
+    recovery ladders call a wrapped apply once per probe."""
+
+    def __init__(self, one: Callable, batch: Callable):
+        self._one, self._batch = one, batch
+
+    def __call__(self, f):
+        return self._one(f)
+
+    def rungs(self, x: float, js: Sequence[int], m: int) -> list[float]:
+        return self._batch(_rung_rows(x, js, m)).tolist()
 
 
 @dataclass(frozen=True)
@@ -405,12 +482,49 @@ def oracle_from_cdf(
     support[1]], so the oracle carries ``support`` as its promised
     support. Its endpoints must be finite and ordered, and ``tol`` is a
     positive real (``ValueError`` otherwise).
+
+    Its apply calls ``ls_integrate(f, alpha, support, tol)``. The recovery
+    ladders ask it for a column of ramps at a time (one x, every slope of
+    the ladder, one cutoff), which it integrates by parts in one
+    vectorised pass over the column with the same bits.
     """
     tol = _positive(tol, "tol")
+    lo, hi = _check_support("oracle support", support)
     return ExpectationOracle(
-        apply=lambda f: ls_integrate(f, alpha, support, tol),
-        support=support,
+        apply=_Apply(lambda f: ls_integrate(f, alpha, support, tol),
+                     lambda factors: _by_parts(factors, alpha, lo, hi, tol)),
+        support=(lo, hi),
     )
+
+
+def _sample_sums(factors, ordered: np.ndarray) -> np.ndarray:
+    """Sum of each probe of the batch over the sorted samples.
+
+    ``searchsorted`` counts the samples in each piece between knots. A
+    piece where the probe is constant adds count * value; on a sloped
+    piece the probe is evaluated on its samples only, and they are added
+    with one ``np.add.reduceat`` per batch. The pieces of a probe are
+    added in order. The probe is continuous, so a sample on a knot may sit
+    in either piece beside it; a knot at or beyond the last sample cuts
+    nothing, so every cutoff that covers the samples splits them alike.
+    """
+    knots, _, values, forms, (c1, c2) = _pieces(factors, ordered[-1])
+    n, size = len(knots), len(ordered)
+    cuts = np.where(knots >= ordered[-1], size, np.searchsorted(ordered, knots))
+    bounds = np.zeros((n, cuts.shape[1] + 2), dtype=int)
+    bounds[:, 1:-1], bounds[:, -1] = cuts, size
+    counts = bounds[:, 1:] - bounds[:, :-1]
+    # piece 0 lies below every knot, where each factor is its left value
+    parts = counts * np.concatenate([np.full((n, 1), math.prod(f[2] for f in factors)),
+                                     values[:, :-1]], axis=1)
+    sloped = (counts[:, 1:] > 0) & ((c1 != 0.0) | (c2 != 0.0))
+    if sloped.any():
+        length = counts[:, 1:][sloped]
+        offsets = np.cumsum(length) - length
+        index = np.repeat(cuts[sloped] - offsets, length) + np.arange(length.sum())
+        on_samples = [tuple(np.repeat(c[:, :-1][sloped], length) for c in form) for form in forms]
+        parts[:, 1:][sloped] = np.add.reduceat(_product(ordered[index], on_samples), offsets)
+    return _sum_in_order(parts.ravel(), np.repeat(np.arange(n), parts.shape[1]), n)
 
 
 def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
@@ -418,20 +532,17 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
 
     The samples are sorted once, into one copy: O(n log n) time here and
     n floats of memory. A probe (ramp, cutoff or their product) costs
-    O(K log n) for its K breakpoints plus the samples where it slopes:
-    ``searchsorted`` counts the samples in each piece between
-    breakpoints, a piece where the probe is constant adds count * value,
-    a sloped piece the sum of the probe over its samples, and the pieces
-    are summed in order and divided by n. Any other callable gets
-    ``float(np.mean(f(xs)))`` over the samples in the order given. The
-    two differ only by rounding.
+    O(K log n) for its K knots plus the samples where it slopes (see
+    ``_sample_sums``), and the recovery ladders ask for a column of ramps
+    at a time (one x, every slope of the ladder, one cutoff), answered in
+    one vectorised pass with the same bits. The sum is divided by n. Any
+    other callable gets ``float(np.mean(f(xs)))`` over the samples in the
+    order given. The two differ only by rounding.
 
     The oracle's promised support is [min, max] of the samples, and it
-    changes no bit: only breakpoints strictly inside (min, max) cut the
-    samples, so every cutoff that covers them splits them alike. Raises
-    ValueError for samples that are not one-dimensional or not of a real
-    dtype (bool, str or object), for no samples, or for a non-finite one
-    (NaN or +-inf).
+    changes no bit. Raises ValueError for samples that are not
+    one-dimensional or not of a real dtype (bool, str or object), for no
+    samples, or for a non-finite one (NaN or +-inf).
     """
     xs = _numbers(samples, "samples")
     if xs.size == 0:
@@ -439,56 +550,48 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
     ordered = np.sort(xs)
-    lo, hi = float(ordered[0]), float(ordered[-1])
+
+    def mean(factors):
+        return _sample_sums(factors, ordered) / xs.size
 
     def apply(f):
-        if not isinstance(f, _Probe):
-            return float(np.mean(_evaluate(f, xs)))
-        # the probe is continuous, so a sample on a breakpoint may sit in
-        # either piece beside it; only breakpoints inside (lo, hi) cut
-        first, inner = f.inside(lo, hi)
-        total, start = 0.0, 0
-        for p, stop in enumerate([*ordered.searchsorted(inner).tolist(), xs.size], first):
-            if stop > start:
-                c0, c1, c2 = f.piece(p)
-                total += (stop - start) * c0 if c1 == c2 == 0.0 else f(ordered[start:stop]).sum()
-            start = stop
-        return float(total / xs.size)
+        if isinstance(f, _Probe):
+            return float(mean(f._rows())[0])
+        return float(np.mean(_evaluate(f, xs)))
 
-    return ExpectationOracle(apply=apply, support=(lo, hi))
+    return ExpectationOracle(apply=_Apply(apply, mean),
+                             support=(float(ordered[0]), float(ordered[-1])))
 
 
 def _cutoff_limit(
-    oracle: ExpectationOracle, ramp, m_max: int, slack: float, agree: float, at=None
+    oracle: ExpectationOracle, value: Callable, m_max: int, slack: float, agree: float, at=None
 ) -> tuple[float, int]:
-    """Limit of L over the cutoffs of index m, each times ``ramp`` unless it
-    is None; returns (value, m). A value may fall at most ``slack`` below
-    the last; the ladder stops when two agree within ``agree``, or at the
-    first cutoff that covers the support. ``at`` is the ramp's (x, j)."""
+    """Limit over the cutoff indices m of ``value(m)``, L on the cutoff of
+    index m (times a ramp); returns (value, m). A value may fall at most
+    ``slack`` below the last; the ladder stops when two agree within
+    ``agree``, or at the first cutoff that covers the support. ``at`` is
+    the ramp's (x, j)."""
     prev = None
     for m in _ladder_indices(m_max):
-        probe = make_cutoff(m)
-        if ramp is not None:
-            probe = _probe_product(ramp, probe)
-        value = float(oracle.apply(probe))
-        if not abs(value) <= 1.0 + 1e-8:  # every probe is bounded by 1 in sup norm; NaN fails
+        value_m = float(value(m))
+        if not abs(value_m) <= 1.0 + 1e-8:  # every probe is bounded by 1 in sup norm; NaN fails
             raise ContractViolationError(
-                f"oracle returned {value!r} for a probe bounded by 1; "
+                f"oracle returned {value_m!r} for a probe bounded by 1; "
                 "|L(f)| <= sup|f| is violated"
             )
         if prev is not None:
-            if value < prev - slack:
+            if value_m < prev - slack:
                 where = "" if at is None else f" (x={at[0]}, j={at[1]})"
                 raise ContractViolationError(
-                    f"cutoff ladder decreased at m={m}{where}: {prev!r} -> {value!r}",
+                    f"cutoff ladder decreased at m={m}{where}: {prev!r} -> {value_m!r}",
                     index=m,
                 )
-            if abs(value - prev) < agree:
-                return value, m
+            if abs(value_m - prev) < agree:
+                return value_m, m
         if oracle._covered_by(m):
-            return value, m
-        prev = value
-    return value, m  # the ladder always ends at m_max
+            return value_m, m
+        prev = value_m
+    return value_m, m  # the ladder always ends at m_max
 
 
 def _ramp_ladder(L, x, js, upper, m_max: int, tol: float, known=None):
@@ -496,18 +599,38 @@ def _ramp_ladder(L, x, js, upper, m_max: int, tol: float, known=None):
     ramp at (x, j) and the cutoff index its ladder stopped at, or
     ``known[j]``, a rung already walked, which asks the oracle nothing.
     Each value may exceed the one before it (``upper`` for the first, None
-    for none) by at most ``tol``."""
+    for none) by at most ``tol``.
+
+    A built-in apply (one with ``rungs``) is asked at the first miss at
+    cutoff index m for that m and every j not known, in one call; any
+    other apply once per probe, as the walk reads them. A column that
+    raised is asked probe by probe too, so an error surfaces only at a
+    probe the walk reads, as that probe's own."""
+    rungs = getattr(L.apply, "rungs", None)
+    todo = [j for j in js if not known or j not in known]
+    columns: dict[int, dict] = {}
+
+    def value(j, m):
+        if rungs is not None and m not in columns:
+            try:
+                columns[m] = dict(zip(todo, rungs(x, todo, m)))
+            except Exception:  # raised again below, by the probe the walk reads
+                columns[m] = {}
+        if j in columns.get(m, ()):
+            return columns[m][j]
+        return L.apply(_probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m)))
+
     for j in js:
         rung = known.get(j) if known else None
         if rung is None:
-            rung = _cutoff_limit(L, make_ramp(RampSpec(float(x), j)), m_max, tol, tol / 2, (x, j))
-        value, m = rung
-        if upper is not None and value > upper + tol:
+            rung = _cutoff_limit(L, lambda m: value(j, m), m_max, tol, tol / 2, (x, j))
+        value_j, m = rung
+        if upper is not None and value_j > upper + tol:
             raise ContractViolationError(
-                f"ramp ladder increased at j={j} (x={x}): {upper!r} -> {value!r}", index=j
+                f"ramp ladder increased at j={j} (x={x}): {upper!r} -> {value_j!r}", index=j
             )
-        yield j, value, m
-        upper = value
+        yield j, value_j, m
+        upper = value_j
 
 
 def _richardson(js: Sequence[int], values: Sequence[float], slack: float) -> float | None:
@@ -581,7 +704,12 @@ def recover_cdf(
     Each cutoff ladder stops when two successive values agree within
     ``tol / 2``, or at once when the oracle promises a ``support`` that
     the cutoff covers; the value is the same either way, since every
-    covering cutoff gives the same probe on the support.
+    covering cutoff gives the same probe on the support. The apply of
+    ``oracle_from_cdf`` or ``oracle_from_samples`` is asked for a column
+    of ramps at a time (every doubling j at one cutoff index, then the
+    tail 3j/4, 7j/8), in one vectorised pass; any other apply, a wrapped
+    built-in one too, gets one call per probe, in the order of the walk.
+    Values, exits and errors are the same either way.
 
     With ``full_output=True`` returns ``(value, info)`` where ``info``
     carries the final (j, m) reached, the raw ramp ladder, and which of
@@ -616,7 +744,8 @@ def total_mass(L: ExpectationOracle, m_max: int = 64) -> float:
     ``support``, and may not decrease by more than 1e-12. ``m_max`` is a
     count >= 1 (``ValueError`` otherwise).
     """
-    return _cutoff_limit(L, None, _count(m_max, "m_max"), 1e-12, 1e-12)[0]
+    return _cutoff_limit(L, lambda m: L.apply(make_cutoff(m)), _count(m_max, "m_max"),
+                         1e-12, 1e-12)[0]
 
 
 class RecoveredCdf:

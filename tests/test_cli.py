@@ -749,3 +749,22 @@ def test_condexp_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0].count(b"\n") == n + 1
     assert outputs[0] == outputs[1]
+
+
+def test_recovery_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the ladder pass integrates whole columns of probes by parts and sums
+    # sample windows with reduceat: no reduction of theirs goes to BLAS
+    np.savetxt(tmp_path / "draws.csv", np.random.default_rng(1).normal(0.5, 0.5, 10_000))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    for source in (["--law", "uniform"], ["--law", "triangular"], ["--law", "two-atom"],
+                   ["--samples", str(tmp_path / "draws.csv")]):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+            proc = subprocess.run([sys.executable, "-m", "rieszkit.cli", "recover-cdf", *source,
+                                   "--grid-n", "101"], capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"\n") == 101 + 1, source
+        assert outputs[0] == outputs[1], source

@@ -249,8 +249,10 @@ def test_space_hands_out_fresh_probabilities_and_one_labels_tuple():
     p[0] = 9.0
     assert space.probabilities.tolist() == [0.25, 0.5, 0.25]
     assert space.labels == ("a", "b", "c") and space.labels is space.labels
-    twin = FiniteMeasureSpace(atoms)
-    assert space.atoms == twin.atoms == atoms and space.labels == twin.labels
+    # a list, a one-shot iterator and a generator build the same space
+    for given in (atoms, list(atoms), iter(atoms), (pair for pair in atoms)):
+        twin = FiniteMeasureSpace(given)
+        assert space.atoms == twin.atoms == atoms and space.labels == twin.labels
 
 
 def test_variable_validation():

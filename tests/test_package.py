@@ -12,8 +12,8 @@ import pytest
 
 import rieszkit
 from rieszkit import (
-    CdfLike, ConjugateExponents, CylinderSet, CylindricalFunctional, ExpectationOracle,
-    FiniteMeasureSpace,
+    CdfLike, ConjugateExponents, CylinderSet, CylindricalFunctional, DiscreteHValuedLaw,
+    ExpectationOracle, FiniteMeasureSpace, QuadratureRule,
     HilbertVector, OrthonormalBasis, Partition, RampSpec, RandomVariable, RecoveredCdf,
     WienerParams, adaptive_integrate, check_compatibility, cond_expectation_l1,
     cylinder_probability, gauss_hermite, gauss_legendre, heat_kernel, integrate_pointwise_limit,
@@ -274,6 +274,9 @@ def test_one_argument_contract_checks_every_numeric_parameter():
     assert failures == []
 
 
+_BASIS2 = OrthonormalBasis("shifted_legendre", 2)
+
+
 def test_sequence_arguments_reject_bools():
     # the elements of times, boxes, supports and positions are real numbers,
     # as scalars are; an array argument of dtype bool, str or object is
@@ -290,6 +293,14 @@ def test_sequence_arguments_reject_bools():
         ("probabilities must be real numbers", lambda: FiniteMeasureSpace([("a", "0.5"), ("b", "0.5")])),
         ("values must be real numbers", lambda: RandomVariable(["1", "2"])),
         ("values must be real numbers", lambda: RandomVariable([True, False])),
+        ("nodes must be real numbers", lambda: QuadratureRule(["0.1", "0.2"], ["1", "1"])),
+        ("weights must be real numbers", lambda: QuadratureRule([0.1, 0.2], [True, True])),
+        ("coeffs must be real numbers", lambda: HilbertVector([True, False], _BASIS2)),
+        ("coeffs must be real numbers", lambda: HilbertVector(["1", "0"], _BASIS2)),
+        ("weights must be real numbers", lambda: DiscreteHValuedLaw(_BASIS2, ["1"], [[1.0, 0.0]])),
+        ("rows must be real numbers", lambda: DiscreteHValuedLaw(_BASIS2, [1.0], [["1", "0"]])),
+        ("rows must be real numbers", lambda: DiscreteHValuedLaw(
+            _BASIS2, [1.0], np.array([[None, 0.0]], dtype=object))),
         ("atom indices must be integers", lambda: Partition([[0.9, 1.2]])),
         ("atom indices must be integers", lambda: Partition([["0"], ["1"]])),
         ("atom indices must be integers", lambda: Partition([[True], [False]])),
@@ -297,6 +308,12 @@ def test_sequence_arguments_reject_bools():
     for message, call in cases:
         with pytest.raises(ValueError, match=rf"^{message}, got"):
             call()
+    # a caller's float64 array is kept as a read-only view, so its later writes show
+    nodes, coeffs = np.array([0.1, 0.2]), np.array([1.0, 0.0])
+    rule, vector = QuadratureRule(nodes, np.ones(2)), HilbertVector(coeffs, _BASIS2)
+    nodes[1], coeffs[0] = 0.3, 2.0
+    assert rule.nodes[1] == 0.3 and vector.coeffs[0] == 2.0
+    assert not rule.nodes.flags.writeable and not vector.coeffs.flags.writeable
     assert Partition([[np.int64(1)], [0]]).blocks == ((1,), (0,))  # as a count takes it
     assert CylinderSet((0.5,), ((-math.inf, math.inf),)).boxes == ((-math.inf, math.inf),)
     with pytest.raises(ValueError, match="box edges must not be NaN"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import rieszkit.stieltjes as stieltjes
 from rieszkit.errors import ContractViolationError, ConvergenceError, NumericError, RieszkitError
 from rieszkit.numerics import _evaluate, _split
 from rieszkit.stieltjes import (
@@ -20,7 +21,8 @@ from rieszkit.stieltjes import (
     RecoveredCdf,
     ls_integrate,
     ls_measure_interval,
-    _Probe,
+    _cut,
+    _pieces,
     _probe_product,
     make_cutoff,
     make_ramp,
@@ -323,37 +325,47 @@ def _random_probes(seed, n):
         yield from (ramp, cutoff, _probe_product(ramp, cutoff))
 
 
-def _piece_span(probe, p):
-    """(a, b) of piece p, with a half-line cut to one unit beside its breakpoint."""
-    bps = probe.breakpoints
-    return (bps[p - 1] if p else bps[0] - 1.0), (bps[p] if p < len(bps) else bps[-1] + 1.0)
+def _piece_span(knots, p):
+    """(a, b) of piece p, with a half-line cut to one unit beside its knot."""
+    return (knots[p - 1] if p else knots[0] - 1.0), (knots[p] if p < len(knots) else knots[-1] + 1.0)
 
 
 def test_each_piece_of_a_probe_is_its_polynomial():
     fractions = np.array([1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-3])
     for probe in _random_probes(11, 200):
-        n_pieces = len(probe.breakpoints) + 1
-        assert probe.piece(0)[1:] == probe.piece(n_pieces - 1)[1:] == (0.0, 0.0)
-        for p in range(n_pieces):
-            c0, c1, c2 = probe.piece(p)
-            a, b = _piece_span(probe, p)
+        knots, _, values, _, (c1, c2) = _pieces(probe._rows(), 0.25)
+        knots, values, c1, c2 = knots[0], values[0], c1[0], c2[0]
+        assert tuple(dict.fromkeys(knots)) == probe.breakpoints
+        assert values[-1] == probe(0.25) and c1[-1] == c2[-1] == 0.0
+        for p in range(len(knots) + 1):
+            a, b = _piece_span(knots, p)
+            if a == b:
+                continue  # a knot listed twice
             t = a + fractions * (b - a)
-            u = t - a if p else 0.0  # piece 0 is anchored at -inf, and constant
-            np.testing.assert_allclose(c0 + c1 * u + c2 * u * u, probe(t), rtol=0.0, atol=1e-15)
+            if p == 0:  # below every knot, where each factor is its left value
+                coeffs, u = (math.prod(f[2] for f in probe._factors), 0.0, 0.0), 0.0
+            else:
+                coeffs, u = (values[p - 1], c1[p - 1], c2[p - 1]), t - a
+            np.testing.assert_allclose(coeffs[0] + coeffs[1] * u + coeffs[2] * u * u, probe(t),
+                                       rtol=0.0, atol=1e-15)
             flat = probe(a) == probe(0.5 * (a + b)) == probe(b)
-            assert ((c1, c2) == (0.0, 0.0)) == flat, (probe.breakpoints, p)
+            assert (coeffs[1:] == (0.0, 0.0)) == flat, (probe.breakpoints, p)
 
 
 def test_the_pieces_inside_an_interval_are_those_split_cuts_at():
     rng = np.random.default_rng(12)
     for probe in _random_probes(13, 100):
         bps = probe.breakpoints
-        ends = [*rng.uniform(-5.0, 5.0, 6), *bps, bps[0] - 1.0, bps[-1] + 1.0]
-        for lo, hi in itertools.combinations(sorted(ends), 2):
-            first, inner = probe.inside(lo, hi)
-            assert list(inner) == _split(lo, hi, bps)[1:-1], (bps, lo, hi)
-            assert first == sum(b <= lo for b in bps), (bps, lo)
-        assert probe.inside(bps[0], bps[0]) == (1, ())
+        ends = sorted([*rng.uniform(-5.0, 5.0, 6), *bps, bps[0] - 1.0, bps[-1] + 1.0])
+        pairs = list(itertools.combinations(ends, 2))
+        a, b = (np.array(side) for side in zip(*pairs))
+        piece, starts, stops = _cut(a, b, bps)
+        for i, (lo, hi) in enumerate(pairs):
+            cuts = _split(lo, hi, bps)
+            assert starts[piece == i].tolist() == cuts[:-1], (bps, lo, hi)
+            assert stops[piece == i].tolist() == cuts[1:], (bps, lo, hi)
+        piece, starts, stops = _cut(a, b, [])
+        assert (piece == np.arange(len(a))).all() and (starts == a).all() and (stops == b).all()
 
 
 def _closed_form(probe, law):
@@ -414,7 +426,7 @@ def test_by_parts_matches_closed_forms_and_riemann_stieltjes(law, cdf, support):
     assert worst_parts <= max(worst_rs, 1e-15)
     if law[0] == "uniform" and support == (-3.0, 3.0):
         probe = _probe_product(make_ramp(RampSpec(1.8, 1)), make_cutoff(2))
-        assert any(probe.piece(p)[2] != 0.0 for p in range(len(probe.breakpoints) + 1))
+        assert (_pieces(probe._rows(), 3.0)[4][1] != 0.0).any()
         assert abs(ls_integrate(probe, cdf, support) - _closed_form(probe, law)) <= 1e-12
 
 
@@ -463,19 +475,20 @@ def test_by_parts_takes_one_panel_between_declared_kinks(law, cdf, support, prob
         value = ls_integrate(probe, counted, support, tol)
         assert abs(value - _closed_form(probe, law)) <= 1e-12, (x, j, m)
         assert abs(value - ls_integrate(probe, unkinked, support, tol)) <= tol, (x, j, m)
-        # one call on the piece ends, then one 22-point panel per stretch
+        # one call on the piece ends (the support's and its six knots,
+        # clipped to it), then one call with a 22-point panel per stretch
         # of a sloped piece between the law's kinks
         edges = sorted({*support, *(k for k in probe.breakpoints
                                     if support[0] < k < support[1])})
         stretches = held = 0
-        first = sum(k <= support[0] for k in probe.breakpoints)  # the piece that holds the start
-        for p, (a, b) in enumerate(zip(edges[:-1], edges[1:]), first):
-            if probe.piece(p)[1:] != (0.0, 0.0) and cdf.eval(a) != cdf.eval(b):
+        for a, b in zip(edges[:-1], edges[1:]):
+            sloped = not probe(a) == probe(0.5 * (a + b)) == probe(b)  # degree <= 2
+            if sloped and cdf.eval(a) != cdf.eval(b):
                 inside = sum(a < k < b for k in splits)
                 stretches += 1 + inside
                 held += inside
         assert held > 0, (x, j, m)
-        assert sizes == [len(edges)] + [22] * stretches, (x, j, m)
+        assert sizes == [6 + 2, 22 * stretches], (x, j, m)
 
 
 def test_cdf_kinks_are_sorted_once_each_and_finite():
@@ -754,11 +767,11 @@ def _exit_oracle(source):
         "0x1.d70a3d70a3d71p-1", "0x1.ae147ae147ae2p-1", "0x1.5c28f5c28f5c3p-1",
         "0x1.3333333333333p-1", "0x1.3333333333333p-1"), "plateau"), _ALL_RUNGS[:5]),
     ("triangular", 0.25, ("0x1.feaaaaaaaaaaap-4", 64, (
-        "0x1.7aaaaaaaaaaaap-1", "0x1.fffffffffffffp-2", "0x1.2aaaaaaaaaaaap-2",
-        "0x1.9555555555556p-3", "0x1.4555555555555p-3", "0x1.2155555555555p-3",
+        "0x1.7aaaaaaaaaaaap-1", "0x1.0000000000000p-1", "0x1.2aaaaaaaaaaabp-2",
+        "0x1.9555555555555p-3", "0x1.4555555555555p-3", "0x1.2155555555555p-3",
         "0x1.1055555555555p-3"), "extrapolated"), _ALL_RUNGS),
     ("uniform", 0.97, ("0x1.f0a3d70a3d710p-1", 64, (
-        "0x1.ffc504816f006p-1", "0x1.ff8a0902de00dp-1", "0x1.ff141205bc01ap-1",
+        "0x1.ffc504816f007p-1", "0x1.ff8a0902de00dp-1", "0x1.ff141205bc01ap-1",
         "0x1.fe28240b78034p-1", "0x1.fc504816f0069p-1", "0x1.f8a0902de00d1p-1",
         "0x1.f4a3d70a3d70ap-1"), "extrapolated"), _ALL_RUNGS + ((48, 2), (56, 2))),
     ("uniform", 0.99, ("0x1.fe5c91d14e3bdp-1", 64, (
@@ -806,6 +819,70 @@ def test_every_recovery_exit_keeps_its_value_info_and_probes(source, x, expected
         tuple(sorted({x, x + 1.0 / j, -(m + 1.0), -float(m), float(m), m + 1.0}))
         for j, last in rungs for m in (1, 2, 4, 8, 16, 32, 64) if m <= last
     ]
+
+
+def _recoveries(oracle, xs):
+    out = []
+    for x in xs:
+        value, info = recover_cdf(oracle, float(x), full_output=True)
+        out.append((value.hex(), info["method"], info["j_reached"], info["m_reached"],
+                    tuple(map(float.hex, info["ramp_ladder"]))))
+    return out
+
+
+_LADDER_LAWS = (
+    (uniform_cdf(-0.4, 0.4), (-0.4, 0.4)),
+    (triangular_cdf(-0.4, 0.1, 0.4), (-0.4, 0.4)),
+    (two_atom_cdf(-0.3, 0.6, 0.2), (-0.3, 0.2)),
+    (point_mass_cdf(0.1), (0.1, 0.1)),
+)
+
+
+@pytest.mark.parametrize("source", [*range(len(_LADDER_LAWS)), "samples"])
+def test_the_ladder_pass_keeps_every_bit_and_exit_of_the_probe_by_probe_walk(source):
+    # the built-in applies answer a column of ramps in one pass; wrapped,
+    # the same apply is asked probe by probe, and every value, method,
+    # j_reached and m_reached must agree
+    if source == "samples":
+        cases = [(oracle_from_samples(s), 5) for s in _sample_sets()]
+    else:
+        law, (lo, hi) = _LADDER_LAWS[source]
+        cases = [(oracle_from_cdf(law, (lo - 0.5, hi + 0.5)), 1)]
+    for oracle, stride in cases:
+        lo, hi = oracle.support
+        xs = np.linspace(lo - 1.0, hi + 1.0, 2001)[::stride]
+        wrapped = dataclasses.replace(oracle, apply=lambda f, oracle=oracle: oracle.apply(f))
+        assert _recoveries(oracle, xs) == _recoveries(wrapped, xs)
+
+
+def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
+    law = triangular_cdf(-0.4, 0.1, 0.4)
+    calls = []
+    counted = dataclasses.replace(law, eval=lambda x: calls.append(np.size(x)) or law.eval(x))
+    oracle = oracle_from_cdf(counted, (-0.9, 0.9))
+    columns = []
+    rungs = oracle.apply.rungs
+
+    def counting(x, js, m):
+        columns.append((tuple(js), m))
+        return rungs(x, js, m)
+
+    oracle.apply.rungs = counting
+    for x in (-0.35, 0.05, 0.38, 0.9):
+        calls.clear()
+        columns.clear()
+        value, info = recover_cdf(oracle, x, full_output=True)
+        assert abs(value - float(law.eval(x))) <= 1e-3
+        # the support lies inside [-1, 1]: one column of the doubling
+        # ladder at m = 1, and one of the tail 3j/4, 7j/8 if the walk gets there
+        assert columns[0] == ((1, 2, 4, 8, 16, 32, 64), 1)
+        assert columns[1:] in ([], [((48, 56), 1)])
+        # the piece ends of a column (its six knots and two ends per ramp)
+        # in one call, then, if a piece needs an integral, its panels in one
+        # call per bisection level; a law of degree <= 2 needs one level
+        assert calls[0] == 7 * 8
+        assert len(columns) <= len(calls) <= 2 * len(columns), (x, calls)
+    assert calls == [7 * 8]  # at x = 0.9 every piece is flat or alpha is
 
 
 def test_total_mass_probes_are_the_bare_cutoffs():
@@ -1042,18 +1119,18 @@ def test_sample_oracle_evaluates_a_probe_only_on_its_sloped_pieces(monkeypatch):
     oracle = oracle_from_samples(samples)
     x, j = 0.1, 64
     probe = _probe_product(make_ramp(RampSpec(x, j)), make_cutoff(math.ceil(np.max(np.abs(samples)))))
-    evaluate, seen = _Probe.__call__, []
+    product, seen = stieltjes._product, []
 
-    def counting(self, t):
+    def counting(t, forms):
         seen.append(np.array(t, dtype=float))
-        return evaluate(self, t)
+        return product(t, forms)
 
-    monkeypatch.setattr(_Probe, "__call__", counting)
+    monkeypatch.setattr(stieltjes, "_product", counting)
     value = oracle.apply(probe)
     window = np.sort(samples[(x <= samples) & (samples < x + 1.0 / j)])
     assert 0 < window.size == sum(map(len, seen))
     np.testing.assert_array_equal(np.concatenate(seen), window)
-    assert abs(value - float(np.mean(evaluate(probe, samples)))) <= 1e-14 * np.max(np.abs(samples))
+    assert abs(value - float(np.mean(probe(samples)))) <= 1e-14 * np.max(np.abs(samples))
 
 
 def test_a_cutoff_bending_at_an_end_sample_changes_no_bit_of_a_sample_oracle():
