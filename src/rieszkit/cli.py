@@ -428,18 +428,13 @@ def wiener_integrate(f_spec, times, x, y, t, d_coef, nodes, paths, seed, fmt, ou
     counts = _parse_list(nodes, "--nodes", int)
     params = wn.WienerParams(x, y, t, d_coef)
     functional, cyl = _parse_functional(f_spec, ts)
-    rows = []
-    prev = None
-    for n in counts:
-        if cyl is not None:
-            val = float(wn.cylinder_probability(cyl, params, n))
-        else:
-            val = float(wn.wiener_integral_quadrature(functional, params, n))
-        rows.append(
-            ("quadrature", n, None, val, None,
-             abs(val - prev) if prev is not None else None)
-        )
-        prev = val
+    if cyl is None:
+        values = [val for _, val, _ in wn.node_refinement_table(functional, params, counts)]
+    else:
+        values = [float(wn.cylinder_probability(cyl, params, n)) for n in counts]
+    deltas = [None, *(abs(b - a) for a, b in zip(values, values[1:]))]
+    rows = [("quadrature", n, None, val, None, delta)
+            for n, val, delta in zip(counts, values, deltas)]
     if paths is not None:
         est, se = wn.wiener_integral_mc(functional, params, paths, seed)
         rows.append(("mc", None, paths, float(est), float(se), None))

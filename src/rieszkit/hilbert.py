@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import IntegrabilityError
 from .numerics import (
-    QuadratureRule, _check_finite, _check_probabilities, _count, _evaluate, _real_array,
-    _split, gauss_legendre,
+    QuadratureRule, _check_finite, _check_probabilities, _count, _cut, _evaluate, _real_array,
+    gauss_legendre,
 )
 
 __all__ = [
@@ -179,14 +179,14 @@ def project(
     """Coefficients <f, e_i> of a square-integrable f by quadrature.
 
     ``breakpoints`` splits (0,1) at known discontinuities of f; it may be
-    any sequence or 1-d array, and a point listed twice splits once. Each
-    smooth piece, or (0,1) itself with no breakpoints (None or empty), gets
-    a Gauss-Legendre panel with as many nodes as the basis's projection
-    rule, so on any split the coefficients of a basis function e_i are the
-    unit vector to rounding.
+    any sequence or 1-d array of finite reals (``ValueError`` otherwise),
+    and a point listed twice splits once. Each smooth piece, or (0,1)
+    itself with no breakpoints (None or empty), gets a Gauss-Legendre panel
+    with as many nodes as the basis's projection rule, so on any split the
+    coefficients of a basis function e_i are the unit vector to rounding.
     """
-    edges = _split(0.0, 1.0, () if breakpoints is None else breakpoints)
-    rules = [gauss_legendre(basis._rule_size(), lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    _, starts, stops = _cut(0.0, 1.0, () if breakpoints is None else breakpoints)
+    rules = [gauss_legendre(basis._rule_size(), lo, hi) for lo, hi in zip(starts, stops)]
     nodes = np.concatenate([r.nodes for r in rules])
     weights = np.concatenate([r.weights for r in rules])
     fv = _evaluate(f, nodes)

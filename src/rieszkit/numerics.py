@@ -137,9 +137,22 @@ def _check_finite(vals: np.ndarray, x: np.ndarray) -> None:
         raise NumericError(f"integrand not finite {where}", point=point)
 
 
-def _split(a: float, b: float, points) -> list[float]:
-    """[a, the distinct points strictly inside (a, b) in order, b]."""
-    return [a, *sorted({x for x in points if a < x < b}), b]
+def _cut(a, b, *point_sets):
+    """Each interval [a[i], b[i]], or the one [a, b] for scalar ends, cut
+    at the points of ``point_sets`` strictly inside it: (the interval of
+    each segment, segment starts, segment ends), the segments of one
+    interval in order. Each set is a sequence or 1-d array of finite reals
+    (``ValueError`` naming ``breakpoints`` otherwise); a point listed
+    twice, or at or beyond an end, cuts nothing."""
+    a, b = np.atleast_1d(a, b)
+    points = np.sort(np.concatenate([_numbers(p, "breakpoints") for p in point_sets]))
+    bad = points[~np.isfinite(points)]
+    if bad.size:
+        raise ValueError(f"breakpoints must be finite, got {bad[0]}")
+    cuts = np.concatenate([a[:, None], np.minimum(np.maximum(points, a[:, None]), b[:, None]),
+                           b[:, None]], axis=1)
+    keep = cuts[:, 1:] > cuts[:, :-1]
+    return np.nonzero(keep)[0], cuts[:, :-1][keep], cuts[:, 1:][keep]
 
 
 @lru_cache(maxsize=128)
@@ -312,7 +325,8 @@ def adaptive_integrate(
     intended way to handle piecewise-smooth integrands; a point listed
     twice splits once. For integrands with undeclared kinks the result
     is best effort: after 48 bisections a panel is accepted as is. ``tol``
-    is a positive real and a, b are finite reals (``ValueError`` otherwise).
+    is a positive real, a, b are finite reals and ``breakpoints`` a
+    sequence or 1-d array of finite reals (``ValueError`` otherwise).
     """
     tol = _positive(tol, "tol")
     a, b = _real(a, "a"), _real(b, "b")
@@ -321,8 +335,7 @@ def adaptive_integrate(
             return 0.0
         raise ValueError(f"need a <= b, got a={a}, b={b}")
 
-    edges = np.array(_split(a, b, () if breakpoints is None else breakpoints))
-    lo, hi = edges[:-1], edges[1:]
+    _, lo, hi = _cut(a, b, () if breakpoints is None else breakpoints)
     values = _bisect(lambda t, rows: _evaluate(f, t.ravel()).reshape(t.shape),
                      lo, hi, tol * (hi - lo) / (b - a))
     return float(_sum_in_order(values, np.zeros(len(values), dtype=int), 1)[0])

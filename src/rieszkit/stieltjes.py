@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_bisect, _check_finite, _count, _evaluate, _ladder_indices, _number,
-                       _numbers, _positive, _real, _split, _sum_in_order)
+from .numerics import (_bisect, _check_finite, _count, _cut, _evaluate, _ladder_indices,
+                       _number, _numbers, _positive, _real, _sum_in_order)
 
 __all__ = [
     "CdfLike",
@@ -140,7 +140,8 @@ def point_mass_cdf(at: float = 0.0) -> CdfLike:
 def ls_measure_interval(alpha: CdfLike, a: float, b: float) -> float:
     """Mass of the half-open interval (a, b] under the measure of ``alpha``;
     a and b are finite reals with a <= b (``ValueError`` otherwise)."""
-    if not a <= b:
+    a, b = _number(a, "a"), _number(b, "b")
+    if not a <= b:  # NaN included
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     a, b = _real(a, "a"), _real(b, "b")
     return float(alpha.eval(b)) - float(alpha.eval(a))
@@ -172,38 +173,39 @@ def _check_support(name: str, support) -> tuple[float, float]:
 
 
 class _Probe:
-    """Ramp, cutoff or their product: a product of at most two
-    piecewise-linear factors.
+    """A batch of probes of one shape: ramps, cutoffs or their products,
+    each a product of at most two piecewise-linear factors.
 
-    Each factor is an ``np.interp`` table ``(knots, values, left, right)``
-    and the probe's value is the product of the factors' values, in
-    order. ``breakpoints`` lists every knot. ``_rows()`` is the probe as a
-    batch of one for ``_by_parts`` and ``_sample_sums``, which take a batch
-    of probes of one shape as factors whose knots are rows.
+    Each factor is ``(knots, values, left, right)`` with ``knots`` an
+    (n, q) array, one row per probe: the factor of probe i is ``left``
+    below knots[i, 0], ``right`` from knots[i, -1] on (its last value), and
+    between them linear from each knot's value to the next one's (see
+    ``_forms``). The probe's value is the product of its factors' values,
+    in order. The probe a caller sees is a batch of one, which can be
+    called on any array of points, and ``breakpoints`` lists its knots.
     """
 
     def __init__(self, *factors):
         self._factors = factors
-        self.breakpoints = tuple(sorted(set().union(*(f[0] for f in factors))))
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(sorted(set(np.concatenate([f[0][0] for f in self._factors]).tolist())))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = None
-        for knots, values, left, right in self._factors:
-            value = np.interp(t, knots, values, left=left, right=right)
-            out = value if out is None else out * value
-        return out
-
-    def _rows(self) -> list:
-        return [(np.array([knots]), *table) for knots, *table in self._factors]
+        row = t.reshape(1, -1)
+        out = _product(row, [_forms(row, *factor) for factor in self._factors])
+        return out.reshape(t.shape)[()]
 
 
 def _forms(t: np.ndarray, rows: np.ndarray, values, left: float, right: float):
     """(x0, f0, s) at each point of t, shape (n, P), for the factor whose
     knots are the rows of ``rows``, shape (n, q): on the knot interval that
-    holds the point, ``np.interp`` gives s * (u - x0) + f0 at u, bit for
-    bit. Below the first knot s = 0 and f0 = left, from the last on s = 0
-    and f0 = right."""
+    holds the point the factor is s * (u - x0) + f0 at u, with x0 the
+    interval's first knot, f0 its value and s = (next value - f0) / gap,
+    the bits of linear interpolation in numpy. Below the first knot s = 0
+    and f0 = left, from the last on s = 0 and f0 = right."""
     n, q = rows.shape
     k = np.count_nonzero(rows[:, None, :] <= t[:, :, None], axis=2)  # the knots at or below
     starts = np.empty((n, q + 1))
@@ -225,7 +227,7 @@ def _product(t: np.ndarray, forms) -> np.ndarray:
     return out
 
 
-def _pieces(factors, end: float):
+def _pieces(probes: _Probe, end: float):
     """The piece model of a batch of probes of one shape.
 
     Returns the knots of each probe, sorted (n, K); the anchors, the knots
@@ -235,11 +237,11 @@ def _pieces(factors, end: float):
     f(a + u) = f(a) + c1 u + c2 u**2 with the coefficients of column p - 1.
     Piece 0 lies below every knot, where the probe is constant.
     """
-    knots = np.sort(np.concatenate([rows for rows, *_ in factors], axis=1), axis=1)
+    knots = np.sort(np.concatenate([f[0] for f in probes._factors], axis=1), axis=1)
     anchors = np.empty((len(knots), knots.shape[1] + 1))
     anchors[:, :-1], anchors[:, -1] = knots, end
     c0, c1, c2, forms = 1.0, 0.0, 0.0, []
-    for factor in factors:
+    for factor in probes._factors:
         x0, f0, s = form = _forms(anchors, *factor)
         v = s * (anchors - x0) + f0
         c0, c1, c2 = c0 * v, c1 * v + c0 * s, c2 * v + c1 * s
@@ -254,7 +256,7 @@ _BY_PARTS_SHARE = 1e-2
 _ROUNDING_ULPS = 100 * np.finfo(float).eps
 
 
-def _by_parts(factors, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.ndarray:
+def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.ndarray:
     """Integral of each probe of the batch over (lo, hi] against alpha.
 
     The knots, clipped to [lo, hi], cut (lo, hi] into pieces (a, b]; on each
@@ -273,10 +275,10 @@ def _by_parts(factors, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.n
     pieces of a probe are added in order, so its bits depend on it alone:
     a knot outside (lo, hi) gives a piece of length 0, which adds 0.0.
     """
-    n = len(factors[0][0])
+    n = len(probes._factors[0][0])
     if lo == hi:
         return np.zeros(n)
-    knots, anchors, values, _, (c1, c2) = _pieces(factors, hi)
+    knots, anchors, values, _, (c1, c2) = _pieces(probes, hi)
     edges = np.empty((n, knots.shape[1] + 2))
     edges[:, 0], edges[:, -1] = lo, hi
     np.minimum(np.maximum(knots, lo), hi, out=edges[:, 1:-1])
@@ -295,7 +297,7 @@ def _by_parts(factors, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.n
         rate = _BY_PARTS_SHARE * tol / (hi - lo)
         budget = np.fmax(rate, _ROUNDING_ULPS * scale) * (b - a)
         budget = np.maximum(budget, math.ulp(0.0))  # a tiny piece's budget can underflow
-        piece, starts, stops = _cut(a, b, sorted({*alpha.breakpoints, *alpha.kinks}))
+        piece, starts, stops = _cut(a, b, alpha.breakpoints, alpha.kinks)
 
         def integrand(t, rows):
             p = piece[rows, None]
@@ -306,16 +308,6 @@ def _by_parts(factors, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.n
                             budget[piece] * (stops - starts) / (b - a)[piece])
         parts[:, 1:][sloped] -= _sum_in_order(integrals, piece, len(a))
     return _sum_in_order(parts.ravel(), np.repeat(np.arange(n), parts.shape[1]), n)
-
-
-def _cut(a: np.ndarray, b: np.ndarray, points: Sequence[float]):
-    """Each interval [a[i], b[i]] cut at the sorted distinct ``points``
-    strictly inside it: (the interval of each segment, segment starts,
-    segment ends), the segments of one interval in order."""
-    cuts = np.concatenate([a[:, None], np.minimum(np.maximum(points, a[:, None]), b[:, None]),
-                           b[:, None]], axis=1)
-    keep = cuts[:, 1:] > cuts[:, :-1]  # a point at or beyond an end cuts nothing
-    return np.nonzero(keep)[0], cuts[:, :-1][keep], cuts[:, 1:][keep]
 
 
 def ls_integrate(
@@ -330,8 +322,9 @@ def ls_integrate(
     Refines Riemann-Stieltjes sums over (support[0], support[1]] until
     two successive halvings move the estimate by less than ``tol``.
     Declared jumps of alpha are tagged atomically; if f carries a
-    ``breakpoints`` attribute (its kink locations), panels are aligned
-    with them, which speeds convergence but is never required.
+    ``breakpoints`` attribute (its kink locations, a sequence of finite
+    reals), panels are aligned with them, which speeds convergence but is
+    never required.
 
     The support is cut at alpha's declared jumps and f's breakpoints.
     At a refinement level of n cells per segment, ``alpha.eval`` is
@@ -358,14 +351,14 @@ def ls_integrate(
     if lo == hi:
         return 0.0
     if isinstance(f, _Probe):
-        return float(_by_parts(f._rows(), alpha, lo, hi, tol)[0])
+        return float(_by_parts(f, alpha, lo, hi, tol)[0])
 
-    edges = _split(lo, hi, [*alpha.breakpoints, *getattr(f, "breakpoints", ())])
+    _, starts, stops = _cut(lo, hi, alpha.breakpoints, getattr(f, "breakpoints", ()))
     estimates: list[float] = []
     for depth in range(3, max_depth + 1):
         n_cells = 2**depth
         estimates.append(sum(_rs_segment(f, alpha, a, b, n_cells)
-                             for a, b in zip(edges[:-1], edges[1:])))
+                             for a, b in zip(starts, stops)))
         if (
             len(estimates) >= 3
             and abs(estimates[-1] - estimates[-2]) < tol
@@ -392,7 +385,7 @@ class RampSpec:
         object.__setattr__(self, "j", _count(self.j, "slope parameter j"))
 
 
-# (values, left, right) of the ramp's and the cutoff's interp tables
+# (values, left, right) of the ramp's and the cutoff's factors
 _RAMP = ((1.0, 0.0), 1.0, 0.0)
 _CUTOFF = ((0.0, 1.0, 1.0, 0.0), 0.0, 0.0)
 
@@ -403,44 +396,27 @@ def _cutoff_knots(j):
 
 def make_ramp(spec: RampSpec) -> Callable:
     """Continuous f with f=1 on (-inf, x], affine on [x, x+1/j], 0 beyond."""
-    x, width = spec.x, 1.0 / spec.j
-    return _Probe(((x, x + width), *_RAMP))
+    return _Probe((np.array([[spec.x, spec.x + 1.0 / spec.j]]), *_RAMP))
 
 
 def make_cutoff(j: int) -> Callable:
     """Compact-support plateau: 1 on [-j, j], affine to 0 at +-(j+1); j is
     a count >= 1 (``ValueError`` otherwise)."""
-    return _Probe((_cutoff_knots(_count(j, "cutoff index j")), *_CUTOFF))
+    return _Probe((np.array([_cutoff_knots(_count(j, "cutoff index j"))]), *_CUTOFF))
 
 
 def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
     return _Probe(*ramp._factors, *cutoff._factors)
 
 
-def _rung_rows(x: float, js: Sequence[int], m: int) -> list:
+def _ramps(x: float, js: Sequence[int], m: int) -> _Probe:
     """``_probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m))`` for
-    each j in ``js``, as the rows of one batch."""
+    each j in ``js``, as one batch."""
     ramps = np.empty((len(js), 2))
     ramps[:, 0] = x
     ramps[:, 1] = x + 1.0 / np.asarray(js, dtype=float)
-    return [(ramps, *_RAMP), (np.array([_cutoff_knots(m)]).repeat(len(js), axis=0), *_CUTOFF)]
-
-
-class _Apply:
-    """The apply of a built-in oracle: called on one function like any
-    apply, and ``rungs(x, js, m)`` answers the probes ramp(x, j) *
-    cutoff(m), j in ``js``, in one vectorised pass, bit for bit as the
-    calls one by one would. A wrapper of it has no ``rungs``, so the
-    recovery ladders call a wrapped apply once per probe."""
-
-    def __init__(self, one: Callable, batch: Callable):
-        self._one, self._batch = one, batch
-
-    def __call__(self, f):
-        return self._one(f)
-
-    def rungs(self, x: float, js: Sequence[int], m: int) -> list[float]:
-        return self._batch(_rung_rows(x, js, m)).tolist()
+    cutoffs = np.array([_cutoff_knots(m)]).repeat(len(js), axis=0)
+    return _Probe((ramps, *_RAMP), (cutoffs, *_CUTOFF))
 
 
 @dataclass(frozen=True)
@@ -490,14 +466,15 @@ def oracle_from_cdf(
     """
     tol = _positive(tol, "tol")
     lo, hi = _check_support("oracle support", support)
-    return ExpectationOracle(
-        apply=_Apply(lambda f: ls_integrate(f, alpha, support, tol),
-                     lambda factors: _by_parts(factors, alpha, lo, hi, tol)),
-        support=(lo, hi),
-    )
+
+    def apply(f):
+        return ls_integrate(f, alpha, support, tol)
+
+    apply._batch = lambda probes: _by_parts(probes, alpha, lo, hi, tol)
+    return ExpectationOracle(apply=apply, support=(lo, hi))
 
 
-def _sample_sums(factors, ordered: np.ndarray) -> np.ndarray:
+def _sample_sums(probes: _Probe, ordered: np.ndarray) -> np.ndarray:
     """Sum of each probe of the batch over the sorted samples.
 
     ``searchsorted`` counts the samples in each piece between knots. A
@@ -508,14 +485,14 @@ def _sample_sums(factors, ordered: np.ndarray) -> np.ndarray:
     in either piece beside it; a knot at or beyond the last sample cuts
     nothing, so every cutoff that covers the samples splits them alike.
     """
-    knots, _, values, forms, (c1, c2) = _pieces(factors, ordered[-1])
+    knots, _, values, forms, (c1, c2) = _pieces(probes, ordered[-1])
     n, size = len(knots), len(ordered)
     cuts = np.where(knots >= ordered[-1], size, np.searchsorted(ordered, knots))
     bounds = np.zeros((n, cuts.shape[1] + 2), dtype=int)
     bounds[:, 1:-1], bounds[:, -1] = cuts, size
     counts = bounds[:, 1:] - bounds[:, :-1]
     # piece 0 lies below every knot, where each factor is its left value
-    parts = counts * np.concatenate([np.full((n, 1), math.prod(f[2] for f in factors)),
+    parts = counts * np.concatenate([np.full((n, 1), math.prod(f[2] for f in probes._factors)),
                                      values[:, :-1]], axis=1)
     sloped = (counts[:, 1:] > 0) & ((c1 != 0.0) | (c2 != 0.0))
     if sloped.any():
@@ -551,16 +528,16 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
         raise ValueError("samples must be finite")
     ordered = np.sort(xs)
 
-    def mean(factors):
-        return _sample_sums(factors, ordered) / xs.size
+    def mean(probes):
+        return _sample_sums(probes, ordered) / xs.size
 
     def apply(f):
         if isinstance(f, _Probe):
-            return float(mean(f._rows())[0])
+            return float(mean(f)[0])
         return float(np.mean(_evaluate(f, xs)))
 
-    return ExpectationOracle(apply=_Apply(apply, mean),
-                             support=(float(ordered[0]), float(ordered[-1])))
+    apply._batch = mean
+    return ExpectationOracle(apply=apply, support=(float(ordered[0]), float(ordered[-1])))
 
 
 def _cutoff_limit(
@@ -601,24 +578,26 @@ def _ramp_ladder(L, x, js, upper, m_max: int, tol: float, known=None):
     Each value may exceed the one before it (``upper`` for the first, None
     for none) by at most ``tol``.
 
-    A built-in apply (one with ``rungs``) is asked at the first miss at
-    cutoff index m for that m and every j not known, in one call; any
-    other apply once per probe, as the walk reads them. A column that
-    raised is asked probe by probe too, so an error surfaces only at a
-    probe the walk reads, as that probe's own."""
-    rungs = getattr(L.apply, "rungs", None)
+    A built-in apply carries ``_batch(probes)``, its values on a batch of
+    probes in one pass with the bits of its calls one by one; it is asked
+    at the first miss at cutoff index m for that m and every j not known,
+    in one call. Any other apply, a wrapped built-in one too, is asked
+    once per probe, as the walk reads them. A column that raised is asked
+    probe by probe too, so an error surfaces only at a probe the walk
+    reads, as that probe's own."""
+    batch = getattr(L.apply, "_batch", None)
     todo = [j for j in js if not known or j not in known]
     columns: dict[int, dict] = {}
 
     def value(j, m):
-        if rungs is not None and m not in columns:
+        if batch is not None and m not in columns:
             try:
-                columns[m] = dict(zip(todo, rungs(x, todo, m)))
+                columns[m] = dict(zip(todo, batch(_ramps(x, todo, m)).tolist()))
             except Exception:  # raised again below, by the probe the walk reads
                 columns[m] = {}
         if j in columns.get(m, ()):
             return columns[m][j]
-        return L.apply(_probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m)))
+        return L.apply(_ramps(x, (j,), m))
 
     for j in js:
         rung = known.get(j) if known else None

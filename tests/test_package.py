@@ -18,7 +18,7 @@ from rieszkit import (
     WienerParams, adaptive_integrate, check_compatibility, cond_expectation_l1,
     cylinder_probability, gauss_hermite, gauss_legendre, heat_kernel, integrate_pointwise_limit,
     ls_integrate, ls_measure_interval, make_cutoff, oracle_from_cdf, oracle_from_samples,
-    point_mass_cdf,
+    point_mass_cdf, project,
     recover_cdf, total_mass, triangular_cdf, two_atom_cdf, uniform_cdf, verify_duality,
     wiener_integral_mc, wiener_integral_quadrature,
 )
@@ -233,11 +233,11 @@ VALID_CALLS = {
 
 
 def forbidden(kind) -> list:
-    """The values of bool, 2.5, NaN, ±inf, 0 and -1 that ``kind`` rejects, and
-    for a count the integers just below its floor and just above its ceiling."""
+    """The values of bool, str, 2.5, NaN, ±inf, 0 and -1 that ``kind`` rejects,
+    and for a count the integers just below its floor and just above its ceiling."""
     if kind == RESULT:
         return []
-    bad = [True, math.nan, math.inf, -math.inf]
+    bad = [True, "x", math.nan, math.inf, -math.inf]
     if kind == REAL:
         return bad
     if kind == POSITIVE:
@@ -277,10 +277,19 @@ def test_one_argument_contract_checks_every_numeric_parameter():
 _BASIS2 = OrthonormalBasis("shifted_legendre", 2)
 
 
+def _kinked(points):
+    """|t - 0.5|, an integrand that declares ``points`` as its breakpoints."""
+    def f(t):
+        return np.abs(np.asarray(t) - 0.5)
+    f.breakpoints = points
+    return f
+
+
 def test_sequence_arguments_reject_bools():
     # the elements of times, boxes, supports and positions are real numbers,
     # as scalars are; an array argument of dtype bool, str or object is
-    # refused without a per-element scan; atom indices are integers
+    # refused without a per-element scan; atom indices are integers; every
+    # breakpoint a caller passes or an integrand declares is a finite real
     cases = (
         ("oracle support must be a real number", lambda: ExpectationOracle(
             lambda f: 0.0, support=(False, True))),
@@ -304,6 +313,19 @@ def test_sequence_arguments_reject_bools():
         ("atom indices must be integers", lambda: Partition([[0.9, 1.2]])),
         ("atom indices must be integers", lambda: Partition([["0"], ["1"]])),
         ("atom indices must be integers", lambda: Partition([[True], [False]])),
+        ("breakpoints must be real numbers", lambda: adaptive_integrate(
+            np.sin, 0.0, 1.0, 1e-8, breakpoints=["0.5"])),
+        ("breakpoints must be real numbers", lambda: adaptive_integrate(
+            np.sin, 0.0, 1.0, 1e-8, breakpoints=[True])),
+        ("breakpoints must be finite", lambda: adaptive_integrate(
+            np.sin, 0.0, 1.0, 1e-8, breakpoints=[math.nan])),
+        ("breakpoints must be real numbers", lambda: project(np.sin, _BASIS2, breakpoints=[None])),
+        ("breakpoints must be finite", lambda: project(
+            np.sin, _BASIS2, breakpoints=[0.5, math.inf])),
+        ("breakpoints must be real numbers", lambda: ls_integrate(
+            _kinked(("0.5",)), _UNIFORM, (0.0, 1.0))),
+        ("breakpoints must be finite", lambda: ls_integrate(
+            _kinked((math.nan,)), _UNIFORM, (0.0, 1.0))),
     )
     for message, call in cases:
         with pytest.raises(ValueError, match=rf"^{message}, got"):

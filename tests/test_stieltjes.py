@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import rieszkit.stieltjes as stieltjes
 from rieszkit.errors import ContractViolationError, ConvergenceError, NumericError, RieszkitError
-from rieszkit.numerics import _evaluate, _split
+from rieszkit.numerics import _cut, _evaluate
 from rieszkit.stieltjes import (
     CdfLike,
     ExpectationOracle,
@@ -21,7 +21,6 @@ from rieszkit.stieltjes import (
     RecoveredCdf,
     ls_integrate,
     ls_measure_interval,
-    _cut,
     _pieces,
     _probe_product,
     make_cutoff,
@@ -313,6 +312,21 @@ def test_probes_keep_the_bits_of_the_interp_closures():
             {x, x + 1.0 / j, -(m + 1.0), -float(m), float(m), m + 1.0}))
 
 
+def test_a_probe_is_np_interp_bit_for_bit_at_and_beside_every_knot():
+    # a probe is evaluated through its piece forms; np.interp of each
+    # factor, multiplied in order, is the reference, signed zeros included
+    rng = np.random.default_rng(14)
+    for probe in _random_probes(15, 300):
+        knots = np.array(probe.breakpoints)
+        t = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                            rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 50)])
+        expected = math.prod(np.interp(t, rows[0], values, left=left, right=right)
+                             for rows, values, left, right in probe._factors)
+        assert probe(t).tobytes() == expected.tobytes(), probe.breakpoints
+        assert probe(t[:, None]).tobytes() == expected.tobytes()
+        assert np.ndim(probe(t[0])) == 0 and probe(t[0]) == expected[0]
+
+
 def _random_probes(seed, n):
     """Ramps, cutoffs and their products: n random draws of (x, j, m), each
     giving all three, after draws whose knots meet."""
@@ -333,7 +347,7 @@ def _piece_span(knots, p):
 def test_each_piece_of_a_probe_is_its_polynomial():
     fractions = np.array([1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-3])
     for probe in _random_probes(11, 200):
-        knots, _, values, _, (c1, c2) = _pieces(probe._rows(), 0.25)
+        knots, _, values, _, (c1, c2) = _pieces(probe, 0.25)
         knots, values, c1, c2 = knots[0], values[0], c1[0], c2[0]
         assert tuple(dict.fromkeys(knots)) == probe.breakpoints
         assert values[-1] == probe(0.25) and c1[-1] == c2[-1] == 0.0
@@ -361,7 +375,7 @@ def test_the_pieces_inside_an_interval_are_those_split_cuts_at():
         a, b = (np.array(side) for side in zip(*pairs))
         piece, starts, stops = _cut(a, b, bps)
         for i, (lo, hi) in enumerate(pairs):
-            cuts = _split(lo, hi, bps)
+            cuts = [lo, *sorted({x for x in bps if lo < x < hi}), hi]
             assert starts[piece == i].tolist() == cuts[:-1], (bps, lo, hi)
             assert stops[piece == i].tolist() == cuts[1:], (bps, lo, hi)
         piece, starts, stops = _cut(a, b, [])
@@ -426,7 +440,7 @@ def test_by_parts_matches_closed_forms_and_riemann_stieltjes(law, cdf, support):
     assert worst_parts <= max(worst_rs, 1e-15)
     if law[0] == "uniform" and support == (-3.0, 3.0):
         probe = _probe_product(make_ramp(RampSpec(1.8, 1)), make_cutoff(2))
-        assert (_pieces(probe._rows(), 3.0)[4][1] != 0.0).any()
+        assert (_pieces(probe, 3.0)[4][1] != 0.0).any()
         assert abs(ls_integrate(probe, cdf, support) - _closed_form(probe, law)) <= 1e-12
 
 
@@ -861,13 +875,16 @@ def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
     counted = dataclasses.replace(law, eval=lambda x: calls.append(np.size(x)) or law.eval(x))
     oracle = oracle_from_cdf(counted, (-0.9, 0.9))
     columns = []
-    rungs = oracle.apply.rungs
+    batch = oracle.apply._batch
 
-    def counting(x, js, m):
-        columns.append((tuple(js), m))
-        return rungs(x, js, m)
+    def counting(probes):
+        # a column is ramp(x, j) * cutoff(m): knots x, x + 1/j and then -m - 1, -m, m, m + 1
+        (ramps, *_), (cutoffs, *_) = probes._factors
+        js = np.rint(1.0 / (ramps[:, 1] - ramps[:, 0])).astype(int)
+        columns.append((tuple(js.tolist()), int(cutoffs[0, 2])))
+        return batch(probes)
 
-    oracle.apply.rungs = counting
+    oracle.apply._batch = counting
     for x in (-0.35, 0.05, 0.38, 0.9):
         calls.clear()
         columns.clear()
