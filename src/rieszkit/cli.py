@@ -469,9 +469,12 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     _count(paths, "--paths")
     ts = _parse_list(times, "--times")
     params = wn.WienerParams(x, y, t, d_coef)
-    # drawn path by path, as a loop of sample_bridge on this generator would
     rng = np.random.Generator(np.random.Philox(key=_seed(seed, "--seed")))
-    _, pos = wn._bridge_positions(params, ts, lambda n: rng.standard_normal((paths, n)).T)
+    ts = wn._checked_times(ts)
+    wn._check_horizon(ts, params)
+    # drawn path by path, as a loop of sample_bridge on this generator would
+    z = rng.standard_normal((paths, len(ts))).T
+    pos = wn._bridge_positions(params, ts, z, z)
     columns = [
         np.repeat(np.arange(paths), len(ts)).tolist(), list(ts) * paths,
         pos.ravel().tolist(),

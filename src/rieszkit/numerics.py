@@ -269,6 +269,19 @@ def _sum_in_order(values: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+_DOT_CHUNK = 8192  # below the length at which OpenBLAS splits a dot over threads
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as np.dot over fixed chunks of 8192 elements, added in order:
+    the same bits under any BLAS thread count, and for len(a) <= 8192 the
+    bits of one np.dot on one thread."""
+    total = float(np.dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK]))
+    for r in range(_DOT_CHUNK, len(a), _DOT_CHUNK):
+        total += float(np.dot(a[r:r + _DOT_CHUNK], b[r:r + _DOT_CHUNK]))
+    return total
+
+
 def _bisect(integrand: Callable, lo: np.ndarray, hi: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """The integral over each panel [lo[i], hi[i]] to its ``budget[i]``.
 

@@ -3,11 +3,11 @@
 The measure on paths from x to y over [0, t] is specified through its
 finite-dimensional marginals: a product of heat kernels over the time
 increments, with total mass heat_kernel(x - y, t, D) rather than 1.
-Functionals depending on finitely many path values are integrated
-either by tensor Gauss-Hermite quadrature or by Monte Carlo over bridge
-paths drawn from the normalized conditional law and rescaled by the
-total mass. Cylinder sets are swept box by box on fixed Gauss-Legendre
-nodes, with the unconstrained times integrated out exactly.
+Functionals depending on finitely many path values are integrated over
+bridge paths, which one recurrence maps from standard normals: tensor
+Gauss-Hermite quadrature on the normals or Monte Carlo on drawn ones,
+rescaled by the total mass. Cylinder sets are swept box by box on fixed
+Gauss-Legendre nodes, with the unconstrained times integrated out exactly.
 
 State is scalar; the kernels and chain structure extend to vector state
 as a coordinate product, which is left as an extension point.
@@ -15,6 +15,7 @@ as a coordinate product, which is left as an extension point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError
-from .numerics import (_HERMITE_MAX, _check_finite, _count, _evaluate, _number, _positive,
-                       _real, _seed, gauss_hermite, gauss_legendre)
+from .numerics import (_HERMITE_MAX, _check_finite, _count, _dot, _evaluate, _number,
+                       _positive, _real, _seed, gauss_hermite, gauss_legendre)
 
 __all__ = [
     "WienerParams",
@@ -42,11 +43,12 @@ __all__ = [
 ]
 
 _WORK_BUDGET = 1e8
-# half-width of the integration window per constrained axis, in units of
-# sqrt(2*D*t); generous next to the widest bridge marginal (sqrt(D*t/2))
+# half-width of the integration window per constrained axis, in standard
+# deviations of the bridge marginal there: the pinned measure outside it is
+# at most mass * P(|Z| > 12), about 4e-33 * mass
 _WINDOW_SIGMAS = 12.0
-# cells per kernel block in the cylinder sweep and in the tensor grid's
-# final hop: each temporary stays at 128 KiB whatever the node count
+# cells per kernel block in the cylinder sweep: each temporary stays at
+# 128 KiB whatever the node count
 _BLOCK_CELLS = 2**14
 
 
@@ -218,13 +220,14 @@ def _check_grid(n_nodes: int, n_axes: int = 0, sweep: bool = False) -> None:
     """ValueError unless n_nodes is a count >= 8, and <= 370 for the Gauss-Hermite
     routes; BudgetError above the work budget of n_axes * n_nodes**2 kernel
     evaluations for the cylinder sweep over n_axes boxed times, n_axes *
-    n_nodes**n_axes for the tensor grid over n_axes times."""
+    n_nodes**n_axes path values for the tensor grid over n_axes times."""
     n_nodes = _count(n_nodes, "n_nodes", 8, None if sweep else _HERMITE_MAX)
     work = n_axes * float(n_nodes) ** (2 if sweep else n_axes)
     if work > _WORK_BUDGET:
-        what, axes = ("cylinder sweep", "boxed times") if sweep else ("tensor quadrature", "axes")
+        what, units, axes = (("cylinder sweep", "kernel evaluations", "boxed times") if sweep
+                             else ("tensor quadrature", "path values", "axes"))
         raise BudgetError(
-            f"{what} needs ~{work:.2e} kernel evaluations for {n_axes} {axes} at "
+            f"{what} needs ~{work:.2e} {units} for {n_axes} {axes} at "
             f"{n_nodes} nodes (budget {_WORK_BUDGET:.0e}); use wiener_integral_mc instead"
         )
 
@@ -255,11 +258,12 @@ def cylinder_probability(
     A time whose box is the whole line drops out exactly: by the
     Chapman-Kolmogorov identity the kernels on either side of it merge
     into one kernel across the gap. The remaining boxed times form a
-    Markov chain on fixed nodes, Gauss-Legendre on each box clipped to a
-    wide central window, swept as v <- (v @ K_k) * w_k and closed by the
-    hop to the pinned endpoint. Work is B * n_nodes^2 kernel evaluations
-    for B boxed times and memory O(n_nodes); with every box the whole
-    line the result is exactly heat_kernel(x - y, t, D), the total mass.
+    Markov chain on fixed nodes, Gauss-Legendre on each box clipped to
+    12 standard deviations of the bridge marginal around its mean, swept
+    as v <- (v @ K_k) * w_k and closed by the hop to the pinned endpoint.
+    Work is B * n_nodes^2 kernel evaluations for B boxed times and memory
+    O(n_nodes); with every box the whole line the result is exactly
+    heat_kernel(x - y, t, D), the total mass.
     An empty (clipped) box gives 0.0. Raises ValueError for a time at or
     past the horizon or a bad n_nodes, BudgetError above the work budget.
     """
@@ -269,12 +273,12 @@ def cylinder_probability(
         if not (box[0] == -np.inf and box[1] == np.inf)
     ]
     _check_grid(n_nodes, len(boxed), sweep=True)
-    window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
     prev_t = 0.0
     prev = np.full(1, params.x)
     v = np.ones(1)
     for s_i, box in boxed:
         center = params.x + (s_i / params.t) * (params.y - params.x)
+        window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * s_i * (params.t - s_i) / params.t)
         lo = max(box[0], center - window)
         hi = min(box[1], center + window)
         if not lo < hi:
@@ -288,49 +292,42 @@ def cylinder_probability(
 def wiener_integral_quadrature(
     F: CylindricalFunctional, params: WienerParams, n_nodes: int = 32
 ) -> float:
-    """Integral of a cylindrical functional by tensor Gauss-Hermite.
+    """Integral of a cylindrical functional by tensor Gauss-Hermite on the
+    bridge's normals.
 
-    Each axis is standardized on its incoming transition kernel; the
-    final hop to the pinned endpoint enters as an explicit kernel factor,
-    so a constant functional integrates to exactly the total mass.
-    Memory: F receives the N path values of all n_nodes^N node
-    combinations as one (n_nodes^N, N) array whose N time columns are
-    each contiguous, filled in place; the build adds the weights and one
-    node column at a time, and F its own temporaries. An F that reduces
-    across the times through BLAS may round differently from the same F
-    on a row-major batch. A value of F that is not finite raises
-    NumericError naming its node combination. n_nodes is a count in
-    8..370, and the times lie below the horizon (ValueError otherwise);
-    BudgetError above the work budget.
+    The pinned measure is the total mass heat_kernel(x - y, t, D) times
+    the bridge law, the image of N standard normals under the recurrence
+    of ``sample_bridge``. The n_nodes-point probabilists' rule on each
+    normal has positive weights that sum to 1, and is exact up to
+    rounding for F polynomial of total degree <= 2*n_nodes - 1. Memory: F
+    receives the N path values of all n_nodes^N node combinations as one
+    (n_nodes^N, N) array whose N time columns are each contiguous, filled
+    in place; the build adds one column's values, then the weights, and F
+    its own temporaries. An F that reduces across the times through BLAS
+    may round differently from the same F on a row-major batch. A value
+    of F that is not finite raises NumericError naming its node
+    combination. n_nodes is a count in 8..370, and the times lie below
+    the horizon (ValueError otherwise); BudgetError above the work budget.
     """
     _check_horizon(F.times, params)
-    _check_grid(n_nodes, len(F.times))
+    n_axes = len(F.times)
+    _check_grid(n_nodes, n_axes)
     rule = gauss_hermite(n_nodes)
-    unit_weights = rule.weights / math.sqrt(math.pi)
-    coords = np.empty((len(F.times), rule.nodes.size ** len(F.times)))
-    prev_t = 0.0
-    prev = np.full(1, params.x)
-    wts = np.ones(1)
-    for k, s_i in enumerate(F.times):
-        # row k holds the path values at times[k]: its run r, n^(N-k-1)
-        # long, is value r of the node column that extends column k-1
-        runs = coords[k].reshape(prev.size * rule.nodes.size, -1)
-        runs[:] = (prev[:, None] + math.sqrt(4.0 * params.D * (s_i - prev_t))
-                   * rule.nodes[None, :]).reshape(-1, 1)
-        prev = runs[:, 0]
-        wts = (wts[:, None] * unit_weights[None, :]).reshape(-1)
-        prev_t = s_i
-    # the hop to the endpoint, in blocks: the kernel's temporaries stay small
-    for r in range(0, wts.size, _BLOCK_CELLS):
-        block = wts[r:r + _BLOCK_CELLS]
-        block *= heat_kernel(params.y - prev[r:r + _BLOCK_CELLS], params.t - prev_t, params.D)
+    n = rule.nodes.size
+    # the normal of time k runs along axis k of the (n,) * N node tensor,
+    # so the recurrence grows the tensor one time at a time
+    normals = [math.sqrt(2.0) * rule.nodes.reshape((n,) + (1,) * (n_axes - 1 - k))
+               for k in range(n_axes)]
+    coords = np.empty((n_axes, n ** n_axes))
+    _bridge_positions(params, F.times, normals, coords.reshape((n_axes,) + (n,) * n_axes))
+    wts = functools.reduce(np.multiply.outer, [rule.weights / math.sqrt(math.pi)] * n_axes)
     coords = coords.T  # (n^N, N), one contiguous column per time
     vals = F.evaluate(coords)
-    total = float(np.dot(wts, vals))
+    total = _dot(wts.reshape(-1), vals)
     # the weights are >= 0, so any value that is not finite makes the sum so too
     if not math.isfinite(total):
         _check_finite(vals, coords)
-    return total
+    return heat_kernel(params.x - params.y, params.t, params.D) * total
 
 
 def node_refinement_table(
@@ -359,27 +356,27 @@ def sample_bridge(
     x + (s/t)*(y-x) and variance 2*D*s*(t-s)/t. Times that break the
     contract raise ``ValueError`` before ``rng`` is drawn from.
     """
-    ts, pos = _bridge_positions(params, times, lambda n: rng.standard_normal(n).tolist())
-    return BridgePath(times=ts, positions=pos.tolist())
-
-
-def _bridge_positions(params: WienerParams, times: Sequence[float], draw: Callable):
-    """Checked times, and the positions: (N,) for one path, or an (M, N) batch
-    with one contiguous column per time. ``draw(N)`` runs after the checks and
-    gives N standard-normal innovations in time order, floats for one path or
-    arrays for a batch: the same bits either way."""
     ts = _checked_times(times)
     _check_horizon(ts, params)
-    innovations = draw(len(ts))
-    pos = np.empty(np.shape(innovations))
+    z = rng.standard_normal(len(ts))
+    return BridgePath(times=ts, positions=_bridge_positions(params, ts, z, z).tolist())
+
+
+def _bridge_positions(params: WienerParams, times: tuple[float, ...], z, out: np.ndarray):
+    """The bridge recurrence: ``out[k]`` gets the path values at ``times[k]``
+    (checked, below the horizon) from the standard normals ``z[k]``, which
+    broadcast against ``out[k]``; ``out`` may be ``z`` itself. Returns
+    ``out.T``: for an (N, M) ``out``, an (M, N) batch with one contiguous
+    column per time. Each value goes through the same floating-point
+    operations whatever the shapes, so the same normals give the same bits."""
     prev_t, prev = 0.0, params.x
-    for k, (s, z) in enumerate(zip(ts, innovations)):
+    for k, s in enumerate(times):
         gap = params.t - prev_t
         mean = prev + (s - prev_t) / gap * (params.y - prev)
         var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
-        pos[k] = prev = mean + math.sqrt(var) * z
+        out[k] = prev = mean + math.sqrt(var) * z[k]
         prev_t = s
-    return ts, pos.T
+    return out.T
 
 
 def wiener_integral_mc(
@@ -399,7 +396,9 @@ def wiener_integral_mc(
     # counter-based generator filled time by time: each (time, path) draw is
     # a fixed function of (seed, indices), independent of any schedule
     gen = np.random.Generator(np.random.Philox(key=_seed(seed)))
-    _, pos = _bridge_positions(params, F.times, lambda n: gen.standard_normal((n, n_paths)))
+    _check_horizon(F.times, params)
+    z = gen.standard_normal((len(F.times), n_paths))
+    pos = _bridge_positions(params, F.times, z, z)
     vals = F.evaluate(pos)
     _check_finite(vals, pos)
     mass = heat_kernel(params.x - params.y, params.t, params.D)

@@ -768,3 +768,20 @@ def test_recovery_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             outputs.append(proc.stdout)
         assert outputs[0].count(b"\n") == 101 + 1, source
         assert outputs[0] == outputs[1], source
+
+
+def test_wiener_quadrature_bytes_do_not_depend_on_the_blas_thread_count():
+    # 32^4 weighted values: one BLAS dot over them splits its sum over the
+    # threads, fixed chunks of 8192 do not
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+        proc = subprocess.run([sys.executable, "-m", "rieszkit.cli", "wiener-integrate",
+                               "--F", "mono:2,0,0,2", "--times", "0.2,0.4,0.6,0.8",
+                               "--nodes", "32"], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"\n") == 2
+    assert outputs[0] == outputs[1]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rieszkit.errors import NumericError
 from rieszkit.numerics import (
+    _dot,
     QuadratureRule,
     adaptive_integrate,
     gauss_hermite,
@@ -80,6 +81,19 @@ def test_legendre_exactness_degree_property(coeffs, bounds):
         b, anti
     ) - np.polynomial.polynomial.polyval(a, anti)
     assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_dot_adds_fixed_chunks_of_np_dot_in_order():
+    rng = np.random.default_rng(3)
+    for n in (1, 100, 8192, 8193, 20000, 3 * 8192):
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        want = float(np.dot(a[:8192], b[:8192]))
+        for r in range(8192, n, 8192):
+            want += float(np.dot(a[r:r + 8192], b[r:r + 8192]))
+        assert _dot(a, b) == want
+        if n <= 8192:
+            assert _dot(a, b) == float(np.dot(a, b))
+    assert math.copysign(1.0, _dot(np.array([-0.0]), np.array([1.0]))) == -1.0
 
 
 def test_adaptive_constant():

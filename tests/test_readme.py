@@ -47,7 +47,7 @@ def test_readme_wiener_example_keeps_its_bits():
     assert proc.returncode == 0, proc.stderr
     printed = [float(v).hex() for line in proc.stdout.splitlines() for v in line.split()]
     assert printed == [
-        "0x1.9884533e82c18p-3", "0x1.9884533d43806p-4",
+        "0x1.9884533d4366bp-3", "0x1.9884533d43651p-4",
         "0x1.966d8c00f2375p-4", "0x1.d313dedb6cafdp-12",
     ]
 

@@ -4,13 +4,15 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_acceptance import _poly_functional, _spread_times
 
 from rieszkit import wiener
 from rieszkit.errors import BudgetError, ConvergenceError, NumericError
-from rieszkit.numerics import adaptive_integrate, gauss_hermite, gauss_legendre
+from rieszkit.numerics import _dot, adaptive_integrate, gauss_hermite, gauss_legendre
 from rieszkit.wiener import (
     _WINDOW_SIGMAS,
     BridgePath,
@@ -203,7 +205,6 @@ def test_cylinder_sweep_budget_guard_runs_before_any_kernel(monkeypatch):
 def _reference_chain(params, times, boxes, n_nodes):
     """The tensor chain before the Markov sweep: (coords, weights) with all
     node combinations rebuilt as an (M, k) matrix at every axis k."""
-    window = _WINDOW_SIGMAS * math.sqrt(2.0 * params.D * params.t)
     prev_t = 0.0
     pts = np.full((1, 1), params.x)
     wts = np.ones(1)
@@ -217,6 +218,8 @@ def _reference_chain(params, times, boxes, n_nodes):
             w = wts[:, None] * (rule.weights / math.sqrt(math.pi))[None, :]
         else:
             center = params.x + (s_i / params.t) * (params.y - params.x)
+            sd = math.sqrt(2.0 * params.D * s_i * (params.t - s_i) / params.t)
+            window = _WINDOW_SIGMAS * sd
             lo = max(box[0], center - window)
             hi = min(box[1], center + window)
             if not lo < hi:
@@ -235,6 +238,34 @@ def _reference_chain(params, times, boxes, n_nodes):
         wts = w.reshape(-1)
         prev_t = s_i
     wts = wts * heat_kernel(params.y - coords[:, -1], params.t - prev_t, params.D)
+    return coords, wts
+
+
+def _reference_bridge(params, times, z):
+    """The (M, N) row-major batch of path values from the (M, N) standard
+    normals z, by the bridge recurrence one column at a time."""
+    cols = []
+    prev_t, prev = 0.0, params.x
+    for s, zk in zip(times, z.T):
+        gap = params.t - prev_t
+        mean = prev + (s - prev_t) / gap * (params.y - prev)
+        var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
+        prev = mean + math.sqrt(var) * zk
+        cols.append(prev)
+        prev_t = s
+    return np.column_stack(cols)
+
+
+def _reference_grid(params, times, n_nodes):
+    """The tensor quadrature's (coords, weights), row-major: the explicit
+    (n^N, N) grid of probabilists' Hermite nodes mapped by the bridge
+    recurrence, and per row the product of its normalised weights."""
+    rule = gauss_hermite(n_nodes)
+    picks = np.indices((n_nodes,) * len(times)).reshape(len(times), -1).T
+    coords = _reference_bridge(params, times, math.sqrt(2.0) * rule.nodes[picks])
+    wts = np.ones(len(picks))
+    for col in picks.T:
+        wts = wts * (rule.weights[col] / math.sqrt(math.pi))
     return coords, wts
 
 
@@ -271,20 +302,20 @@ def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
                 ]
                 # F gets the reference's coordinates as contiguous time
                 # columns, and a one-hot F picks out one weight exactly
-                coords, wts = _reference_chain(params, times, [None] * N, n)
+                coords, wts = _reference_grid(params, times, n)
+                mass = heat_kernel(params.x - params.y, params.t, params.D)
                 seen = []
                 batch = CylindricalFunctional(times, lambda p: seen.append(p) or np.ones(len(p)))
                 wiener_integral_quadrature(batch, params, n)
                 assert seen[0].flags.f_contiguous and np.array_equal(seen[0], coords)
                 for j in np.linspace(0, n ** N - 1, 5).astype(int):
                     pick = CylindricalFunctional(times, lambda p, j=j: np.arange(len(p)) == j)
-                    assert wiener_integral_quadrature(pick, params, n) == wts[j]
+                    assert wiener_integral_quadrature(pick, params, n) == mass * wts[j]
 
                 # the cylinder sweep drops the free times and sums the boxed
                 # ones by matrix-vector products, in another order
                 line = (-np.inf, np.inf)
                 C = CylinderSet(times, [line if b is None else b for b in boxes])
-                mass = heat_kernel(params.x - params.y, params.t, params.D)
                 kept = [(s, b) for s, b in zip(C.times, C.boxes) if b != line]
                 want = mass
                 if kept:
@@ -297,19 +328,19 @@ def test_markov_sweep_equals_the_coordinate_matrix_chain_bitwise():
                 F = CylindricalFunctional(times, lambda p: np.cos(p @ c) + p[..., -1] ** 2)
                 # BLAS rounds p @ c on F's layout otherwise than on a
                 # row-major copy
-                want = float(np.dot(wts, F.evaluate(np.asfortranarray(coords))))
+                want = mass * _dot(wts, F.evaluate(np.asfortranarray(coords)))
                 assert wiener_integral_quadrature(F, params, n) == want
 
 
 def test_cylinder_sweep_matches_the_all_axes_tensor_at_256_nodes():
     # The slow path Hermite-integrates every free time; at 256 nodes it is
-    # the reference for the sweep at 32. Half-line boxes are left out: both
-    # paths put the same Legendre rule on the box clipped to the window,
-    # which at 32 nodes is still up to 1e-4 * mass from its 256-node value.
-    # Gaps of at least t/10 keep the reference converged: after a free time
-    # with a gap of 0.016 * t to the next box it is itself 1.2e-9 * mass off.
+    # the reference for the sweep at 32. Both paths put the same Legendre
+    # rule on a half-line box clipped to 12 standard deviations of the
+    # bridge marginal. Gaps of at least t/10 keep the reference converged:
+    # after a free time with a gap of 0.016 * t to the next box it is
+    # itself 1.2e-9 * mass off.
     rng = np.random.default_rng(20240606)
-    kinds = ("absent", "line", "finite", "empty")
+    kinds = ("absent", "line", "finite", "half", "empty")
     for N in (1, 2):
         for _ in range(30):
             params = WienerParams(
@@ -366,7 +397,7 @@ def test_tensor_chain_memory_at_four_times_and_32_nodes():
     # matrix chain peaked at 73.0 MiB on this cylinder and at 83,887,560 B
     # (80.0013 MiB) on this monomial, whose own (M, N) power temporary takes
     # 32 MiB; the quadrature bound leaves 10 KiB for interpreter objects and
-    # fails if the node columns outlive the chain (88.3 MiB).
+    # fails if the last time's node tensor outlives the build (88 MiB).
     times = (0.2, 0.4, 0.6, 0.8)
     C = CylinderSet(times, ((-1.0, 1.0), (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.5)))
     assert _traced_peak_mib(lambda: cylinder_probability(C, PINNED, 32)) <= 48.0
@@ -462,6 +493,95 @@ def test_refinement_table_shape_and_decay():
     assert [r[0] for r in rows] == [8, 16, 32]
     assert math.isnan(rows[0][2])
     assert rows[-1][2] < 1e-10
+
+
+def _bridge_moment(params, times, powers) -> float:
+    """E prod X_{s_k}^{p_k} under the normalised bridge, in exact rationals.
+
+    Given X_{k-1} = a, X_k is normal with mean alpha + beta * a and
+    variance v, so conditioning backwards from the last time leaves a
+    polynomial in the previous value at every step."""
+    x, y, t, D = (Fraction(v) for v in (params.x, params.y, params.t, params.D))
+    s = [Fraction(0)] + [Fraction(v) for v in times]
+    poly = [Fraction(1)]  # coefficients, lowest degree first
+    for k in range(len(times), 0, -1):
+        poly = [Fraction(0)] * powers[k - 1] + poly
+        gap = t - s[k - 1]
+        alpha, beta = (s[k] - s[k - 1]) / gap * y, (t - s[k]) / gap
+        v = 2 * D * (s[k] - s[k - 1]) * (t - s[k]) / gap
+        # E (u + G)^d = sum over even j of C(d, j) u^(d-j) v^(j/2) (j-1)!!
+        smooth = [Fraction(0)] * len(poly)
+        for d, c in enumerate(poly):
+            for j in range(0, d + 1, 2):
+                gauss = v ** (j // 2) * math.prod(range(j - 1, 0, -2))
+                smooth[d - j] += c * math.comb(d, j) * gauss
+        poly = [Fraction(0)] * len(smooth)  # u = alpha + beta * a
+        for d, c in enumerate(smooth):
+            for i in range(d + 1):
+                poly[i] += c * math.comb(d, i) * alpha ** (d - i) * beta ** i
+    return float(sum(c * x ** i for i, c in enumerate(poly)))
+
+
+def _abs_moment_bound(params, times, powers) -> float:
+    """An upper bound on E prod |X_{s_k}|^{p_k}, the size its quadrature
+    rounds against: by Hölder, prod (E |X_{s_k}|^K)^(p_k / K) with K the
+    total degree, and E |X|^K <= E (|m| + sd |Z|)^K for the marginal mean
+    m and standard deviation sd."""
+    K = sum(powers)
+    out = 1.0
+    for s, k in zip(times, powers):
+        m = abs(params.x + s / params.t * (params.y - params.x))
+        sd = math.sqrt(2.0 * params.D * s * (params.t - s) / params.t)
+        # E |Z|^j = 2^(j/2) Gamma((j + 1)/2) / sqrt(pi)
+        moment = sum(math.comb(K, j) * m ** (K - j) * sd ** j * 2.0 ** (j / 2)
+                     * math.gamma((j + 1) / 2) / math.sqrt(math.pi) for j in range(K + 1))
+        out *= moment ** (k / max(K, 1))
+    return out
+
+
+def test_quadrature_is_exact_for_total_degree_up_to_2n_minus_1():
+    # X_k depends on the normals of times 1..k, so a monomial of total
+    # degree K has degree K in the first normal: n = 8 nodes are exact up
+    # to K = 15, all of it on one time included, up to rounding
+    rng = np.random.default_rng(20261020)
+    for N in (1, 2, 3, 4):
+        for trial in range(16):
+            params = WienerParams(
+                x=rng.uniform(-1, 1), y=rng.uniform(-1, 1),
+                t=rng.uniform(0.5, 2.0), D=rng.uniform(0.2, 1.0),
+            )
+            times = np.sort(rng.uniform(0.05, 0.9, N)) * params.t
+            if trial % 2:
+                times[-1] = 0.97 * params.t  # a last hop of 0.03 t
+            times = tuple(float(s) for s in np.sort(times))
+            K = 15 if trial < 4 else int(rng.integers(0, 16))
+            powers = np.bincount(rng.integers(0, N, K), minlength=N)
+            if trial < 2:
+                powers = 15 * np.eye(N, dtype=int)[-trial]  # all on the first or last time
+            powers = tuple(int(k) for k in powers)
+            karr = np.array(powers, dtype=float)
+            F = CylindricalFunctional(times, lambda X: np.prod(X ** karr, axis=-1))
+            mass = heat_kernel(params.x - params.y, params.t, params.D)
+            want = mass * _bridge_moment(params, times, powers)
+            scale = mass * _abs_moment_bound(params, times, powers)
+            assert abs(wiener_integral_quadrature(F, params, 8) - want) <= 1e-14 * scale, powers
+
+
+def test_quadrature_is_exact_on_the_acceptance_polynomials():
+    # the 50 functionals of acceptance 07, degree <= 2 on 1 to 3 times, at 32 nodes
+    rng = np.random.default_rng(2025)
+    for _ in range(50):
+        params = WienerParams(
+            x=rng.uniform(-1, 1), y=rng.uniform(-1, 1),
+            t=rng.uniform(0.5, 2.0), D=rng.uniform(0.3, 1.0),
+        )
+        n_times = int(rng.integers(1, 4))
+        F = _poly_functional(rng, _spread_times(rng, params.t, n_times, 0.08))
+        monos, coeffs = F.fn.__defaults__  # bound by _poly_functional
+        mass = heat_kernel(params.x - params.y, params.t, params.D)
+        want = mass * sum(c * _bridge_moment(params, F.times, tuple(int(k) for k in mono))
+                          for c, mono in zip(coeffs, monos))
+        assert abs(wiener_integral_quadrature(F, params, 32) - want) <= 1e-13 * mass
 
 
 def test_bridge_sampler_matches_marginal_statistics():
@@ -563,16 +683,7 @@ def test_tensor_quadrature_reports_the_offending_node_combination():
 def _reference_mc_batch(params, times, n_paths, seed):
     """The (n_paths, N) row-major batch built from the time-by-time Philox draws."""
     z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((len(times), n_paths))
-    cols = []
-    prev_t, prev = 0.0, params.x
-    for s, zk in zip(times, z):
-        gap = params.t - prev_t
-        mean = prev + (s - prev_t) / gap * (params.y - prev)
-        var = 2.0 * params.D * (s - prev_t) * (params.t - s) / gap
-        prev = mean + math.sqrt(var) * zk
-        cols.append(prev)
-        prev_t = s
-    return np.column_stack(cols)
+    return _reference_bridge(params, times, z.T)
 
 
 def test_f_receives_contiguous_time_columns_with_the_row_major_values():
@@ -590,7 +701,7 @@ def test_f_receives_contiguous_time_columns_with_the_row_major_values():
         wiener_integral_mc(F, params, 300, seed=5)
         quad, mc = seen
         for X, want in (
-            (quad, _reference_chain(params, times, [None] * N, 8)[0]),
+            (quad, _reference_grid(params, times, 8)[0]),
             (mc, _reference_mc_batch(params, times, 300, 5)),
         ):
             assert X.shape == want.shape
@@ -600,7 +711,7 @@ def test_f_receives_contiguous_time_columns_with_the_row_major_values():
         # a value that is not finite still names its row of the batch
         for call, want in (
             (lambda G: wiener_integral_quadrature(G, params, 8),
-             _reference_chain(params, times, [None] * N, 8)[0]),
+             _reference_grid(params, times, 8)[0]),
             (lambda G: wiener_integral_mc(G, params, 300, seed=5),
              _reference_mc_batch(params, times, 300, 5)),
         ):
