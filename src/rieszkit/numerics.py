@@ -98,6 +98,16 @@ def _numbers(items, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_reals(items, name: str) -> np.ndarray:
+    """``items`` checked by ``_real_array``, every entry finite: a NaN or
+    +-inf says ``<name> must be finite, got <the first one>``."""
+    arr = _real_array(items, name)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+    return arr
+
+
 def _real(value, name: str, positive: bool = False) -> float:
     """``value`` as a finite float, and > 0 if ``positive``. A non-number is
     refused by ``_number``; a real out of range says ``<name> must be
@@ -145,10 +155,8 @@ def _cut(a, b, *point_sets):
     (``ValueError`` naming ``breakpoints`` otherwise); a point listed
     twice, or at or beyond an end, cuts nothing."""
     a, b = np.atleast_1d(a, b)
-    points = np.sort(np.concatenate([_numbers(p, "breakpoints") for p in point_sets]))
-    bad = points[~np.isfinite(points)]
-    if bad.size:
-        raise ValueError(f"breakpoints must be finite, got {bad[0]}")
+    points = _finite_reals(np.sort(np.concatenate([_numbers(p, "breakpoints")
+                                                   for p in point_sets])), "breakpoints")
     cuts = np.concatenate([a[:, None], np.minimum(np.maximum(points, a[:, None]), b[:, None]),
                            b[:, None]], axis=1)
     keep = cuts[:, 1:] > cuts[:, :-1]

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_bisect, _check_finite, _count, _cut, _evaluate, _ladder_indices,
-                       _number, _numbers, _positive, _real, _sum_in_order)
+from .numerics import (_bisect, _check_finite, _count, _cut, _dot, _evaluate, _finite_reals,
+                       _ladder_indices, _number, _numbers, _positive, _real, _sum_in_order)
 
 __all__ = [
     "CdfLike",
@@ -152,7 +152,8 @@ def _rs_segment(f, alpha, a, b, n_cells):
     midpoint tags. When b is a declared jump of alpha, the last cell is
     tagged at b so the jump contributes f(b) * mass exactly at every
     refinement level. A value of f that is not finite raises
-    ``NumericError`` at its tag.
+    ``NumericError`` at its tag. The products are added by ``_dot``, so
+    no bit depends on the BLAS thread count.
     """
     nodes = np.linspace(a, b, n_cells + 1)
     masses = np.diff(_evaluate(alpha.eval, nodes))
@@ -161,7 +162,7 @@ def _rs_segment(f, alpha, a, b, n_cells):
         tags[-1] = b
     values = _evaluate(f, tags)
     _check_finite(values, tags)
-    return float(np.dot(values, masses))
+    return _dot(values, masses)
 
 
 def _check_support(name: str, support) -> tuple[float, float]:
@@ -183,10 +184,14 @@ class _Probe:
     ``_forms``). The probe's value is the product of its factors' values,
     in order. The probe a caller sees is a batch of one, which can be
     called on any array of points, and ``breakpoints`` lists its knots.
+    ``probes[start:stop]`` is the batch of those rows.
     """
 
     def __init__(self, *factors):
         self._factors = factors
+
+    def __getitem__(self, rows: slice) -> "_Probe":
+        return _Probe(*((knots[rows], *rest) for knots, *rest in self._factors))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -254,10 +259,16 @@ def _pieces(probes: _Probe, end: float):
 # than this many ulps of the integrand's scale per unit length.
 _BY_PARTS_SHARE = 1e-2
 _ROUNDING_ULPS = 100 * np.finfo(float).eps
+# A batch is integrated by parts this many probes at a time, and a sample
+# sum evaluates its sloped pieces in blocks of about this many samples,
+# so the memory of a pass is bounded whatever the size of the batch.
+_PASS_PROBES = 256
+_SAMPLE_BLOCK = 2**16
 
 
 def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.ndarray:
-    """Integral of each probe of the batch over (lo, hi] against alpha.
+    """Integral of each probe of the batch over (lo, hi] against alpha, in
+    passes of at most ``_PASS_PROBES`` probes.
 
     The knots, clipped to [lo, hi], cut (lo, hi] into pieces (a, b]; on each
     Stieltjes integration by parts in centred form gives
@@ -276,6 +287,9 @@ def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) 
     a knot outside (lo, hi) gives a piece of length 0, which adds 0.0.
     """
     n = len(probes._factors[0][0])
+    if n > _PASS_PROBES:
+        return np.concatenate([_by_parts(probes[r:r + _PASS_PROBES], alpha, lo, hi, tol)
+                               for r in range(0, n, _PASS_PROBES)])
     if lo == hi:
         return np.zeros(n)
     knots, anchors, values, _, (c1, c2) = _pieces(probes, hi)
@@ -339,7 +353,7 @@ def ls_integrate(
     A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
     the two as ``recover_cdf`` and ``total_mass`` use them, is integrated
     by parts instead, as a batch of one (see ``_by_parts``, which
-    ``oracle_from_cdf`` also runs on a whole column of ramps): alpha is
+    ``oracle_from_cdf`` also runs on whole columns of ramps): alpha is
     called once on the probe's piece ends and once per bisection level on
     the panels of its sloped pieces. That branch never raises
     ``ConvergenceError`` and ignores ``max_depth``. Any other f takes the
@@ -409,13 +423,13 @@ def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
     return _Probe(*ramp._factors, *cutoff._factors)
 
 
-def _ramps(x: float, js: Sequence[int], m: int) -> _Probe:
+def _ramps(xs: Sequence[float], js: Sequence[int], m: int) -> _Probe:
     """``_probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m))`` for
-    each j in ``js``, as one batch."""
-    ramps = np.empty((len(js), 2))
-    ramps[:, 0] = x
-    ramps[:, 1] = x + 1.0 / np.asarray(js, dtype=float)
-    cutoffs = np.array([_cutoff_knots(m)]).repeat(len(js), axis=0)
+    each x in ``xs`` and, for each, each j in ``js``, as one batch."""
+    ramps = np.empty((len(xs) * len(js), 2))
+    ramps[:, 0] = np.repeat(xs, len(js))
+    ramps[:, 1] = ramps[:, 0] + np.tile(1.0 / np.asarray(js, dtype=float), len(xs))
+    cutoffs = np.array([_cutoff_knots(m)]).repeat(len(ramps), axis=0)
     return _Probe((ramps, *_RAMP), (cutoffs, *_CUTOFF))
 
 
@@ -460,9 +474,11 @@ def oracle_from_cdf(
     positive real (``ValueError`` otherwise).
 
     Its apply calls ``ls_integrate(f, alpha, support, tol)``. The recovery
-    ladders ask it for a column of ramps at a time (one x, every slope of
-    the ladder, one cutoff), which it integrates by parts in one
-    vectorised pass over the column with the same bits.
+    ladders ask it for a column of ramps at a time, every slope of the
+    doubling ladder and its last tail at one cutoff index, for one point
+    or for every point of a grid still to walk, which it integrates by
+    parts with the same bits, in passes of at most 256 probes so that the
+    memory of a pass does not grow with the grid.
     """
     tol = _positive(tol, "tol")
     lo, hi = _check_support("oracle support", support)
@@ -480,10 +496,11 @@ def _sample_sums(probes: _Probe, ordered: np.ndarray) -> np.ndarray:
     ``searchsorted`` counts the samples in each piece between knots. A
     piece where the probe is constant adds count * value; on a sloped
     piece the probe is evaluated on its samples only, and they are added
-    with one ``np.add.reduceat`` per batch. The pieces of a probe are
-    added in order. The probe is continuous, so a sample on a knot may sit
-    in either piece beside it; a knot at or beyond the last sample cuts
-    nothing, so every cutoff that covers the samples splits them alike.
+    with one ``np.add.reduceat`` per block of whole pieces: at most
+    ``_SAMPLE_BLOCK`` samples, or one piece that holds more. The pieces of a probe
+    are added in order. The probe is continuous, so a sample on a knot may
+    sit in either piece beside it; a knot at or beyond the last sample
+    cuts nothing, so every cutoff that covers the samples splits them alike.
     """
     knots, _, values, forms, (c1, c2) = _pieces(probes, ordered[-1])
     n, size = len(knots), len(ordered)
@@ -495,12 +512,22 @@ def _sample_sums(probes: _Probe, ordered: np.ndarray) -> np.ndarray:
     parts = counts * np.concatenate([np.full((n, 1), math.prod(f[2] for f in probes._factors)),
                                      values[:, :-1]], axis=1)
     sloped = (counts[:, 1:] > 0) & ((c1 != 0.0) | (c2 != 0.0))
-    if sloped.any():
-        length = counts[:, 1:][sloped]
-        offsets = np.cumsum(length) - length
-        index = np.repeat(cuts[sloped] - offsets, length) + np.arange(length.sum())
-        on_samples = [tuple(np.repeat(c[:, :-1][sloped], length) for c in form) for form in forms]
-        parts[:, 1:][sloped] = np.add.reduceat(_product(ordered[index], on_samples), offsets)
+    length, first = counts[:, 1:][sloped], cuts[sloped]
+    coeffs = [tuple(c[:, :-1][sloped] for c in form) for form in forms]
+    ends = np.cumsum(length)
+    sums = np.empty(len(length))
+    start = 0
+    while start < len(length):
+        # the pieces from start on that end within _SAMPLE_BLOCK samples, at least one
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - length[start] + _SAMPLE_BLOCK,
+                                                  "right")))
+        span = length[start:stop]
+        offsets = np.cumsum(span) - span
+        index = np.repeat(first[start:stop] - offsets, span) + np.arange(offsets[-1] + span[-1])
+        on_samples = [tuple(np.repeat(c[start:stop], span) for c in form) for form in coeffs]
+        sums[start:stop] = np.add.reduceat(_product(ordered[index], on_samples), offsets)
+        start = stop
+    parts[:, 1:][sloped] = sums
     return _sum_in_order(parts.ravel(), np.repeat(np.arange(n), parts.shape[1]), n)
 
 
@@ -510,9 +537,12 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     The samples are sorted once, into one copy: O(n log n) time here and
     n floats of memory. A probe (ramp, cutoff or their product) costs
     O(K log n) for its K knots plus the samples where it slopes (see
-    ``_sample_sums``), and the recovery ladders ask for a column of ramps
-    at a time (one x, every slope of the ladder, one cutoff), answered in
-    one vectorised pass with the same bits. The sum is divided by n. Any
+    ``_sample_sums``). The recovery ladders ask for a column of ramps at a
+    time, every slope of the doubling ladder and its last tail at one
+    cutoff index, for one point or for every point of a grid still to
+    walk, answered in one pass with the same bits; the sloped samples are
+    evaluated in blocks of whole pieces of about 2**16 samples, so the
+    memory of a pass does not grow with the grid. The sum is divided by n. Any
     other callable gets ``float(np.mean(f(xs)))`` over the samples in the
     order given. The two differ only by rounding.
 
@@ -521,11 +551,9 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     one-dimensional or not of a real dtype (bool, str or object), for no
     samples, or for a non-finite one (NaN or +-inf).
     """
-    xs = _numbers(samples, "samples")
+    xs = _finite_reals(_numbers(samples, "samples"), "samples")
     if xs.size == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
     ordered = np.sort(xs)
 
     def mean(probes):
@@ -571,38 +599,93 @@ def _cutoff_limit(
     return value_m, m  # the ladder always ends at m_max
 
 
-def _ramp_ladder(L, x, js, upper, m_max: int, tol: float, known=None):
+def _tail(js: Sequence[int]) -> tuple[int, ...]:
+    """The closer rungs 3j/4, 7j/8 below the last rung j of the ladder
+    ``js``, or () when they do not fall strictly between its last two."""
+    tail = ((3 * js[-1]) // 4, (7 * js[-1]) // 8)
+    return tail if len(js) >= 2 and js[-2] < tail[0] < tail[1] < js[-1] else ()
+
+
+class _Columns:
+    """The ramp values L(ramp(x, j) * cutoff(m)) of one recovery, or of
+    one grid of them, read by the walks of its points one after the other.
+
+    ``xs`` are distinct points, in the order of their walks, and ``done``
+    counts the walks that have ended. A built-in apply carries
+    ``_batch(probes)``, its values on a batch of probes with the bits of
+    its calls one by one. At the first miss at cutoff index m it is asked
+    once, for every point not yet done, for the doubling ladder to
+    ``j_max`` and its last tail (``_tail``): one call per m for the whole
+    grid, and a walk that reaches ``j_max`` finds its tail filled. A miss
+    that call did not fill (the tail of an earlier rung, or a batch that
+    raised) asks once for the walk's own rungs ``todo`` at (x, m). Any
+    other miss, and every probe of an apply without ``_batch`` (a wrapped
+    built-in one too), is asked of the apply alone, as the walk reads it,
+    so an error surfaces only at a probe the walk reads, as its own. A
+    grid's column is kept as an array, 8 bytes a value."""
+
+    def __init__(self, L: ExpectationOracle, xs: Sequence[float], j_max: int):
+        self.oracle = L
+        self.done = 0
+        self._batch = getattr(L.apply, "_batch", None)
+        ladder = _ladder_indices(j_max)
+        self._js = tuple(sorted({*ladder, *_tail(ladder)}))
+        self._column = {j: k for k, j in enumerate(self._js)}
+        self._xs = list(xs)
+        self._row = {x: i for i, x in enumerate(self._xs)}
+        self._grid: dict[int, tuple[int, np.ndarray]] = {}  # m -> (first row, values by row, rung)
+        self._own: dict[tuple[float, int, int], float] = {}  # (x, j, m) -> a walk's own fill
+        self._asked: set = set()
+
+    def _ask(self, ask, xs: Sequence[float], js: tuple[int, ...], m: int):
+        """``_batch`` on the rungs ``js`` at m of the points ``xs``, asked
+        once per ``ask``: None when asked before or when it raised."""
+        if ask in self._asked:
+            return None
+        self._asked.add(ask)
+        try:
+            return self._batch(_ramps(xs, js, m))
+        except Exception:  # raised again by the probe the walk reads
+            return None
+
+    def _read(self, x: float, j: int, m: int) -> float | None:
+        if m in self._grid and j in self._column:
+            first, values = self._grid[m]
+            return float(values[self._row[x] - first, self._column[j]])
+        return self._own.get((x, j, m))
+
+    def value(self, x: float, j: int, m: int, todo: tuple[int, ...]) -> float:
+        value = self._read(x, j, m)
+        if value is None and self._batch is not None:
+            grid = self._ask(m, self._xs[self.done:], self._js, m)
+            if grid is not None:
+                self._grid[m] = (self.done, grid.reshape(-1, len(self._js)))
+            value = self._read(x, j, m)
+        if value is None and self._batch is not None:
+            own = self._ask((x, m, todo), (x,), todo, m)
+            if own is not None:
+                self._own.update(zip([(x, t, m) for t in todo], own.tolist()))
+            value = self._read(x, j, m)
+        return self.oracle.apply(_ramps((x,), (j,), m)) if value is None else value
+
+
+def _ramp_ladder(store: _Columns, x, js, upper, m_max: int, tol: float, known=None):
     """Yield (j, value, m) for each j in ``js``: the cutoff limit of the
     ramp at (x, j) and the cutoff index its ladder stopped at, or
     ``known[j]``, a rung already walked, which asks the oracle nothing.
     Each value may exceed the one before it (``upper`` for the first, None
     for none) by at most ``tol``.
 
-    A built-in apply carries ``_batch(probes)``, its values on a batch of
-    probes in one pass with the bits of its calls one by one; it is asked
-    at the first miss at cutoff index m for that m and every j not known,
-    in one call. Any other apply, a wrapped built-in one too, is asked
-    once per probe, as the walk reads them. A column that raised is asked
-    probe by probe too, so an error surfaces only at a probe the walk
-    reads, as that probe's own."""
-    batch = getattr(L.apply, "_batch", None)
-    todo = [j for j in js if not known or j not in known]
-    columns: dict[int, dict] = {}
-
-    def value(j, m):
-        if batch is not None and m not in columns:
-            try:
-                columns[m] = dict(zip(todo, batch(_ramps(x, todo, m)).tolist()))
-            except Exception:  # raised again below, by the probe the walk reads
-                columns[m] = {}
-        if j in columns.get(m, ()):
-            return columns[m][j]
-        return L.apply(_ramps(x, (j,), m))
-
+    The values are read from ``store`` (``_Columns``): one call of a
+    built-in apply per cutoff index for every point of its grid, answered
+    in passes bounded in memory, and ``todo``, the rungs not known, where
+    a miss asks for (x, m) alone."""
+    todo = tuple(j for j in js if not known or j not in known)
     for j in js:
         rung = known.get(j) if known else None
         if rung is None:
-            rung = _cutoff_limit(L, lambda m: value(j, m), m_max, tol, tol / 2, (x, j))
+            rung = _cutoff_limit(store.oracle, lambda m: store.value(x, j, m, todo), m_max, tol,
+                                 tol / 2, (x, j))
         value_j, m = rung
         if upper is not None and value_j > upper + tol:
             raise ContractViolationError(
@@ -626,11 +709,21 @@ def _richardson(js: Sequence[int], values: Sequence[float], slack: float) -> flo
 _PLATEAU = 1e-12  # a ramp-ladder step this small is a plateau, taken as it is
 
 
-def _recover(L, x, j_max: int, m_max: int, tol: float):
-    """``recover_cdf`` on checked arguments: (value, method, js, ramp
-    ladder, m_reached)."""
+def _recover(L, xs: Sequence[float], j_max: int, m_max: int, tol: float):
+    """``recover_cdf`` on checked arguments at each point of ``xs`` in
+    turn, the walks sharing one ``_Columns``: yields (value, method, js,
+    ramp ladder, m_reached) per point."""
+    store = _Columns(L, xs, j_max)
+    for x in xs:
+        result = _recover_at(store, x, j_max, m_max, tol)
+        store.done += 1
+        yield result
+
+
+def _recover_at(store: _Columns, x: float, j_max: int, m_max: int, tol: float):
+    """The walk of one point: ``_recover``'s result at x."""
     js, values = [], []
-    for j, value, m_reached in _ramp_ladder(L, x, _ladder_indices(j_max), None, m_max, tol):
+    for j, value, m_reached in _ramp_ladder(store, x, _ladder_indices(j_max), None, m_max, tol):
         js.append(j)
         values.append(value)
         d = abs(value - values[-2]) if len(values) >= 2 else math.inf
@@ -648,9 +741,9 @@ def _recover(L, x, j_max: int, m_max: int, tol: float):
         # the doubling ladder may straddle a regime change (support edge
         # inside the last ramp window); retry on a tail of more closely
         # spaced j just below the last one before settling for raw
-        tail = [(3 * js[-1]) // 4, (7 * js[-1]) // 8, js[-1]]
-        if extrapolated is None and js[-2] < tail[0] < tail[1] < tail[2]:
-            walk = _ramp_ladder(L, x, tail, values[-2], m_max, tol, {js[-1]: (raw, m_reached)})
+        tail = (*_tail(js), js[-1])
+        if extrapolated is None and len(tail) == 3:
+            walk = _ramp_ladder(store, x, tail, values[-2], m_max, tol, {js[-1]: (raw, m_reached)})
             extrapolated = _richardson(tail, [value for _, value, _ in walk], slack=0.2)
     method = "plateau" if plateau else "raw" if extrapolated is None else "extrapolated"
     value = raw if extrapolated is None else min(max(extrapolated, 0.0), raw)
@@ -685,10 +778,12 @@ def recover_cdf(
     the cutoff covers; the value is the same either way, since every
     covering cutoff gives the same probe on the support. The apply of
     ``oracle_from_cdf`` or ``oracle_from_samples`` is asked for a column
-    of ramps at a time (every doubling j at one cutoff index, then the
-    tail 3j/4, 7j/8), in one vectorised pass; any other apply, a wrapped
-    built-in one too, gets one call per probe, in the order of the walk.
-    Values, exits and errors are the same either way.
+    of ramps at a time, in one pass: at each cutoff index, every doubling
+    j and the tail 3j/4, 7j/8 of the last one, so a walk that reaches
+    ``j_max`` and needs that tail finds it filled (``RecoveredCdf`` asks
+    for the column of every point of its grid at once). Any other apply,
+    a wrapped built-in one too, gets one call per probe, in the order of
+    the walk. Values, exits and errors are the same either way.
 
     With ``full_output=True`` returns ``(value, info)`` where ``info``
     carries the final (j, m) reached, the raw ramp ladder, and which of
@@ -702,7 +797,7 @@ def recover_cdf(
     x = _real(x, "x")
     j_max, m_max = _count(j_max, "j_max"), _count(m_max, "m_max")
     tol = _positive(tol, "tol")
-    result, method, js, values, m_reached = _recover(L, x, j_max, m_max, tol)
+    [(result, method, js, values, m_reached)] = _recover(L, (x,), j_max, m_max, tol)
     if full_output:
         info = {
             "j_reached": js[-1],
@@ -732,9 +827,17 @@ class RecoveredCdf:
 
     Point evaluations are memoized (dict insert is atomic under the GIL,
     so concurrent queries at distinct points are safe and independent of
-    order). Jump locations are detected by comparing values across a
-    small symmetric window. ``j_max``, ``m_max`` and ``tol`` are checked
-    at construction, with the ``ValueError`` that ``recover_cdf`` raises.
+    order). ``eval`` on an array and ``detect_breakpoints`` walk the
+    points not yet memoized in order, each as ``recover_cdf`` would, with
+    the same values, exits and errors, but their walks share one store of
+    ramp values: a built-in oracle is asked once per cutoff index for the
+    columns of all of them (see ``recover_cdf``), in passes whose memory
+    does not grow with the grid. The points are a real array of any shape
+    (a 1-d grid for ``detect_breakpoints``) and every one finite, checked
+    before any oracle call (``ValueError`` otherwise). Jump locations are
+    detected by comparing values across a small symmetric window.
+    ``j_max``, ``m_max`` and ``tol`` are checked at construction, with the
+    ``ValueError`` that ``recover_cdf`` raises.
     """
 
     def __init__(
@@ -749,29 +852,30 @@ class RecoveredCdf:
         self.tol = _positive(tol, "tol")
         self._cache: dict[float, float] = {}
 
-    def _point(self, x: float) -> float:
-        key = _real(x, "x")
-        if key not in self._cache:
-            self._cache[key] = _recover(self.oracle, key, self.j_max, self.m_max, self.tol)[0]
-        return self._cache[key]
+    def _values(self, xs: list[float]) -> list[float]:
+        """F at the checked points ``xs``; those not yet memoized are
+        recovered in order, their walks sharing one store of ramp values."""
+        todo = [x for x in dict.fromkeys(xs) if x not in self._cache]
+        for x, result in zip(todo, _recover(self.oracle, todo, self.j_max, self.m_max, self.tol)):
+            self._cache[x] = result[0]
+        return [self._cache[x] for x in xs]
 
     def eval(self, x):
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim == 0:
-            return self._point(float(xs))
-        return np.array([self._point(xi) for xi in xs.ravel()]).reshape(xs.shape)
+        xs = _finite_reals(x, "x")
+        values = self._values(xs.ravel().tolist())
+        return values[0] if xs.ndim == 0 else np.array(values).reshape(xs.shape)
 
     __call__ = eval
 
     def detect_breakpoints(self, grid) -> tuple[float, ...]:
         """Grid points x where the recovered F rises by more than 10 * tol from
         x - 1e-4 to x + 1e-4: atoms, but also every x where the density exceeds
-        10 * tol / 2e-4 (0.05 at tol=1e-6), so a law with no atom gets jumps."""
-        found = []
-        for x in np.asarray(grid, dtype=float):
-            if self._point(x + 1e-4) - self._point(x - 1e-4) > 10.0 * self.tol:
-                found.append(float(x))
-        return tuple(found)
+        10 * tol / 2e-4 (0.05 at tol=1e-6), so a law with no atom gets jumps.
+        ``grid`` is a 1-d array of finite reals, checked before any oracle call."""
+        grid = _finite_reals(_numbers(grid, "grid"), "grid").tolist()
+        values = self._values([v for x in grid for v in (x + 1e-4, x - 1e-4)])
+        return tuple(x for x, up, down in zip(grid, values[0::2], values[1::2])
+                     if up - down > 10.0 * self.tol)
 
     def as_cdf(self, grid=None) -> CdfLike:
         """Package the recovery as a CdfLike generator (normalized: c- = 0)."""

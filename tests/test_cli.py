@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -768,6 +769,50 @@ def test_recovery_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             outputs.append(proc.stdout)
         assert outputs[0].count(b"\n") == 101 + 1, source
         assert outputs[0] == outputs[1], source
+
+
+# Peak RSS in KiB (ru_maxrss) and stdout sha256 of two recover-cdf grids
+# walked point by point, each point asking for its own ramp columns: one
+# BLAS thread, Python 3.11, numpy 2.4, x86-64 Linux. FLOOR is the 1-point
+# triangular grid's, the interpreter with numpy and rieszkit loaded.
+_GRID_PEAKS = {
+    "samples": (47720, "4b4ab890076161b4f9ac7b39db56f29fb45ec4ae21b12f2dcd964310d87bd2bb"),
+    "triangular": (34040, "2940b8fa309e2c18f27e68f669d8cbc362875667ca5c83619ec3595942272b1f"),
+}
+_GRID_FLOOR_KIB = 33416
+_PEAK_SCRIPT = (
+    "import resource, subprocess, sys\n"
+    "out = subprocess.run(sys.argv[1:], check=True, capture_output=True).stdout\n"
+    "sys.stdout.buffer.write(out)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_grid_pass_keeps_the_peak_memory_and_the_bytes_of_point_by_point_recovery(tmp_path):
+    # a built-in oracle answers the ramp columns of every point of a grid
+    # in one call per cutoff index, in passes of bounded size: each command
+    # runs in a child of its own, whose peak RSS may exceed the one above
+    # by 10% at most (taken over this interpreter's own floor)
+    np.savetxt(tmp_path / "draws.csv", np.random.default_rng(1).normal(0.5, 0.5, 100_000))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, sys.executable, "-m",
+                               "rieszkit.cli", "recover-cdf", *args],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, int(proc.stderr)
+
+    _, floor = run("--law", "triangular", "--grid-n", "1")
+    for name, args in (("samples", ("--samples", str(tmp_path / "draws.csv"), "--grid-n", "401")),
+                       ("triangular", ("--law", "triangular", "--grid-n", "2001"))):
+        out, peak = run(*args)
+        before, digest = _GRID_PEAKS[name]
+        assert hashlib.sha256(out).hexdigest() == digest, name
+        assert peak <= 1.1 * (before - _GRID_FLOOR_KIB + floor), (name, peak, floor)
 
 
 def test_wiener_quadrature_bytes_do_not_depend_on_the_blas_thread_count():

@@ -340,3 +340,25 @@ def test_sequence_arguments_reject_bools():
     assert CylinderSet((0.5,), ((-math.inf, math.inf),)).boxes == ((-math.inf, math.inf),)
     with pytest.raises(ValueError, match="box edges must not be NaN"):
         CylinderSet((0.5,), ((math.nan, 0.0),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rc: rc.eval(True), "x must be real numbers"),
+    (lambda rc: rc.eval("0.5"), "x must be real numbers"),
+    (lambda rc: rc(np.array([[0.25], ["0.5"]], dtype=object)), "x must be real numbers"),
+    (lambda rc: rc.eval(math.nan), "x must be finite, got nan"),
+    (lambda rc: rc.eval(np.array([0.25, 0.5, -math.inf])), "x must be finite, got -inf"),
+    (lambda rc: rc.detect_breakpoints(["0.3"]), "grid must be real numbers"),
+    (lambda rc: rc.detect_breakpoints([True, False]), "grid must be real numbers"),
+    (lambda rc: rc.detect_breakpoints([0.3, math.nan]), "grid must be finite, got nan"),
+    (lambda rc: rc.detect_breakpoints(0.3), "grid must be one-dimensional"),
+    (lambda rc: rc.as_cdf(["0.3"]), "grid must be real numbers"),
+])
+def test_recovered_cdf_points_follow_the_argument_contract(call, message):
+    # the points a RecoveredCdf is asked for are finite reals, checked as a
+    # whole array before any oracle call
+    calls = []
+    rc = RecoveredCdf(ExpectationOracle(apply=lambda f: calls.append(f) or 0.0))
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        call(rc)
+    assert calls == []

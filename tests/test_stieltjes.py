@@ -244,11 +244,12 @@ def test_ls_integrate_equals_the_per_segment_loop_on_scalar_callbacks():
 
 # ls_integrate on callables that are not probes, recorded before probes
 # were integrated by parts, under one BLAS thread: that path keeps every
-# bit. Deep refinement levels reduce 2**14 cells and more with np.dot,
-# whose last bit depends on the thread count, so the pins run in a fresh
-# interpreter with OPENBLAS_NUM_THREADS=1, as CI and the benchmark do.
+# bit. Each segment's sum goes through numerics._dot, np.dot over fixed
+# chunks of 8192 cells added in order, whose order sets the last bit of
+# "cos", the one integral here with segments of 2**14 cells and more. The
+# pins run in a fresh interpreter with OPENBLAS_NUM_THREADS=1.
 _PLAIN_PINS = {
-    "cos": "0x1.b809ff3be7950p-1",
+    "cos": "0x1.b809ff3be794ep-1",
     "tent-two-atom": "0x1.4cccccccccccdp-1",
     "tent-uniform": "0x1.fffffffffffffp-2",
     "probe-two-atom": "0x1.5c28f5c28f5c3p-1",
@@ -287,6 +288,34 @@ def test_ls_integrate_keeps_the_bits_of_plain_callables():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert dict(line.split() for line in proc.stdout.splitlines()) == _PLAIN_PINS
+
+
+_PLAIN_THREADS_SCRIPT = """
+import numpy as np
+from rieszkit.stieltjes import ls_integrate, triangular_cdf, two_atom_cdf, uniform_cdf
+laws = ((uniform_cdf(), (-0.5, 1.5)), (triangular_cdf(), (-0.5, 1.5)),
+        (two_atom_cdf(0.3, 0.6, 0.7), (0.0, 1.0)))
+fs = (np.cos, lambda t: np.cos(3.0 * t), lambda t: np.sin(7.0 * t) + t**2)
+for law, support in laws:
+    for f in fs:
+        print(ls_integrate(f, law, support, 1e-10).hex())
+"""
+
+
+def test_plain_callable_integrals_do_not_depend_on_the_blas_thread_count():
+    # at tol 1e-10 the refinement reaches segments of 2**14 cells and more,
+    # where one np.dot splits its sum over the threads; _dot's chunks do not
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _PLAIN_THREADS_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 9
+    assert outputs[0] == outputs[1]
 
 
 def test_probes_keep_the_bits_of_the_interp_closures():
@@ -869,6 +898,103 @@ def test_the_ladder_pass_keeps_every_bit_and_exit_of_the_probe_by_probe_walk(sou
         assert _recoveries(oracle, xs) == _recoveries(wrapped, xs)
 
 
+def _grid_points(marks, lo, hi):
+    """401 points over [lo - 1, hi + 1], then each mark (a kink, an atom or
+    a sample) with the points 1/64, 1/56, 1/48 left of it and 1e-4 either
+    side, where the last ramps and the tail reach across it."""
+    near = [k + d for k in marks for d in (0.0, -1 / 64, -1 / 56, -1 / 48, -1e-4, 1e-4)]
+    return [*np.linspace(lo - 1.0, hi + 1.0, 401).tolist(), *near]
+
+
+def _shared_walks(oracle, xs):
+    """The walks of a RecoveredCdf grid, sharing one store, as _recoveries
+    reports the walks of recover_cdf."""
+    return [(value.hex(), method, js[-1], m_reached, tuple(map(float.hex, ladder)))
+            for value, method, js, ladder, m_reached in stieltjes._recover(oracle, xs, 64, 64, 1e-6)]
+
+
+def _grid_cases(source):
+    if source == "samples":
+        for samples in _sample_sets():
+            oracle = oracle_from_samples(samples)
+            marks = np.sort(samples)[::max(1, len(samples) // 8)]
+            yield oracle, _grid_points(marks.tolist(), *oracle.support)
+    elif source == "no-support":
+        # the cutoff ladders climb m = 1, 2, 4, 8 until two values agree
+        law = uniform_cdf(-3.0, 3.0)
+        oracle = dataclasses.replace(oracle_from_cdf(law, (-3.5, 3.5)), support=None)
+        yield oracle, _grid_points(law.kinks, -3.0, 3.0)
+    else:
+        law, (lo, hi) = _LADDER_LAWS[source]
+        yield oracle_from_cdf(law, (lo - 0.5, hi + 0.5)), _grid_points(law.kinks + law.breakpoints,
+                                                                      lo, hi)
+
+
+@pytest.mark.parametrize("source", [*range(len(_LADDER_LAWS)), "samples", "no-support"])
+def test_a_grid_shares_its_ramp_columns_with_the_bits_and_exits_of_each_point(source):
+    # RecoveredCdf walks the points of a grid in order and reads their ramps
+    # from one store, filled once per cutoff index for every point still to
+    # walk; each point must keep the value, method, j_reached, m_reached
+    # and ramp ladder of its own recover_cdf
+    for oracle, xs in _grid_cases(source):
+        xs = list(dict.fromkeys(xs))
+        expected = _recoveries(oracle, xs)
+        assert _shared_walks(oracle, xs) == expected
+        assert [v.hex() for v in RecoveredCdf(oracle).eval(np.array(xs))] == [e[0] for e in expected]
+
+
+def test_a_grid_with_repeated_points_walks_each_once_with_its_own_bits():
+    law, (lo, hi) = _LADDER_LAWS[1]
+    oracle = oracle_from_cdf(law, (lo - 0.5, hi + 0.5))
+    grid = _grid_points(law.kinks, lo, hi)
+    xs = np.array([*grid, *grid[::-3], *grid[:21]])
+    by_point = dict(zip(grid, (e[0] for e in _recoveries(oracle, grid))))
+    rc = RecoveredCdf(oracle)
+    assert [v.hex() for v in rc.eval(xs)] == [by_point[x] for x in xs.tolist()]
+    assert [v.hex() for v in rc.eval(xs[:24].reshape(2, 3, 4)).ravel()] == [
+        by_point[x] for x in xs[:24].tolist()]
+    assert len(rc._cache) == len(grid)
+
+
+class _Refused(RuntimeError):
+    pass
+
+
+def test_a_grid_raises_what_the_walk_of_its_point_raises():
+    # alpha refuses one abscissa, the ramp knot of one grid point: the
+    # grid's column at m = 1 raises, each point then asks for its own
+    # column, and the point whose walk reads that abscissa raises what it
+    # raises alone, after the same walks at every point before it
+    law, bad = triangular_cdf(-0.4, 0.1, 0.4), 0.05
+
+    def alpha(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x == bad):
+            raise _Refused(f"alpha refuses {bad}")
+        return law.eval(x)
+
+    oracle = oracle_from_cdf(dataclasses.replace(law, eval=alpha), (-0.9, 0.9))
+    xs = np.linspace(-0.5, 0.5, 401).tolist()
+    xs.insert(200, bad)
+    walks = []
+    with pytest.raises(_Refused) as alone:
+        for x in xs:
+            walks.append(_recoveries(oracle, [x])[0])
+    shared = []
+    with pytest.raises(_Refused) as grid:
+        for walk in _shared_walks_lazily(oracle, xs):
+            shared.append(walk)
+    assert shared == walks and len(walks) == 200
+    assert str(grid.value) == str(alone.value) == "alpha refuses 0.05"
+    with pytest.raises(_Refused, match="alpha refuses 0.05"):
+        RecoveredCdf(oracle).eval(xs)
+
+
+def _shared_walks_lazily(oracle, xs):
+    for value, method, js, ladder, m_reached in stieltjes._recover(oracle, xs, 64, 64, 1e-6):
+        yield value.hex(), method, js[-1], m_reached, tuple(map(float.hex, ladder))
+
+
 def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
     law = triangular_cdf(-0.4, 0.1, 0.4)
     calls = []
@@ -881,25 +1007,34 @@ def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
         # a column is ramp(x, j) * cutoff(m): knots x, x + 1/j and then -m - 1, -m, m, m + 1
         (ramps, *_), (cutoffs, *_) = probes._factors
         js = np.rint(1.0 / (ramps[:, 1] - ramps[:, 0])).astype(int)
-        columns.append((tuple(js.tolist()), int(cutoffs[0, 2])))
+        columns.append((len(set(ramps[:, 0].tolist())), tuple(js.tolist()), int(cutoffs[0, 2])))
         return batch(probes)
 
     oracle.apply._batch = counting
-    for x in (-0.35, 0.05, 0.38, 0.9):
+    rungs = (1, 2, 4, 8, 16, 32, 48, 56, 64)
+    xs = (-0.35, 0.05, 0.38, 0.9)
+    values = []
+    for x in xs:
         calls.clear()
         columns.clear()
         value, info = recover_cdf(oracle, x, full_output=True)
         assert abs(value - float(law.eval(x))) <= 1e-3
-        # the support lies inside [-1, 1]: one column of the doubling
-        # ladder at m = 1, and one of the tail 3j/4, 7j/8 if the walk gets there
-        assert columns[0] == ((1, 2, 4, 8, 16, 32, 64), 1)
-        assert columns[1:] in ([], [((48, 56), 1)])
+        values.append(value)
+        # the support lies inside [-1, 1]: one column at m = 1 holds the
+        # doubling ladder and the tail 3j/4, 7j/8 of its last rung
+        assert columns == [(1, rungs, 1)]
         # the piece ends of a column (its six knots and two ends per ramp)
         # in one call, then, if a piece needs an integral, its panels in one
         # call per bisection level; a law of degree <= 2 needs one level
-        assert calls[0] == 7 * 8
-        assert len(columns) <= len(calls) <= 2 * len(columns), (x, calls)
-    assert calls == [7 * 8]  # at x = 0.9 every piece is flat or alpha is
+        assert calls[0] == 9 * 8
+        assert len(calls) <= 2, (x, calls)
+    assert calls == [9 * 8]  # at x = 0.9 every piece is flat or alpha is
+    # a grid: one column at m = 1 for all its points, with the same bits
+    calls.clear()
+    columns.clear()
+    assert RecoveredCdf(oracle).eval(np.array(xs)).tolist() == values
+    assert columns == [(4, rungs * 4, 1)]
+    assert calls[0] == 4 * 9 * 8 and len(calls) <= 2, calls
 
 
 def test_total_mass_probes_are_the_bare_cutoffs():
