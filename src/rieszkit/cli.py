@@ -475,8 +475,10 @@ def bridge_sample(times, x, y, t, d_coef, paths, seed, fmt, out):
     # drawn path by path, as a loop of sample_bridge on this generator would
     z = rng.standard_normal((paths, len(ts))).T
     pos = wn._bridge_positions(params, ts, z, z)
+    # for CSV each time is formatted once, then spread over the paths
+    times_once = _text(list(ts)) if fmt == "csv" else list(ts)
     columns = [
-        np.repeat(np.arange(paths), len(ts)).tolist(), list(ts) * paths,
+        np.repeat(np.arange(paths), len(ts)).tolist(), times_once * paths,
         pos.ravel().tolist(),
     ]
     meta = {

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import IntegrabilityError
 from .numerics import (
-    QuadratureRule, _check_finite, _check_probabilities, _count, _cut, _evaluate, _real_array,
-    gauss_legendre,
+    QuadratureRule, _check_finite, _check_probabilities, _count, _cut, _dot, _evaluate,
+    _real_array, gauss_legendre,
 )
 
 __all__ = [
@@ -148,8 +148,11 @@ class HilbertVector:
             return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
 
     def reconstruct(self, t) -> np.ndarray:
-        """Pointwise values of sum_i c_i e_i(t)."""
-        return self.coeffs @ self.basis.evaluate_all(t)
+        """Pointwise values of sum_i c_i e_i(t) at the flattened points t.
+        Each point's sum is a ``_dot`` on a contiguous row of basis values,
+        so no bit depends on the BLAS thread count."""
+        rows = np.ascontiguousarray(self.basis.evaluate_all(t).T)
+        return np.array([_dot(row, self.coeffs) for row in rows])
 
     @classmethod
     def zero(cls, basis: OrthonormalBasis) -> "HilbertVector":

@@ -266,6 +266,35 @@ _PASS_PROBES = 256
 _SAMPLE_BLOCK = 2**16
 
 
+def _rise_integrals(alpha: CdfLike, lo: float, hi: float, tol: float, a, b, ha, hb, anchor,
+                    d0, d1) -> np.ndarray:
+    """int_a^b (alpha(t) - ha) f'(t) dt on each sloped piece (a, b] of a
+    probe, where alpha moves from ha to hb and f'(t) = d0 + d1 (t - anchor).
+
+    Each piece is split at alpha's declared jumps and kinks, and all the
+    stretches go to ``_bisect`` together, each to a budget of
+    ``_BY_PARTS_SHARE * tol`` spread over (lo, hi] by length. Per unit
+    length the budget never drops below 100 ulps of max|alpha| * max|f'|
+    on the piece, the scale of the rounding in the integrand. The
+    stretches of a piece are added in order.
+    """
+    scale = np.fmax(np.abs(ha), np.abs(hb)) * np.fmax(np.abs(d0 + d1 * (a - anchor)),
+                                                      np.abs(d0 + d1 * (b - anchor)))
+    rate = _BY_PARTS_SHARE * tol / (hi - lo)
+    budget = np.fmax(rate, _ROUNDING_ULPS * scale) * (b - a)
+    budget = np.maximum(budget, math.ulp(0.0))  # a tiny piece's budget can underflow
+    piece, starts, stops = _cut(a, b, alpha.breakpoints, alpha.kinks)
+
+    def integrand(t, rows):
+        p = piece[rows, None]
+        return ((_evaluate(alpha.eval, t.ravel()).reshape(t.shape) - ha[p])
+                * (d0[p] + d1[p] * (t - anchor[p])))
+
+    integrals = _bisect(integrand, starts, stops,
+                        budget[piece] * (stops - starts) / (b - a)[piece])
+    return _sum_in_order(integrals, piece, len(a))
+
+
 def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.ndarray:
     """Integral of each probe of the batch over (lo, hi] against alpha, in
     passes of at most ``_PASS_PROBES`` probes.
@@ -273,18 +302,16 @@ def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) 
     The knots, clipped to [lo, hi], cut (lo, hi] into pieces (a, b]; on each
     Stieltjes integration by parts in centred form gives
     f(b) (alpha(b) - alpha(a)) - int_a^b (alpha(t) - alpha(a)) f'(t) dt.
-    alpha is evaluated at all piece ends in one call; where f' = 0 or
-    alpha does not move, the ordinary integral is 0 and is not computed.
-    The others are split at alpha's declared jumps and kinks and go to
-    ``_bisect`` together, each to a budget of ``_BY_PARTS_SHARE * tol``
-    spread over (lo, hi] by length. Between those split points a law with
+    alpha is evaluated at all piece ends in one call, K + 2 per probe of
+    K knots (a ramp times a cutoff has six); where f' = 0 or alpha does
+    not move, the ordinary integral is 0 and is not computed. The others
+    go to ``_rise_integrals``. Between alpha's jumps and kinks a law with
     a piecewise-polynomial CDF of degree <= 2 makes the integrand a cubic
-    at most, which one panel integrates. Per unit length the budget never
-    drops below 100 ulps of max|alpha| * max|f'| on the piece, the scale
-    of the rounding in the integrand, so however small ``tol`` is, panels
-    that differ only by rounding are accepted and the bisection ends. The
-    pieces of a probe are added in order, so its bits depend on it alone:
-    a knot outside (lo, hi) gives a piece of length 0, which adds 0.0.
+    at most, which one panel integrates, and the rounding floor of the
+    budget ends the bisection however small ``tol`` is. The pieces of a
+    probe are added in order, so its bits depend on it alone: a knot
+    outside (lo, hi) gives a piece of length 0, which adds 0.0. Ramps
+    whose cutoff covers [lo, hi] get the same bits from ``_window``.
     """
     n = len(probes._factors[0][0])
     if n > _PASS_PROBES:
@@ -304,24 +331,45 @@ def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) 
     sloped = (b > a) & ((c1 != 0.0) | (c2 != 0.0)) & (hb != ha)
     if sloped.any():
         # f'(t) = d0 + d1 (t - anchor) on each sloped piece
-        a, b, ha, hb, anchor = a[sloped], b[sloped], ha[sloped], hb[sloped], knots[sloped]
-        d0, d1 = c1[sloped], 2.0 * c2[sloped]
-        scale = np.fmax(np.abs(ha), np.abs(hb)) * np.fmax(np.abs(d0 + d1 * (a - anchor)),
-                                                          np.abs(d0 + d1 * (b - anchor)))
-        rate = _BY_PARTS_SHARE * tol / (hi - lo)
-        budget = np.fmax(rate, _ROUNDING_ULPS * scale) * (b - a)
-        budget = np.maximum(budget, math.ulp(0.0))  # a tiny piece's budget can underflow
-        piece, starts, stops = _cut(a, b, alpha.breakpoints, alpha.kinks)
-
-        def integrand(t, rows):
-            p = piece[rows, None]
-            return ((_evaluate(alpha.eval, t.ravel()).reshape(t.shape) - ha[p])
-                    * (d0[p] + d1[p] * (t - anchor[p])))
-
-        integrals = _bisect(integrand, starts, stops,
-                            budget[piece] * (stops - starts) / (b - a)[piece])
-        parts[:, 1:][sloped] -= _sum_in_order(integrals, piece, len(a))
+        parts[:, 1:][sloped] -= _rise_integrals(
+            alpha, lo, hi, tol, a[sloped], b[sloped], ha[sloped], hb[sloped], knots[sloped],
+            c1[sloped], 2.0 * c2[sloped])
     return _sum_in_order(parts.ravel(), np.repeat(np.arange(n), parts.shape[1]), n)
+
+
+def _window(ramps: np.ndarray, alpha: CdfLike, lo: float, hi: float, tol: float) -> np.ndarray:
+    """``_by_parts`` on a batch of bare ramps, rows (x, x + 1/j) of
+    ``ramps``, with its bits, in passes of at most ``_PASS_PROBES``.
+
+    The knots, clipped to [lo, hi], cut it into three pieces, so alpha is
+    read at four piece ends per ramp, and L(ramp) is the window form
+    (alpha(x) - alpha(lo)) + j int_x^{x+1/j} (alpha(t) - alpha(x)) dt: the
+    one sloped piece goes to ``_rise_integrals`` with the slope
+    -1/((x + 1/j) - x), and the pieces are added in order from 0.0.
+    """
+    n = len(ramps)
+    if n > _PASS_PROBES:
+        return np.concatenate([_window(ramps[r:r + _PASS_PROBES], alpha, lo, hi, tol)
+                               for r in range(0, n, _PASS_PROBES)])
+    edges = np.empty((n, 4))
+    edges[:, 0], edges[:, -1] = lo, hi
+    np.minimum(np.maximum(ramps, lo), hi, out=edges[:, 1:3])
+    heights = _evaluate(alpha.eval, edges.ravel()).reshape(edges.shape)
+    # the ramp's slope and its value at the right end of each piece, as
+    # _forms gives them: 1 below x, linear from x, 0 from x + 1/j on
+    x, x1 = ramps[:, :1], ramps[:, 1:]
+    slope = np.zeros((n, 1))
+    np.divide(-1.0, x1 - x, out=slope, where=x1 > x)
+    ends = edges[:, 1:]
+    ramp = np.where(ends < x, 1.0, np.where(ends < x1, slope * (ends - x) + 1.0, 0.0))
+    parts = ramp * (heights[:, 1:] - heights[:, :-1])
+    a, b, ha, hb, slope = edges[:, 1], edges[:, 2], heights[:, 1], heights[:, 2], slope[:, 0]
+    sloped = (b > a) & (slope != 0.0) & (hb != ha)
+    if sloped.any():
+        a = a[sloped]
+        parts[sloped, 1] -= _rise_integrals(alpha, lo, hi, tol, a, b[sloped], ha[sloped],
+                                            hb[sloped], a, slope[sloped], np.zeros(len(a)))
+    return 0.0 + parts[:, 0] + parts[:, 1] + parts[:, 2]
 
 
 def ls_integrate(
@@ -352,12 +400,13 @@ def ls_integrate(
 
     A probe built by ``make_ramp`` or ``make_cutoff``, or a product of
     the two as ``recover_cdf`` and ``total_mass`` use them, is integrated
-    by parts instead, as a batch of one (see ``_by_parts``, which
-    ``oracle_from_cdf`` also runs on whole columns of ramps): alpha is
+    by parts instead, as a batch of one (see ``_by_parts``): alpha is
     called once on the probe's piece ends and once per bisection level on
     the panels of its sloped pieces. That branch never raises
-    ``ConvergenceError`` and ignores ``max_depth``. Any other f takes the
-    Riemann-Stieltjes path.
+    ``ConvergenceError`` and ignores ``max_depth``. ``oracle_from_cdf``
+    answers whole columns of ramps with the same bits; where their cutoff
+    covers the support it drops it and reads alpha at four piece ends per
+    ramp (``_window``). Any other f takes the Riemann-Stieltjes path.
     """
     lo, hi = _check_support("support", support)
     tol = _positive(tol, "tol")
@@ -419,6 +468,15 @@ def make_cutoff(j: int) -> Callable:
     return _Probe((np.array([_cutoff_knots(_count(j, "cutoff index j"))]), *_CUTOFF))
 
 
+def _on_support(probes: _Probe, lo: float, hi: float) -> _Probe:
+    """The batch as it is on [lo, hi]: a factor shaped like ``make_cutoff``
+    whose plateau [-m, m] covers [lo, hi] in every row is exactly 1.0
+    there, so it is dropped from a product. A bare cutoff is kept."""
+    kept = [f for f in probes._factors
+            if f[1:] != _CUTOFF or not ((f[0][:, 1] <= lo).all() and (hi <= f[0][:, 2]).all())]
+    return _Probe(*kept) if kept else probes
+
+
 def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
     return _Probe(*ramp._factors, *cutoff._factors)
 
@@ -478,7 +536,13 @@ def oracle_from_cdf(
     doubling ladder and its last tail at one cutoff index, for one point
     or for every point of a grid still to walk, which it integrates by
     parts with the same bits, in passes of at most 256 probes so that the
-    memory of a pass does not grow with the grid.
+    memory of a pass does not grow with the grid. A cutoff that covers
+    the support is exactly 1 on it and is dropped, so such a column is a
+    batch of bare ramps, and each reads alpha at four piece ends (lo, x,
+    x + 1/j and hi, clipped to the support) instead of eight: the window
+    form (alpha(x) - alpha(lo)) + j int_x^{x+1/j} (alpha(t) - alpha(x)) dt.
+    The bare cutoffs of ``total_mass``, a column whose cutoff does not
+    yet cover the support, and single probes go through ``_by_parts``.
     """
     tol = _positive(tol, "tol")
     lo, hi = _check_support("oracle support", support)
@@ -486,7 +550,13 @@ def oracle_from_cdf(
     def apply(f):
         return ls_integrate(f, alpha, support, tol)
 
-    apply._batch = lambda probes: _by_parts(probes, alpha, lo, hi, tol)
+    def batch(probes):
+        ramps = _on_support(probes, lo, hi)._factors
+        if len(ramps) == 1 and ramps[0][1:] == _RAMP:
+            return _window(ramps[0][0], alpha, lo, hi, tol)
+        return _by_parts(probes, alpha, lo, hi, tol)
+
+    apply._batch = batch
     return ExpectationOracle(apply=apply, support=(lo, hi))
 
 
@@ -542,7 +612,9 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     cutoff index, for one point or for every point of a grid still to
     walk, answered in one pass with the same bits; the sloped samples are
     evaluated in blocks of whole pieces of about 2**16 samples, so the
-    memory of a pass does not grow with the grid. The sum is divided by n. Any
+    memory of a pass does not grow with the grid. A cutoff that covers
+    [min, max] of the samples is dropped first: it is 1.0 on every sample
+    and cuts nothing, so no bit moves. The sum is divided by n. Any
     other callable gets ``float(np.mean(f(xs)))`` over the samples in the
     order given. The two differ only by rounding.
 
@@ -557,7 +629,7 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     ordered = np.sort(xs)
 
     def mean(probes):
-        return _sample_sums(probes, ordered) / xs.size
+        return _sample_sums(_on_support(probes, ordered[0], ordered[-1]), ordered) / xs.size
 
     def apply(f):
         if isinstance(f, _Probe):

@@ -752,6 +752,24 @@ def test_condexp_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_bochner_bytes_do_not_depend_on_the_blas_thread_count():
+    # 2048 coefficients per grid point: a BLAS matrix-vector product over
+    # them splits its sums over the threads, a dot per point does not
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    for basis in ("shifted_legendre", "fourier_sine"):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+            proc = subprocess.run([sys.executable, "-m", "rieszkit.cli", "bochner", "--basis", basis,
+                                   "--size", "2048", "--grid-n", "401"],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"\n") == 402
+        assert outputs[0] == outputs[1], basis
+
+
 def test_recovery_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the ladder pass integrates whole columns of probes by parts and sums
     # sample windows with reduceat: no reduction of theirs goes to BLAS

@@ -1029,18 +1029,19 @@ def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
         # the support lies inside [-1, 1]: one column at m = 1 holds the
         # doubling ladder and the tail 3j/4, 7j/8 of its last rung
         assert columns == [(1, rungs, 1)]
-        # the piece ends of a column (its six knots and two ends per ramp)
-        # in one call, then, if a piece needs an integral, its panels in one
-        # call per bisection level; a law of degree <= 2 needs one level
-        assert calls[0] == 9 * 8
+        # the piece ends of a column (two knots and two ends per ramp: the
+        # cutoff is 1 on the support) in one call, then, if a piece needs an
+        # integral, its panels in one call per bisection level; a law of
+        # degree <= 2 needs one level
+        assert calls[0] == 9 * 4
         assert len(calls) <= 2, (x, calls)
-    assert calls == [9 * 8]  # at x = 0.9 every piece is flat or alpha is
+    assert calls == [9 * 4]  # at x = 0.9 every piece is flat or alpha is
     # a grid: one column at m = 1 for all its points, with the same bits
     calls.clear()
     columns.clear()
     assert RecoveredCdf(oracle).eval(np.array(xs)).tolist() == values
     assert columns == [(4, rungs * 4, 1)]
-    assert calls[0] == 4 * 9 * 8 and len(calls) <= 2, calls
+    assert calls[0] == 4 * 9 * 4 and len(calls) <= 2, calls
 
 
 def test_total_mass_probes_are_the_bare_cutoffs():
@@ -1402,6 +1403,90 @@ def test_support_changes_no_bit_of_a_sample_oracle():
         assert (lo, hi) == (min(samples), max(samples))
         xs = (0.0, 0.3, -1.0, 1.0, 2.0, lo - 0.1, hi + 0.1, samples[0] - 1.0 / 32)
         _assert_support_changes_no_bit(oracle, xs)
+
+
+# --- ramp columns on a covered support ---------------------------------------
+
+_RUNGS = (1, 2, 4, 8, 16, 32, 48, 56, 64)
+# dyadic kinks and jumps, so that x + 1/j lands on them exactly
+_WINDOW_LAWS = {
+    "uniform": (uniform_cdf(), (0.0, 1.0)),
+    "triangular": (triangular_cdf(), (0.0, 1.0)),
+    "two-atom": (two_atom_cdf(0.25, 0.6, 0.75), (0.25, 0.75)),
+    "point-mass": (point_mass_cdf(0.5), (0.5, 0.5)),
+}
+
+
+def _window_points(law, lo, hi):
+    """2001 points: outside [lo, hi], on the law's kinks and jumps, 1/j left
+    of them (x + 1/j on one), 1/j left of lo and hi (x + 1/j at the ends or
+    beyond hi), and a grid across the rest."""
+    marks = (*law.kinks, *law.breakpoints, lo, hi)
+    special = [lo - 0.6, lo - 1e-3, hi + 1e-3, hi + 0.6, *marks]
+    special += [k - 1.0 / j for k in marks for j in _RUNGS]
+    special += [hi - 0.5 / j for j in _RUNGS]
+    return np.concatenate([special, np.linspace(lo - 0.3, hi + 0.3, 2001 - len(special))])
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", _WINDOW_LAWS)
+def test_a_ramp_column_on_a_covered_support_has_the_bits_of_by_parts(name):
+    law, span = _WINDOW_LAWS[name]
+    sizes = []
+    counted = dataclasses.replace(law, eval=lambda x: sizes.append(np.size(x)) or law.eval(x))
+    # inside [-1, 1], exactly the law's span, and a support m = 1 does not cover
+    for support in ((-0.9, 0.9), span, (-0.5, 1.5)):
+        lo, hi = support
+        oracle = oracle_from_cdf(counted, support)
+        xs = _window_points(law, lo, hi)
+        for m in (1, 2):
+            column = stieltjes._ramps(xs, _RUNGS, m)
+            covered = -m <= lo and hi <= m
+            for rows in (1, 9, 257, len(xs) * len(_RUNGS)):
+                probes = column[:rows]
+                sizes.clear()
+                got = oracle.apply._batch(probes)
+                # a covered column reads alpha at lo, x, x + 1/j and hi per ramp
+                assert sizes[0] == (4 if covered else 8) * min(rows, 256), (support, m, rows)
+                want = stieltjes._by_parts(probes, law, lo, hi, 1e-8)
+                assert _hex(got) == _hex(want), (support, m, rows)
+
+
+def test_a_ramp_whose_window_rounds_away_has_the_bits_of_by_parts():
+    # at 2**49 the rungs from 16 on give x + 1/j == x: both knots at x,
+    # where the ramp is already 0
+    span = (-(2.0**50), 2.0**50)
+    xs = [2.0**49, -(2.0**49), 0.5]
+    for law in (uniform_cdf(), two_atom_cdf(0.25, 0.6, 2.0**49)):
+        probes = stieltjes._ramps(xs, _RUNGS, 2**50)
+        got = oracle_from_cdf(law, span).apply._batch(probes)
+        assert _hex(got) == _hex(stieltjes._by_parts(probes, law, *span, 1e-8))
+
+
+def test_dropping_a_covering_cutoff_changes_no_bit_of_a_sample_sum():
+    rng = np.random.default_rng(5)
+    # samples on the knots -1 and 1 of the cutoff of index 1, and 2 of index 2
+    for samples in (np.concatenate([[-1.0, 1.0, 1.0], rng.uniform(-1.0, 1.0, 400)]),
+                    np.concatenate([[-1.0, 2.0, 0.5, 0.5], rng.normal(0.3, 0.5, 3000).clip(-1, 2)]),
+                    np.array([0.25])):
+        ordered = np.sort(samples)
+        lo, hi = ordered[0], ordered[-1]
+        xs = np.concatenate([[lo - 0.5, lo, hi, hi + 0.5, -1.0, 1.0, 2.0 - 1.0 / 64],
+                             rng.uniform(lo - 0.2, hi + 0.2, 200)])
+        for m in (1, 2, 4):
+            probes = stieltjes._ramps(xs, _RUNGS, m)
+            bare = stieltjes._on_support(probes, lo, hi)
+            assert len(bare._factors) == (1 if -m <= lo and hi <= m else 2), m
+            want = stieltjes._sample_sums(probes, ordered)
+            assert _hex(stieltjes._sample_sums(bare, ordered)) == _hex(want), m
+            assert _hex(oracle_from_samples(samples).apply._batch(probes)) == _hex(
+                want / len(samples)), m
+        # a bare cutoff is kept
+        cutoff = make_cutoff(4)
+        assert stieltjes._on_support(cutoff, lo, hi) is cutoff
 
 
 def _recording(oracle):
