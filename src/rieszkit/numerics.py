@@ -157,10 +157,17 @@ def _cut(a, b, *point_sets):
     a, b = np.atleast_1d(a, b)
     points = _finite_reals(np.sort(np.concatenate([_numbers(p, "breakpoints")
                                                    for p in point_sets])), "breakpoints")
-    cuts = np.concatenate([a[:, None], np.minimum(np.maximum(points, a[:, None]), b[:, None]),
-                           b[:, None]], axis=1)
+    return _cut_sorted(a, b, points)
+
+
+def _cut_sorted(a: np.ndarray, b: np.ndarray, points: np.ndarray):
+    """``_cut`` of the 1-d arrays of ends a, b at ``points``, a sorted 1-d
+    array of finite reals, which is not checked."""
+    cuts = np.empty((len(a), len(points) + 2))
+    cuts[:, 0], cuts[:, -1] = a, b
+    np.minimum(np.maximum(points, a[:, None]), b[:, None], out=cuts[:, 1:-1])
     keep = cuts[:, 1:] > cuts[:, :-1]
-    return np.nonzero(keep)[0], cuts[:, :-1][keep], cuts[:, 1:][keep]
+    return keep.nonzero()[0], cuts[:, :-1][keep], cuts[:, 1:][keep]
 
 
 @lru_cache(maxsize=128)
@@ -200,10 +207,11 @@ class QuadratureRule:
             raise ValueError("weights must all be positive")
 
     def integrate(self, f: Callable) -> float:
-        """Apply the rule to ``f``: sum of weights times node values."""
+        """Apply the rule to ``f``: sum of weights times node values, added
+        by ``_dot``, so no bit depends on the BLAS thread count."""
         vals = _evaluate(f, self.nodes)
         _check_finite(vals, self.nodes)
-        return float(np.dot(self.weights, vals))
+        return _dot(self.weights, vals)
 
 
 @lru_cache(maxsize=128)
@@ -302,7 +310,9 @@ def _bisect(integrand: Callable, lo: np.ndarray, hi: np.ndarray, budget: np.ndar
     sum of its halves, left + right, so each integral depends only on its
     own panel. Each panel's rules are summed along one row, not by BLAS,
     so no bit depends on the thread count. A value of the estimate rule
-    that is not finite raises ``NumericError`` at its abscissa.
+    that is not finite raises ``NumericError`` at its abscissa, before
+    any sum could warn about it; it is looked for only when one test of
+    all the values of a level fails.
     """
     levels = []
     rows = np.arange(len(lo))
@@ -310,9 +320,11 @@ def _bisect(integrand: Callable, lo: np.ndarray, hi: np.ndarray, budget: np.ndar
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         t = half[:, None] * _PAIR_NODES + mid[:, None]
         vals = integrand(t, rows)
-        _check_finite(vals[:, :_N_HIGH].ravel(), t[:, :_N_HIGH].ravel())
-        est = half * (vals[:, :_N_HIGH] * _HIGH[1]).sum(axis=1)
-        err = np.abs(est - half * (vals[:, _N_HIGH:] * _LOW[1]).sum(axis=1))
+        high = vals[:, :_N_HIGH]
+        if not np.isfinite(high).all():
+            _check_finite(high.ravel(), t[:, :_N_HIGH].ravel())
+        est = half * np.add.reduce(high * _HIGH[1], axis=1)
+        err = np.abs(est - half * np.add.reduce(vals[:, _N_HIGH:] * _LOW[1], axis=1))
         split = ~(err <= budget) & (depth < _MAX_DEPTH)
         levels.append((est, split))
         if not split.any():

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError
-from .numerics import (_bisect, _check_finite, _count, _cut, _dot, _evaluate, _finite_reals,
-                       _ladder_indices, _number, _numbers, _positive, _real, _sum_in_order)
+from .numerics import (_bisect, _check_finite, _count, _cut, _cut_sorted, _dot, _evaluate,
+                       _finite_reals, _ladder_indices, _number, _numbers, _positive, _real,
+                       _sum_in_order)
 
 __all__ = [
     "CdfLike",
@@ -51,7 +53,9 @@ class CdfLike:
     continuous but not smooth (its density jumps). Both lists default to
     ``()`` and are stored sorted, each point once; a point that is not
     finite raises ``ValueError`` naming its list. ``c_minus`` and
-    ``c_plus`` are finite reals with c_minus <= c_plus.
+    ``c_plus`` are finite reals with c_minus <= c_plus. The points of
+    both lists are also kept once, sorted, as one read-only array, where
+    the by-parts integral cuts its sloped pieces.
     """
 
     eval: Callable
@@ -68,6 +72,9 @@ class CdfLike:
         for name in ("breakpoints", "kinks"):
             points = {_real(x, name) for x in getattr(self, name)}
             object.__setattr__(self, name, tuple(sorted(points)))
+        cuts = np.array(sorted({*self.breakpoints, *self.kinks}), dtype=float)
+        cuts.flags.writeable = False
+        object.__setattr__(self, "_cuts", cuts)
 
     def __call__(self, x):
         return self.eval(x)
@@ -266,10 +273,11 @@ _PASS_PROBES = 256
 _SAMPLE_BLOCK = 2**16
 
 
-def _rise_integrals(alpha: CdfLike, lo: float, hi: float, tol: float, a, b, ha, hb, anchor,
-                    d0, d1) -> np.ndarray:
+def _rise_integrals(alpha: CdfLike, lo: float, hi: float, tol: float, a, b, ha, hb, d0,
+                    d1=None, anchor=None) -> np.ndarray:
     """int_a^b (alpha(t) - ha) f'(t) dt on each sloped piece (a, b] of a
-    probe, where alpha moves from ha to hb and f'(t) = d0 + d1 (t - anchor).
+    probe, where alpha moves from ha to hb and f'(t) = d0 + d1 (t - anchor),
+    or f' = d0 on the pieces of ramps (``d1`` None), which adds no term 0.
 
     Each piece is split at alpha's declared jumps and kinks, and all the
     stretches go to ``_bisect`` together, each to a budget of
@@ -278,17 +286,18 @@ def _rise_integrals(alpha: CdfLike, lo: float, hi: float, tol: float, a, b, ha, 
     on the piece, the scale of the rounding in the integrand. The
     stretches of a piece are added in order.
     """
-    scale = np.fmax(np.abs(ha), np.abs(hb)) * np.fmax(np.abs(d0 + d1 * (a - anchor)),
-                                                      np.abs(d0 + d1 * (b - anchor)))
+    scale = np.fmax(np.abs(ha), np.abs(hb)) * (
+        np.abs(d0) if d1 is None
+        else np.fmax(np.abs(d0 + d1 * (a - anchor)), np.abs(d0 + d1 * (b - anchor))))
     rate = _BY_PARTS_SHARE * tol / (hi - lo)
     budget = np.fmax(rate, _ROUNDING_ULPS * scale) * (b - a)
     budget = np.maximum(budget, math.ulp(0.0))  # a tiny piece's budget can underflow
-    piece, starts, stops = _cut(a, b, alpha.breakpoints, alpha.kinks)
+    piece, starts, stops = _cut_sorted(a, b, alpha._cuts)
 
     def integrand(t, rows):
         p = piece[rows, None]
-        return ((_evaluate(alpha.eval, t.ravel()).reshape(t.shape) - ha[p])
-                * (d0[p] + d1[p] * (t - anchor[p])))
+        rise = _evaluate(alpha.eval, t.ravel()).reshape(t.shape) - ha[p]
+        return rise * (d0[p] if d1 is None else d0[p] + d1[p] * (t - anchor[p]))
 
     integrals = _bisect(integrand, starts, stops,
                         budget[piece] * (stops - starts) / (b - a)[piece])
@@ -310,8 +319,8 @@ def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) 
     at most, which one panel integrates, and the rounding floor of the
     budget ends the bisection however small ``tol`` is. The pieces of a
     probe are added in order, so its bits depend on it alone: a knot
-    outside (lo, hi) gives a piece of length 0, which adds 0.0. Ramps
-    whose cutoff covers [lo, hi] get the same bits from ``_window``.
+    outside (lo, hi) gives a piece of length 0, which adds 0.0. Bare
+    ramps get the same bits from ``_window``.
     """
     n = len(probes._factors[0][0])
     if n > _PASS_PROBES:
@@ -332,8 +341,8 @@ def _by_parts(probes: _Probe, alpha: CdfLike, lo: float, hi: float, tol: float) 
     if sloped.any():
         # f'(t) = d0 + d1 (t - anchor) on each sloped piece
         parts[:, 1:][sloped] -= _rise_integrals(
-            alpha, lo, hi, tol, a[sloped], b[sloped], ha[sloped], hb[sloped], knots[sloped],
-            c1[sloped], 2.0 * c2[sloped])
+            alpha, lo, hi, tol, a[sloped], b[sloped], ha[sloped], hb[sloped], c1[sloped],
+            2.0 * c2[sloped], knots[sloped])
     return _sum_in_order(parts.ravel(), np.repeat(np.arange(n), parts.shape[1]), n)
 
 
@@ -364,11 +373,10 @@ def _window(ramps: np.ndarray, alpha: CdfLike, lo: float, hi: float, tol: float)
     ramp = np.where(ends < x, 1.0, np.where(ends < x1, slope * (ends - x) + 1.0, 0.0))
     parts = ramp * (heights[:, 1:] - heights[:, :-1])
     a, b, ha, hb, slope = edges[:, 1], edges[:, 2], heights[:, 1], heights[:, 2], slope[:, 0]
-    sloped = (b > a) & (slope != 0.0) & (hb != ha)
+    sloped = (b > a) & (hb != ha)  # b > a only where x + 1/j > x, so the slope is not 0
     if sloped.any():
-        a = a[sloped]
-        parts[sloped, 1] -= _rise_integrals(alpha, lo, hi, tol, a, b[sloped], ha[sloped],
-                                            hb[sloped], a, slope[sloped], np.zeros(len(a)))
+        parts[sloped, 1] -= _rise_integrals(alpha, lo, hi, tol, a[sloped], b[sloped],
+                                            ha[sloped], hb[sloped], slope[sloped])
     return 0.0 + parts[:, 0] + parts[:, 1] + parts[:, 2]
 
 
@@ -404,9 +412,10 @@ def ls_integrate(
     called once on the probe's piece ends and once per bisection level on
     the panels of its sloped pieces. That branch never raises
     ``ConvergenceError`` and ignores ``max_depth``. ``oracle_from_cdf``
-    answers whole columns of ramps with the same bits; where their cutoff
-    covers the support it drops it and reads alpha at four piece ends per
-    ramp (``_window``). Any other f takes the Riemann-Stieltjes path.
+    answers whole columns of ramps with the same bits; once their cutoff
+    covers the support the recovery ladders send the bare ramps, and it
+    reads alpha at four piece ends per ramp (``_window``). Any other f
+    takes the Riemann-Stieltjes path.
     """
     lo, hi = _check_support("support", support)
     tol = _positive(tol, "tol")
@@ -468,25 +477,20 @@ def make_cutoff(j: int) -> Callable:
     return _Probe((np.array([_cutoff_knots(_count(j, "cutoff index j"))]), *_CUTOFF))
 
 
-def _on_support(probes: _Probe, lo: float, hi: float) -> _Probe:
-    """The batch as it is on [lo, hi]: a factor shaped like ``make_cutoff``
-    whose plateau [-m, m] covers [lo, hi] in every row is exactly 1.0
-    there, so it is dropped from a product. A bare cutoff is kept."""
-    kept = [f for f in probes._factors
-            if f[1:] != _CUTOFF or not ((f[0][:, 1] <= lo).all() and (hi <= f[0][:, 2]).all())]
-    return _Probe(*kept) if kept else probes
-
-
 def _probe_product(ramp: _Probe, cutoff: _Probe) -> _Probe:
     return _Probe(*ramp._factors, *cutoff._factors)
 
 
-def _ramps(xs: Sequence[float], js: Sequence[int], m: int) -> _Probe:
+def _ramps(xs: Sequence[float], js: Sequence[int], m: int | None = None) -> _Probe:
     """``_probe_product(make_ramp(RampSpec(x, j)), make_cutoff(m))`` for
-    each x in ``xs`` and, for each, each j in ``js``, as one batch."""
-    ramps = np.empty((len(xs) * len(js), 2))
-    ramps[:, 0] = np.repeat(xs, len(js))
-    ramps[:, 1] = ramps[:, 0] + np.tile(1.0 / np.asarray(js, dtype=float), len(xs))
+    each x in ``xs`` and, for each, each j in ``js``, as one batch; the
+    bare ramps ``make_ramp(RampSpec(x, j))`` when m is None."""
+    ramps = np.empty((len(xs), len(js), 2))
+    ramps[:, :, 0] = np.asarray(xs, dtype=float)[:, None]
+    ramps[:, :, 1] = ramps[:, :, 0] + 1.0 / np.asarray(js, dtype=float)
+    ramps = ramps.reshape(-1, 2)
+    if m is None:
+        return _Probe((ramps, *_RAMP))
     cutoffs = np.array([_cutoff_knots(m)]).repeat(len(ramps), axis=0)
     return _Probe((ramps, *_RAMP), (cutoffs, *_CUTOFF))
 
@@ -512,12 +516,11 @@ class ExpectationOracle:
     support: tuple[float, float] | None = None
 
     def __post_init__(self):
+        cover = math.inf  # a cutoff index m >= cover has -m <= a and b <= m
         if self.support is not None:
             object.__setattr__(self, "support", _check_support("oracle support", self.support))
-
-    def _covered_by(self, m: int) -> bool:
-        """Is the support inside [-m, m], where the cutoff of index m is 1?"""
-        return self.support is not None and -m <= self.support[0] and self.support[1] <= m
+            cover = max(-self.support[0], self.support[1])
+        object.__setattr__(self, "_cover", cover)
 
 
 def oracle_from_cdf(
@@ -536,11 +539,11 @@ def oracle_from_cdf(
     doubling ladder and its last tail at one cutoff index, for one point
     or for every point of a grid still to walk, which it integrates by
     parts with the same bits, in passes of at most 256 probes so that the
-    memory of a pass does not grow with the grid. A cutoff that covers
-    the support is exactly 1 on it and is dropped, so such a column is a
-    batch of bare ramps, and each reads alpha at four piece ends (lo, x,
-    x + 1/j and hi, clipped to the support) instead of eight: the window
-    form (alpha(x) - alpha(lo)) + j int_x^{x+1/j} (alpha(t) - alpha(x)) dt.
+    memory of a pass does not grow with the grid. Once the cutoff covers
+    the support it is exactly 1 there, so the ladders send the bare
+    ramps, and each reads alpha at four piece ends (lo, x, x + 1/j and
+    hi, clipped to the support) instead of eight: the window form
+    (alpha(x) - alpha(lo)) + j int_x^{x+1/j} (alpha(t) - alpha(x)) dt.
     The bare cutoffs of ``total_mass``, a column whose cutoff does not
     yet cover the support, and single probes go through ``_by_parts``.
     """
@@ -551,9 +554,9 @@ def oracle_from_cdf(
         return ls_integrate(f, alpha, support, tol)
 
     def batch(probes):
-        ramps = _on_support(probes, lo, hi)._factors
-        if len(ramps) == 1 and ramps[0][1:] == _RAMP:
-            return _window(ramps[0][0], alpha, lo, hi, tol)
+        factors = probes._factors
+        if len(factors) == 1 and factors[0][1:] == _RAMP:
+            return _window(factors[0][0], alpha, lo, hi, tol)
         return _by_parts(probes, alpha, lo, hi, tol)
 
     apply._batch = batch
@@ -612,11 +615,11 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     cutoff index, for one point or for every point of a grid still to
     walk, answered in one pass with the same bits; the sloped samples are
     evaluated in blocks of whole pieces of about 2**16 samples, so the
-    memory of a pass does not grow with the grid. A cutoff that covers
-    [min, max] of the samples is dropped first: it is 1.0 on every sample
-    and cuts nothing, so no bit moves. The sum is divided by n. Any
-    other callable gets ``float(np.mean(f(xs)))`` over the samples in the
-    order given. The two differ only by rounding.
+    memory of a pass does not grow with the grid. Once the cutoff covers
+    [min, max] of the samples the ladders send the bare ramps: the
+    cutoff is 1.0 on every sample and cuts nothing, so no bit moves. The
+    sum is divided by n. Any other callable gets ``float(np.mean(f(xs)))``
+    over the samples in the order given. The two differ only by rounding.
 
     The oracle's promised support is [min, max] of the samples, and it
     changes no bit. Raises ValueError for samples that are not
@@ -629,7 +632,7 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
     ordered = np.sort(xs)
 
     def mean(probes):
-        return _sample_sums(_on_support(probes, ordered[0], ordered[-1]), ordered) / xs.size
+        return _sample_sums(probes, ordered) / xs.size
 
     def apply(f):
         if isinstance(f, _Probe):
@@ -641,13 +644,15 @@ def oracle_from_samples(samples: Sequence[float]) -> ExpectationOracle:
 
 
 def _cutoff_limit(
-    oracle: ExpectationOracle, value: Callable, m_max: int, slack: float, agree: float, at=None
+    oracle: ExpectationOracle, m_max: int, slack: float, agree: float, value: Callable, at=None,
+    upper=None,
 ) -> tuple[float, int]:
     """Limit over the cutoff indices m of ``value(m)``, L on the cutoff of
     index m (times a ramp); returns (value, m). A value may fall at most
     ``slack`` below the last; the ladder stops when two agree within
     ``agree``, or at the first cutoff that covers the support. ``at`` is
-    the ramp's (x, j)."""
+    the ramp's (x, j), a rung of a ramp ladder, and its limit may exceed
+    ``upper``, the rung before it (None for none), by at most ``slack``."""
     prev = None
     for m in _ladder_indices(m_max):
         value_m = float(value(m))
@@ -664,11 +669,16 @@ def _cutoff_limit(
                     index=m,
                 )
             if abs(value_m - prev) < agree:
-                return value_m, m
-        if oracle._covered_by(m):
-            return value_m, m
+                break
+        if m >= oracle._cover:
+            break
         prev = value_m
-    return value_m, m  # the ladder always ends at m_max
+    if upper is not None and value_m > upper + slack:
+        raise ContractViolationError(
+            f"ramp ladder increased at j={at[1]} (x={at[0]}): {upper!r} -> {value_m!r}",
+            index=at[1],
+        )
+    return value_m, m  # the ladder always ends, at m_max at the latest
 
 
 def _tail(js: Sequence[int]) -> tuple[int, ...]:
@@ -682,31 +692,33 @@ class _Columns:
     """The ramp values L(ramp(x, j) * cutoff(m)) of one recovery, or of
     one grid of them, read by the walks of its points one after the other.
 
-    ``xs`` are distinct points, in the order of their walks, and ``done``
-    counts the walks that have ended. A built-in apply carries
-    ``_batch(probes)``, its values on a batch of probes with the bits of
-    its calls one by one. At the first miss at cutoff index m it is asked
-    once, for every point not yet done, for the doubling ladder to
+    ``xs`` are distinct points, in the order of their walks; ``done``
+    counts the walks that have ended, and ``rows`` keeps every value the
+    current walk has read, {m: {j: value}}, so a rung walked again asks
+    nothing. A built-in apply carries ``_batch(probes)``, its values on a
+    batch of probes with the bits of its calls one by one; once the
+    cutoff of index m covers the oracle's support it is sent the bare
+    ramps, which are the same probes there. At the first read at m it is
+    asked once, for every point not yet done, for the doubling ladder to
     ``j_max`` and its last tail (``_tail``): one call per m for the whole
-    grid, and a walk that reaches ``j_max`` finds its tail filled. A miss
-    that call did not fill (the tail of an earlier rung, or a batch that
-    raised) asks once for the walk's own rungs ``todo`` at (x, m). Any
-    other miss, and every probe of an apply without ``_batch`` (a wrapped
-    built-in one too), is asked of the apply alone, as the walk reads it,
-    so an error surfaces only at a probe the walk reads, as its own. A
-    grid's column is kept as an array, 8 bytes a value."""
+    grid, and a walk that reaches ``j_max`` finds its tail filled. A
+    grid's column is kept as an array, 8 bytes a value, and each walk
+    reads its row of it once. A miss that call did not fill (the tail of
+    an earlier rung, or a batch that raised) asks once for the rungs
+    ``todo`` of the walk's ladder at (x, m). Any other miss, and every
+    probe of an apply without ``_batch`` (a wrapped built-in one too), is
+    asked of the apply alone, as the walk reads it, so an error surfaces
+    only at a probe the walk reads, as its own."""
 
     def __init__(self, L: ExpectationOracle, xs: Sequence[float], j_max: int):
         self.oracle = L
         self.done = 0
+        self.rows: dict[int, dict[int, float]] = {}
         self._batch = getattr(L.apply, "_batch", None)
         ladder = _ladder_indices(j_max)
         self._js = tuple(sorted({*ladder, *_tail(ladder)}))
-        self._column = {j: k for k, j in enumerate(self._js)}
         self._xs = list(xs)
-        self._row = {x: i for i, x in enumerate(self._xs)}
-        self._grid: dict[int, tuple[int, np.ndarray]] = {}  # m -> (first row, values by row, rung)
-        self._own: dict[tuple[float, int, int], float] = {}  # (x, j, m) -> a walk's own fill
+        self._grid: dict[int, tuple[int, np.ndarray]] = {}  # m -> (first point, values by point, rung)
         self._asked: set = set()
 
     def _ask(self, ask, xs: Sequence[float], js: tuple[int, ...], m: int):
@@ -716,55 +728,35 @@ class _Columns:
             return None
         self._asked.add(ask)
         try:
-            return self._batch(_ramps(xs, js, m))
+            return self._batch(_ramps(xs, js, None if m >= self.oracle._cover else m))
         except Exception:  # raised again by the probe the walk reads
             return None
 
-    def _read(self, x: float, j: int, m: int) -> float | None:
-        if m in self._grid and j in self._column:
-            first, values = self._grid[m]
-            return float(values[self._row[x] - first, self._column[j]])
-        return self._own.get((x, j, m))
-
-    def value(self, x: float, j: int, m: int, todo: tuple[int, ...]) -> float:
-        value = self._read(x, j, m)
-        if value is None and self._batch is not None:
+    def _row(self, m: int) -> dict[int, float]:
+        """The current walk's row of the grid's column at m, asked for
+        first if it has not been; {} when there is none."""
+        if self._batch is not None and m not in self._grid:
             grid = self._ask(m, self._xs[self.done:], self._js, m)
             if grid is not None:
                 self._grid[m] = (self.done, grid.reshape(-1, len(self._js)))
-            value = self._read(x, j, m)
-        if value is None and self._batch is not None:
+        if m not in self._grid:
+            return {}
+        first, values = self._grid[m]
+        return dict(zip(self._js, values[self.done - first].tolist()))
+
+    def value(self, x: float, j: int, todo: tuple[int, ...], m: int) -> float:
+        """L(ramp(x, j) * cutoff(m)) for the current walk, at x, whose
+        ladder reads the rungs ``todo``."""
+        row = self.rows.get(m)
+        if row is None:
+            row = self.rows[m] = self._row(m)
+        if j not in row and self._batch is not None:
             own = self._ask((x, m, todo), (x,), todo, m)
             if own is not None:
-                self._own.update(zip([(x, t, m) for t in todo], own.tolist()))
-            value = self._read(x, j, m)
-        return self.oracle.apply(_ramps((x,), (j,), m)) if value is None else value
-
-
-def _ramp_ladder(store: _Columns, x, js, upper, m_max: int, tol: float, known=None):
-    """Yield (j, value, m) for each j in ``js``: the cutoff limit of the
-    ramp at (x, j) and the cutoff index its ladder stopped at, or
-    ``known[j]``, a rung already walked, which asks the oracle nothing.
-    Each value may exceed the one before it (``upper`` for the first, None
-    for none) by at most ``tol``.
-
-    The values are read from ``store`` (``_Columns``): one call of a
-    built-in apply per cutoff index for every point of its grid, answered
-    in passes bounded in memory, and ``todo``, the rungs not known, where
-    a miss asks for (x, m) alone."""
-    todo = tuple(j for j in js if not known or j not in known)
-    for j in js:
-        rung = known.get(j) if known else None
-        if rung is None:
-            rung = _cutoff_limit(store.oracle, lambda m: store.value(x, j, m, todo), m_max, tol,
-                                 tol / 2, (x, j))
-        value_j, m = rung
-        if upper is not None and value_j > upper + tol:
-            raise ContractViolationError(
-                f"ramp ladder increased at j={j} (x={x}): {upper!r} -> {value_j!r}", index=j
-            )
-        yield j, value_j, m
-        upper = value_j
+                row.update(zip(todo, own.tolist()))
+        if j not in row:
+            row[j] = self.oracle.apply(_ramps((x,), (j,), m))
+        return row[j]
 
 
 def _richardson(js: Sequence[int], values: Sequence[float], slack: float) -> float | None:
@@ -788,14 +780,20 @@ def _recover(L, xs: Sequence[float], j_max: int, m_max: int, tol: float):
     store = _Columns(L, xs, j_max)
     for x in xs:
         result = _recover_at(store, x, j_max, m_max, tol)
-        store.done += 1
+        store.done, store.rows = store.done + 1, {}
         yield result
 
 
 def _recover_at(store: _Columns, x: float, j_max: int, m_max: int, tol: float):
-    """The walk of one point: ``_recover``'s result at x."""
+    """The walk of one point: ``_recover``'s result at x. Each rung is its
+    ramp's cutoff limit, read from ``store``; ``_cutoff_limit`` checks it
+    and holds it to at most ``tol`` above the rung before it."""
+    rung = partial(_cutoff_limit, store.oracle, m_max, tol, tol / 2)  # (value, at, upper)
+    ladder = _ladder_indices(j_max)
     js, values = [], []
-    for j, value, m_reached in _ramp_ladder(store, x, _ladder_indices(j_max), None, m_max, tol):
+    for j in ladder:
+        value, m_reached = rung(partial(store.value, x, j, ladder), (x, j),
+                                values[-1] if values else None)
         js.append(j)
         values.append(value)
         d = abs(value - values[-2]) if len(values) >= 2 else math.inf
@@ -812,11 +810,14 @@ def _recover_at(store: _Columns, x: float, j_max: int, m_max: int, tol: float):
         extrapolated = _richardson(js, values, slack=0.25)
         # the doubling ladder may straddle a regime change (support edge
         # inside the last ramp window); retry on a tail of more closely
-        # spaced j just below the last one before settling for raw
+        # spaced j just below the last one before settling for raw, whose
+        # rung is walked again from the values the store has kept
         tail = (*_tail(js), js[-1])
         if extrapolated is None and len(tail) == 3:
-            walk = _ramp_ladder(store, x, tail, values[-2], m_max, tol, {js[-1]: (raw, m_reached)})
-            extrapolated = _richardson(tail, [value for _, value, _ in walk], slack=0.2)
+            walk = [values[-2]]
+            for j in tail:
+                walk.append(rung(partial(store.value, x, j, tail[:2]), (x, j), walk[-1])[0])
+            extrapolated = _richardson(tail, walk[1:], slack=0.2)
     method = "plateau" if plateau else "raw" if extrapolated is None else "extrapolated"
     value = raw if extrapolated is None else min(max(extrapolated, 0.0), raw)
     return value, method, js, values, m_reached
@@ -853,9 +854,11 @@ def recover_cdf(
     of ramps at a time, in one pass: at each cutoff index, every doubling
     j and the tail 3j/4, 7j/8 of the last one, so a walk that reaches
     ``j_max`` and needs that tail finds it filled (``RecoveredCdf`` asks
-    for the column of every point of its grid at once). Any other apply,
-    a wrapped built-in one too, gets one call per probe, in the order of
-    the walk. Values, exits and errors are the same either way.
+    for the column of every point of its grid at once). Once the cutoff
+    covers the oracle's support the column holds the bare ramps, which
+    are the same probes there. Any other apply, a wrapped built-in one
+    too, gets one call per probe, ramp times cutoff, in the order of the
+    walk. Values, exits and errors are the same either way.
 
     With ``full_output=True`` returns ``(value, info)`` where ``info``
     carries the final (j, m) reached, the raw ramp ladder, and which of
@@ -890,8 +893,8 @@ def total_mass(L: ExpectationOracle, m_max: int = 64) -> float:
     ``support``, and may not decrease by more than 1e-12. ``m_max`` is a
     count >= 1 (``ValueError`` otherwise).
     """
-    return _cutoff_limit(L, lambda m: L.apply(make_cutoff(m)), _count(m_max, "m_max"),
-                         1e-12, 1e-12)[0]
+    return _cutoff_limit(L, _count(m_max, "m_max"), 1e-12, 1e-12,
+                         lambda m: L.apply(make_cutoff(m)))[0]
 
 
 class RecoveredCdf:

@@ -324,6 +324,31 @@ def test_plain_callable_integrals_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+_RULE_THREADS_SCRIPT = """
+import numpy as np
+from rieszkit.numerics import QuadratureRule
+n = 2**16
+weights = np.random.default_rng(3).uniform(0.5, 1.5, n) / n
+rule = QuadratureRule(np.linspace(0.0, 1.0, n), weights)
+print(rule.integrate(lambda t: np.cos(40.0 * t) + t).hex())
+"""
+
+
+def test_a_long_quadrature_rule_does_not_depend_on_the_blas_thread_count():
+    # one np.dot over 2**16 nodes splits its sum over the threads; _dot's chunks do not
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _RULE_THREADS_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 1
+    assert outputs[0] == outputs[1]
+
+
 def test_probes_keep_the_bits_of_the_interp_closures():
     # the ramp, cutoff and product as closures over np.interp, as they
     # were written before they became one class
@@ -884,6 +909,9 @@ _LADDER_LAWS = (
     (triangular_cdf(-0.4, 0.1, 0.4), (-0.4, 0.4)),
     (two_atom_cdf(-0.3, 0.6, 0.2), (-0.3, 0.2)),
     (point_mass_cdf(0.1), (0.1, 0.1)),
+    # its oracle range (-3.5, 3.5) is first covered at m = 4: the columns
+    # at m = 1 and 2 go by parts with the cutoff, the one at m = 4 is bare
+    (uniform_cdf(-3.0, 3.0), (-3.0, 3.0)),
 )
 
 
@@ -1010,10 +1038,13 @@ def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
     batch = oracle.apply._batch
 
     def counting(probes):
-        # a column is ramp(x, j) * cutoff(m): knots x, x + 1/j and then -m - 1, -m, m, m + 1
-        (ramps, *_), (cutoffs, *_) = probes._factors
+        # a column is ramp(x, j) * cutoff(m), knots x, x + 1/j and then
+        # -m - 1, -m, m, m + 1, or the bare ramps once cutoff(m) covers
+        # the support (m is None then)
+        (ramps, *_), *cutoff = probes._factors
         js = np.rint(1.0 / (ramps[:, 1] - ramps[:, 0])).astype(int)
-        columns.append((len(set(ramps[:, 0].tolist())), tuple(js.tolist()), int(cutoffs[0, 2])))
+        m = int(cutoff[0][0][0, 2]) if cutoff else None
+        columns.append((len(set(ramps[:, 0].tolist())), tuple(js.tolist()), m))
         return batch(probes)
 
     oracle.apply._batch = counting
@@ -1026,9 +1057,10 @@ def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
         value, info = recover_cdf(oracle, x, full_output=True)
         assert abs(value - float(law.eval(x))) <= 1e-3
         values.append(value)
-        # the support lies inside [-1, 1]: one column at m = 1 holds the
-        # doubling ladder and the tail 3j/4, 7j/8 of its last rung
-        assert columns == [(1, rungs, 1)]
+        # the support lies inside [-1, 1]: one column of bare ramps, for
+        # m = 1, holds the doubling ladder and the tail 3j/4, 7j/8 of its
+        # last rung
+        assert columns == [(1, rungs, None)]
         # the piece ends of a column (two knots and two ends per ramp: the
         # cutoff is 1 on the support) in one call, then, if a piece needs an
         # integral, its panels in one call per bisection level; a law of
@@ -1040,7 +1072,7 @@ def test_a_cdf_oracle_evaluates_its_law_once_per_column_and_bisection_level():
     calls.clear()
     columns.clear()
     assert RecoveredCdf(oracle).eval(np.array(xs)).tolist() == values
-    assert columns == [(4, rungs * 4, 1)]
+    assert columns == [(4, rungs * 4, None)]
     assert calls[0] == 4 * 9 * 4 and len(calls) <= 2, calls
 
 
@@ -1445,13 +1477,14 @@ def test_a_ramp_column_on_a_covered_support_has_the_bits_of_by_parts(name):
         for m in (1, 2):
             column = stieltjes._ramps(xs, _RUNGS, m)
             covered = -m <= lo and hi <= m
+            # what the ladders send: the bare ramps once the cutoff covers the support
+            sent = stieltjes._ramps(xs, _RUNGS) if covered else column
             for rows in (1, 9, 257, len(xs) * len(_RUNGS)):
-                probes = column[:rows]
                 sizes.clear()
-                got = oracle.apply._batch(probes)
+                got = oracle.apply._batch(sent[:rows])
                 # a covered column reads alpha at lo, x, x + 1/j and hi per ramp
                 assert sizes[0] == (4 if covered else 8) * min(rows, 256), (support, m, rows)
-                want = stieltjes._by_parts(probes, law, lo, hi, 1e-8)
+                want = stieltjes._by_parts(column[:rows], law, lo, hi, 1e-8)
                 assert _hex(got) == _hex(want), (support, m, rows)
 
 
@@ -1466,6 +1499,29 @@ def test_a_ramp_whose_window_rounds_away_has_the_bits_of_by_parts():
         assert _hex(got) == _hex(stieltjes._by_parts(probes, law, *span, 1e-8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("x, point", [(0.045, "0x1.aeb921e5aa6aap-5"),
+                                      (0.05, "0x1.9c0f234b8707bp-5")])
+def test_a_law_not_finite_inside_a_ramp_window_raises_at_the_same_point_on_every_route(
+        bad, x, point):
+    # alpha is bad on (0.05, 0.06), where no piece end of the column lies,
+    # so only the first bisection level sees it; the abscissa was pinned
+    # when _bisect still checked every value, before it looked only in the
+    # panels whose estimate is not finite
+    law = triangular_cdf(-0.4, 0.1, 0.4)
+    broken = dataclasses.replace(law, eval=lambda t: np.where(
+        (0.05 < np.asarray(t)) & (np.asarray(t) < 0.06), bad, law.eval(t)))
+    oracle = oracle_from_cdf(broken, (-0.9, 0.9))
+    routes = (lambda: oracle.apply._batch(stieltjes._ramps((x,), _RUNGS)),
+              lambda: stieltjes._by_parts(stieltjes._ramps((x,), _RUNGS, 1), broken, -0.9, 0.9,
+                                          1e-8),
+              lambda: recover_cdf(oracle, x))
+    for route in routes:
+        with pytest.raises(NumericError, match="^integrand not finite at x=") as err:
+            route()
+        assert err.value.point.hex() == point
+
+
 def test_dropping_a_covering_cutoff_changes_no_bit_of_a_sample_sum():
     rng = np.random.default_rng(5)
     # samples on the knots -1 and 1 of the cutoff of index 1, and 2 of index 2
@@ -1476,17 +1532,18 @@ def test_dropping_a_covering_cutoff_changes_no_bit_of_a_sample_sum():
         lo, hi = ordered[0], ordered[-1]
         xs = np.concatenate([[lo - 0.5, lo, hi, hi + 0.5, -1.0, 1.0, 2.0 - 1.0 / 64],
                              rng.uniform(lo - 0.2, hi + 0.2, 200)])
+        bare = stieltjes._ramps(xs, _RUNGS)
         for m in (1, 2, 4):
             probes = stieltjes._ramps(xs, _RUNGS, m)
-            bare = stieltjes._on_support(probes, lo, hi)
-            assert len(bare._factors) == (1 if -m <= lo and hi <= m else 2), m
             want = stieltjes._sample_sums(probes, ordered)
-            assert _hex(stieltjes._sample_sums(bare, ordered)) == _hex(want), m
-            assert _hex(oracle_from_samples(samples).apply._batch(probes)) == _hex(
+            covered = -m <= lo and hi <= m
+            if covered:
+                assert _hex(stieltjes._sample_sums(bare, ordered)) == _hex(want), m
+            # what the ladders send: the bare ramps once the cutoff covers the samples
+            sent = bare if covered else probes
+            assert _hex(oracle_from_samples(samples).apply._batch(sent)) == _hex(
                 want / len(samples)), m
-        # a bare cutoff is kept
-        cutoff = make_cutoff(4)
-        assert stieltjes._on_support(cutoff, lo, hi) is cutoff
+        assert covered, (lo, hi)  # m = 4 covers every sample set
 
 
 def _recording(oracle):
